@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .netcore import ReducedProblem
+from .netcore import ZERO_RESIDUAL_ATOL, ReducedProblem, _fmt, _read_table, _write_table
 
 __all__ = [
     "LocallyInfeasible",
@@ -58,9 +58,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# Residuals at or below this are treated as exactly zero (no links required).
-ZERO_RESIDUAL_ATOL = 1e-9
 
 
 class LocallyInfeasible(ValueError):
@@ -97,7 +94,6 @@ class FactorGraph:
     unknown: tuple[tuple[int, int], ...]
     k: np.ndarray
     r: np.ndarray
-    residual: np.ndarray
     slot_var: np.ndarray
     slot_valid: np.ndarray
     var_slot_row: np.ndarray
@@ -136,8 +132,7 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
     """
     n = p.n
     m = p.m
-    residual = np.concatenate([p.res_out, p.res_in])
-    r = required_degrees(residual)
+    r = required_degrees(np.concatenate([p.res_out, p.res_in]))
     neighbor_lists: list[list[int]] = [[] for _ in range(2 * n)]
     for e, (i, j) in enumerate(p.unknown):
         neighbor_lists[i].append(e)
@@ -168,7 +163,6 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
     arrays = (
         k,
         r,
-        residual,
         slot_var,
         slot_valid,
         var_slot_row,
@@ -183,7 +177,6 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
         unknown=p.unknown,
         k=k,
         r=r,
-        residual=residual,
         slot_var=slot_var,
         slot_valid=slot_valid,
         var_slot_row=var_slot_row,
@@ -223,29 +216,19 @@ class MessageSet:
     sweeps: int
     residual: float
 
-    def mu(self, factor: int, variable: int, g: FactorGraph) -> float:
-        """Message from the given factor along the given variable."""
-        if factor < g.n:
-            return float(self.mu_row[variable])
-        return float(self.mu_col[variable])
-
 
 def node_weights(incoming: Sequence[float], m_max: int) -> np.ndarray:
     """Probabilities V^0..V^m_max that exactly m of the incoming links are on.
 
     Computed by the one-link-at-a-time recursion
-    V^m_{S} = (1 - mu) V^m_{S minus b} + mu V^{m-1}_{S minus b}.
+    V^m_{S} = (1 - mu) V^m_{S minus b} + mu V^{m-1}_{S minus b},
+    the same kernel the message-passing sweeps run.
     """
     mus = np.asarray(incoming, dtype=float)
     if np.any((mus < 0) | (mus > 1)):
         raise ValueError("messages must lie in [0, 1]")
-    v = np.zeros(m_max + 1)
-    v[0] = 1.0
-    for mu in mus:
-        prev = v.copy()
-        v *= 1.0 - mu
-        v[1:] += mu * prev[:-1]
-    return v
+    v = _full_weights(mus.reshape(1, -1))[0, : m_max + 1]
+    return np.pad(v, (0, m_max + 1 - v.size))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +257,7 @@ class BPState:
 
     The decimation driver pins variables by setting active to False and
     forcing both messages to 0 (an exact removal in the V recursion),
-    adjusting residual/r/k_eff as links are committed.
+    lowering r and k_eff as links are committed.
     """
 
     g: FactorGraph
@@ -284,7 +267,6 @@ class BPState:
     mu_row: np.ndarray
     mu_col: np.ndarray
     active: np.ndarray
-    residual: np.ndarray
     r: np.ndarray
     k_eff: np.ndarray
     degenerate: int = 0
@@ -301,7 +283,6 @@ def make_state(g: FactorGraph, z: float, init: float = 0.5) -> BPState:
         mu_row=np.full(m, init),
         mu_col=np.full(m, init),
         active=np.ones(m, dtype=bool),
-        residual=np.array(g.residual),
         r=np.array(g.r),
         k_eff=np.array(g.k),
     )
@@ -653,39 +634,22 @@ def calibrate_fugacity(
     return z, lam
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_ENTROPY_HEADER = "z,lambda_hat,S,Sigma,converged"
 
 
 def write_entropy_csv(path: str, curve: EntropyCurve) -> None:
-    lines = ["z,lambda_hat,S,Sigma,converged"]
-    for pt in curve.points:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(pt.z),
-                    _fmt(pt.lambda_hat),
-                    _fmt(pt.entropy),
-                    _fmt(pt.sigma),
-                    "true" if pt.converged else "false",
-                ]
-            )
-        )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        [*map(_fmt, (pt.z, pt.lambda_hat, pt.entropy, pt.sigma)), "true" if pt.converged else "false"]
+        for pt in curve.points
+    )
+    _write_table(path, _ENTROPY_HEADER, rows)
 
 
 def read_entropy_csv(path: str) -> EntropyCurve:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "z,lambda_hat,S,Sigma,converged":
-            raise ValueError(f"unrecognized entropy header: {header!r}")
-        points = []
-        for line in fh:
-            if not line.strip():
-                continue
-            z, lam, s, sigma, conv = line.strip().split(",")
-            points.append(
-                EntropyPoint(float(z), float(lam), float(s), float(sigma), conv == "true")
-            )
-    return EntropyCurve(tuple(points))
+    _, rows = _read_table(path, "entropy", _ENTROPY_HEADER)
+    return EntropyCurve(
+        tuple(
+            EntropyPoint(float(z), float(lam), float(s), float(sigma), conv == "true")
+            for z, lam, s, sigma, conv in rows
+        )
+    )

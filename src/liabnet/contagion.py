@@ -22,8 +22,9 @@ import numpy as np
 
 from .netcore import (
     LiabilityMatrix,
-    ReducedProblem,
-    Support,
+    _fmt,
+    _read_table,
+    _write_table,
     absorb_known,
     assemble_matrix,
     make_observation,
@@ -282,10 +283,6 @@ class ComparisonReport:
         return tuple(mc.method for mc in self.curves)
 
 
-def _reconstructed_matrix(obs, rp: ReducedProblem, values: np.ndarray) -> LiabilityMatrix:
-    return assemble_matrix(obs, values)
-
-
 def compare_methods(
     L_true: LiabilityMatrix,
     cap,
@@ -342,18 +339,32 @@ def compare_methods(
     return ComparisonReport(alphas=alphas, curves=tuple(out))
 
 
+def _sample_curve(alphas, rows, excluded_bank: int | None = None) -> DefaultCurve:
+    """Mean fraction over sampled supports, per-sample fractions in the
+    per_trigger slot."""
+    arr = np.array(rows)
+    per = arr.T.copy()
+    per.setflags(write=False)
+    return DefaultCurve(
+        alphas=alphas,
+        mean_fraction=tuple(float(v) for v in arr.mean(axis=0)),
+        per_trigger=per,
+        excluded_bank=excluded_bank,
+    )
+
+
 def _run_method(method, L_true, cap, alphas, obs, rp, g, opts, run) -> MethodCurve:
     if method == "true":
         curve, excl = run(L_true)
         return MethodCurve(method=method, curve=curve, curve_excluding=excl)
     if method == "me_dense":
         values = me_reconstruct(rp, opts.me)
-        curve, excl = run(_reconstructed_matrix(obs, rp, values))
+        curve, excl = run(assemble_matrix(obs, values))
         return MethodCurve(method=method, curve=curve, curve_excluding=excl)
     if method == "me_on_true_support":
         a = support_of(L_true, rp.unknown)
         values = me_on_support(rp, a, opts.me)
-        curve, excl = run(_reconstructed_matrix(obs, rp, values))
+        curve, excl = run(assemble_matrix(obs, values))
         return MethodCurve(method=method, curve=curve, curve_excluding=excl)
     if method == "me_on_sparsest_support":
         lm = lambda_max(
@@ -369,7 +380,7 @@ def _run_method(method, L_true, cap, alphas, obs, rp, g, opts, run) -> MethodCur
         if lm.fallback:
             note = "no transport-feasible sampled support; using the thinned full support"
         values = me_on_support(rp, lm.support, opts.me)
-        curve, excl = run(_reconstructed_matrix(obs, rp, values))
+        curve, excl = run(assemble_matrix(obs, values))
         return MethodCurve(
             method=method, curve=curve, curve_excluding=excl, note=note
         )
@@ -402,7 +413,7 @@ def _run_method(method, L_true, cap, alphas, obs, rp, g, opts, run) -> MethodCur
         except (Infeasible, NotConverged):
             skipped += 1
             continue
-        matrix = _reconstructed_matrix(obs, rp, values)
+        matrix = assemble_matrix(obs, values)
         curve, excl = run(matrix)
         rows.append(curve.mean_fraction)
         if excl is not None:
@@ -412,29 +423,12 @@ def _run_method(method, L_true, cap, alphas, obs, rp, g, opts, run) -> MethodCur
             f"no usable typical supports out of {len(samples)} draws"
         )
     arr = np.array(rows)
-    mean = arr.mean(axis=0)
     if len(rows) > 1:
         se = arr.std(axis=0, ddof=1) / math.sqrt(len(rows))
     else:
         se = np.zeros(arr.shape[1])
-    per = arr.T.copy()  # per-sample fractions in the per_trigger slot
-    per.setflags(write=False)
-    curve = DefaultCurve(
-        alphas=alphas,
-        mean_fraction=tuple(float(v) for v in mean),
-        per_trigger=per,
-    )
-    excl_curve = None
-    if rows_excl:
-        arr_e = np.array(rows_excl)
-        per_e = arr_e.T.copy()
-        per_e.setflags(write=False)
-        excl_curve = DefaultCurve(
-            alphas=alphas,
-            mean_fraction=tuple(float(v) for v in arr_e.mean(axis=0)),
-            per_trigger=per_e,
-            excluded_bank=opts.exclude_bank,
-        )
+    curve = _sample_curve(alphas, rows)
+    excl_curve = _sample_curve(alphas, rows_excl, opts.exclude_bank) if rows_excl else None
     note = f"{skipped} of {len(samples)} support draws skipped" if skipped else None
     return MethodCurve(
         method="me_on_typical_support",
@@ -446,34 +440,25 @@ def _run_method(method, L_true, cap, alphas, obs, rp, g, opts, run) -> MethodCur
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_CURVES_HEADER = "alpha,mean_fraction,stderr,method"
 
 
 def write_default_curves_csv(path: str, report: ComparisonReport) -> None:
     """Serialize every successful method curve as rows of
     `alpha, mean_fraction, stderr, method` (stderr 0 when not sampled)."""
-    lines = ["alpha,mean_fraction,stderr,method"]
+    rows = []
     for mc in report.curves:
         if mc.curve is None:
             continue
         ses = mc.stderr if mc.stderr is not None else (0.0,) * len(mc.curve.alphas)
         for a, f, se in zip(mc.curve.alphas, mc.curve.mean_fraction, ses):
-            lines.append(",".join([_fmt(a), _fmt(f), _fmt(se), mc.method]))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            rows.append([_fmt(a), _fmt(f), _fmt(se), mc.method])
+    _write_table(path, _CURVES_HEADER, rows)
 
 
 def read_default_curves_csv(path: str) -> dict[str, list[tuple[float, float, float]]]:
     """Read back rows grouped by method as (alpha, mean_fraction, stderr)."""
     out: dict[str, list[tuple[float, float, float]]] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "alpha,mean_fraction,stderr,method":
-            raise ValueError(f"unrecognized curve header: {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            a, f, se, method = line.strip().split(",")
-            out.setdefault(method, []).append((float(a), float(f), float(se)))
+    for a, f, se, method in _read_table(path, "curve", _CURVES_HEADER)[1]:
+        out.setdefault(method, []).append((float(a), float(f), float(se)))
     return out

@@ -124,38 +124,43 @@ class _Contradiction(Exception):
     """Constraint propagation proved the instance inconsistent."""
 
 
+def _bank_slots(
+    p: ReducedProblem, slots: np.ndarray
+) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Positions in slots of each bank's row slots and column slots, by bank."""
+    rows: dict[int, list[int]] = {}
+    cols: dict[int, list[int]] = {}
+    for local, e in enumerate(slots):
+        i, j = p.unknown[e]
+        rows.setdefault(i, []).append(local)
+        cols.setdefault(j, []).append(local)
+    return rows, cols
+
+
 class _Groups:
-    """Index bookkeeping: which unknown slots belong to each bank's row/column."""
+    """Each bank's row and column slots, as positions in a slot array, with
+    the sum they must meet.
 
-    def __init__(self, row_groups, col_groups, stranded: float):
-        self.row_groups = row_groups
-        self.col_groups = col_groups
-        self.stranded = stranded
+    stranded is the largest target of a bank with no slot at all, which no
+    assignment can meet; violation leaves it to the caller.
+    """
 
-    @classmethod
-    def from_problem(cls, p: ReducedProblem, slots: np.ndarray) -> "_Groups":
-        rows: dict[int, list[int]] = {}
-        cols: dict[int, list[int]] = {}
-        for local, e in enumerate(slots):
-            i, j = p.unknown[e]
-            rows.setdefault(i, []).append(local)
-            cols.setdefault(j, []).append(local)
-        row_groups = [
-            (np.array(v, dtype=int), float(p.res_out[i])) for i, v in sorted(rows.items())
+    def __init__(self, p: ReducedProblem, slots: np.ndarray, row_t, col_t):
+        rows, cols = _bank_slots(p, slots)
+        self.row_groups = [
+            (np.array(v, dtype=int), float(row_t[i])) for i, v in sorted(rows.items())
         ]
-        col_groups = [
-            (np.array(v, dtype=int), float(p.res_in[j])) for j, v in sorted(cols.items())
+        self.col_groups = [
+            (np.array(v, dtype=int), float(col_t[j])) for j, v in sorted(cols.items())
         ]
-        # Banks with residual demand but no free slot can never be satisfied.
-        stranded = max(
-            [float(p.res_out[i]) for i in range(p.n) if i not in rows]
-            + [float(p.res_in[j]) for j in range(p.n) if j not in cols]
+        self.stranded = max(
+            [float(row_t[i]) for i in range(p.n) if i not in rows]
+            + [float(col_t[j]) for j in range(p.n) if j not in cols]
             + [0.0]
         )
-        return cls(row_groups, col_groups, stranded)
 
     def violation(self, x: np.ndarray) -> float:
-        worst = self.stranded
+        worst = 0.0
         for idx, s in self.row_groups:
             worst = max(worst, abs(float(x[idx].sum()) - s))
         for idx, s in self.col_groups:
@@ -186,22 +191,16 @@ def _presolve(
     eps = 1e-9 * max(1.0, float(p.total_residual()))
     value = np.full(k, np.nan)
     live = np.ones(k, dtype=bool)
-    row_members: dict[int, list[int]] = {}
-    col_members: dict[int, list[int]] = {}
-    for local, e in enumerate(slots):
-        i, j = p.unknown[e]
-        row_members.setdefault(i, []).append(local)
-        col_members.setdefault(j, []).append(local)
+    row_members, col_members = _bank_slots(p, slots)
     row_t = {i: float(p.res_out[i]) for i in range(p.n)}
     col_t = {j: float(p.res_in[j]) for j in range(p.n)}
-    row_of = {local: p.unknown[e][0] for local, e in enumerate(slots)}
-    col_of = {local: p.unknown[e][1] for local, e in enumerate(slots)}
 
     def fix(local: int, v: float) -> None:
         value[local] = v
         live[local] = False
-        row_t[row_of[local]] -= v
-        col_t[col_of[local]] -= v
+        i, j = p.unknown[slots[local]]
+        row_t[i] -= v
+        col_t[j] -= v
 
     changed = True
     while changed:
@@ -270,34 +269,22 @@ def _solve(p: ReducedProblem, slots: np.ndarray, opts: MEOptions, presolve: bool
     selected slots, so presolve can only help, never mask a violation.
     May raise _Contradiction (from the presolve pass).
     """
-    full = _Groups.from_problem(p, slots)
+    full = _Groups(p, slots, p.res_out, p.res_in)
     x = np.full(slots.size, np.nan)
     if presolve:
         fixed, live, row_t, col_t = _presolve(p, slots)
         x[~live] = fixed[~live]
     else:
         live = np.ones(slots.size, dtype=bool)
-        row_t = {i: float(p.res_out[i]) for i in range(p.n)}
-        col_t = {j: float(p.res_in[j]) for j in range(p.n)}
+        row_t, col_t = p.res_out, p.res_in
     iters = 0
     if np.any(live):
         live_idx = np.flatnonzero(live)
-        local_pos = {g_local: pos for pos, g_local in enumerate(live_idx)}
-        rows: dict[int, list[int]] = {}
-        cols: dict[int, list[int]] = {}
-        for g_local in live_idx:
-            i, j = p.unknown[slots[g_local]]
-            rows.setdefault(i, []).append(local_pos[g_local])
-            cols.setdefault(j, []).append(local_pos[g_local])
-        g = _Groups(
-            [(np.array(v, dtype=int), row_t[i]) for i, v in sorted(rows.items())],
-            [(np.array(v, dtype=int), col_t[j]) for j, v in sorted(cols.items())],
-            stranded=0.0,
-        )
+        g = _Groups(p, slots[live_idx], row_t, col_t)
         x0 = np.full(live_idx.size, opts.prior_value)
         x_live, _, iters, _ = _dykstra(g, x0, opts)
         x[live_idx] = x_live
-    viol = full.violation(x)
+    viol = max(full.stranded, full.violation(x))
     ok = viol <= opts.tolerance
     values = np.zeros(p.m)
     values[slots] = np.clip(x, 0.0, 1.0)

@@ -15,7 +15,6 @@ theta, so each unknown entry lives in [0, 1].
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -45,6 +44,8 @@ __all__ = [
 
 # Consistency tolerance, scaled by max(1, problem total).
 BALANCE_RTOL = 1e-9
+# Residuals at or below this are treated as exactly zero (no links required).
+ZERO_RESIDUAL_ATOL = 1e-9
 
 
 class InconsistentObservation(ValueError):
@@ -111,15 +112,12 @@ class ValidationReport:
 
 
 def _constraint_rank(n: int) -> int:
+    # The constraints' incidence on the slots is that of K_{N,N} minus a
+    # perfect matching, so its rank is 2N less the graph's component count:
+    # two disjoint edges at N = 2, connected for N >= 3.
     if n < 2:
         return 0
-    # Incidence of the 2N strength constraints on the N(N-1) off-diagonal slots.
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    a = np.zeros((2 * n, len(slots)))
-    for e, (i, j) in enumerate(slots):
-        a[i, e] = 1.0
-        a[n + j, e] = 1.0
-    return int(np.linalg.matrix_rank(a))
+    return 2 if n == 2 else 2 * n - 1
 
 
 def validate_matrix(
@@ -335,6 +333,13 @@ class ReducedProblem:
 def absorb_known(obs: Observation) -> ReducedProblem:
     """Subtract known entries from the strengths, leaving residual sums over U.
 
+    Residuals at or below max(ZERO_RESIDUAL_ATOL, 1e-12 * the bank's
+    rescaled strength) are set to zero.  Rescaling by a small threshold
+    amplifies the float error of the strength-minus-knowns subtractions to
+    around 1e-14 of the rescaled strength, which can exceed the absolute
+    tolerance and fabricate unknowns; a genuine hidden liability twelve
+    orders of magnitude below its bank's total is negligible.
+
     Raises:
         InconsistentObservation: a residual is negative beyond tolerance, or
             total residual credit and debt disagree.
@@ -354,6 +359,8 @@ def absorb_known(obs: Observation) -> ReducedProblem:
     np.clip(res_in, 0.0, None, out=res_in)
     if abs(res_out.sum() - res_in.sum()) > tol:
         raise InconsistentObservation("total residual credit and debt disagree")
+    res_out[res_out <= np.maximum(ZERO_RESIDUAL_ATOL, 1e-12 * obs.out_strength)] = 0.0
+    res_in[res_in <= np.maximum(ZERO_RESIDUAL_ATOL, 1e-12 * obs.in_strength)] = 0.0
     return ReducedProblem(n=obs.n, unknown=obs.unknown, res_out=res_out, res_in=res_in)
 
 
@@ -383,31 +390,43 @@ def assemble_matrix(obs: Observation, values: Sequence[float]) -> LiabilityMatri
 # File formats
 
 
-def write_matrix_csv(path: str, L: LiabilityMatrix, theta: float = 1.0) -> None:
-    """Write the matrix, row-major, under the versioned header line."""
-    lines = [f"# liability-matrix v1, n={L.n}, theta={_fmt(theta)}"]
-    for row in L.entries:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_table(path: str, header: str, rows: Iterable[Iterable[str]]) -> None:
+    """Write the header line, then one comma-separated line per row."""
+    lines = [header, *(",".join(row) for row in rows)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_matrix_csv(path: str) -> tuple[LiabilityMatrix, float]:
+def _read_table(
+    path: str, kind: str, header: str, prefix: bool = False
+) -> tuple[str, list[list[str]]]:
+    """Header line and non-blank rows, split on commas, of a _write_table file.
+
+    Raises ValueError, naming kind, unless the header line equals header
+    (or, with prefix, starts with it: a header that carries parameters).
+    """
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# liability-matrix v1,"):
-            raise ValueError(f"unrecognized matrix header: {header!r}")
-        fields = dict(
-            part.strip().split("=") for part in header.split(",")[1:] if "=" in part
-        )
-        n = int(fields["n"])
-        theta = float(fields["theta"])
-        rows = [
-            [float(tok) for tok in line.strip().split(",")]
-            for line in fh
-            if line.strip()
-        ]
-    arr = np.array(rows, dtype=float)
+        line = fh.readline().strip()
+        if not (line.startswith(header) if prefix else line == header):
+            raise ValueError(f"unrecognized {kind} header: {line!r}")
+        return line, [row.strip().split(",") for row in fh if row.strip()]
+
+
+def write_matrix_csv(path: str, L: LiabilityMatrix, theta: float = 1.0) -> None:
+    """Write the matrix, row-major, under the versioned header line."""
+    _write_table(
+        path,
+        f"# liability-matrix v1, n={L.n}, theta={_fmt(theta)}",
+        ([_fmt(v) for v in row] for row in L.entries),
+    )
+
+
+def read_matrix_csv(path: str) -> tuple[LiabilityMatrix, float]:
+    header, rows = _read_table(path, "matrix", "# liability-matrix v1,", prefix=True)
+    fields = dict(part.strip().split("=") for part in header.split(",")[1:] if "=" in part)
+    n = int(fields["n"])
+    theta = float(fields["theta"])
+    arr = np.array([[float(tok) for tok in row] for row in rows], dtype=float)
     if arr.shape != (n, n):
         raise ValueError(f"matrix body shape {arr.shape} does not match n={n}")
     return LiabilityMatrix(arr), theta

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .bpcore import (
     BPState,
     FactorGraph,
     make_state,
-    required_degrees,
     run_sweeps,
     state_marginals,
 )
@@ -249,8 +248,10 @@ def _fix_variable(state: BPState, e: int, value: int) -> None:
 
     Pinning both directed messages to 0 removes the variable from both
     factors' weight recursions exactly; a committed link additionally
-    lowers each side's residual by its unit cap and re-derives the degree
-    requirement, which is the m >= r - 1 condition on the remaining links.
+    lowers each side's degree requirement by one, which is the m >= r - 1
+    condition on the remaining links.  Requirements stay those of the
+    original residuals (floor(rho) + 1), as in the final degree check and
+    in peeling.
     """
     g = state.g
     state.active[e] = False
@@ -262,16 +263,15 @@ def _fix_variable(state: BPState, e: int, value: int) -> None:
     state.k_eff[fc] -= 1
     if value == 1:
         for f in (fr, fc):
-            state.residual[f] = max(0.0, state.residual[f] - 1.0)
-            state.r[f] = int(required_degrees(np.array([state.residual[f]]))[0])
+            state.r[f] = max(0, state.r[f] - 1)
 
 
-def _h_is_zero(g: FactorGraph, values: np.ndarray) -> bool:
-    """Degree check of a full assignment against the original requirements."""
+def _degree_counts(g: FactorGraph, values: np.ndarray) -> np.ndarray:
+    """Links per factor of a full assignment."""
     counts = np.zeros(g.n_factors, dtype=int)
     np.add.at(counts, g.var_row_factor, values)
     np.add.at(counts, g.var_col_factor, values)
-    return bool(np.all(counts >= g.r))
+    return counts
 
 
 def decimate(
@@ -336,7 +336,7 @@ def decimate(
         if contradiction:
             continue
         support = Support(unknown=g.unknown, values=values)
-        h_zero = _h_is_zero(g, values)
+        h_zero = bool(np.all(_degree_counts(g, values) >= g.r))
         assert h_zero, "decimation produced a degree-violating support"
         return DecimationTrace(
             steps=steps,
@@ -486,9 +486,7 @@ def _peel_support(g: FactorGraph, p: ReducedProblem, values: np.ndarray) -> np.n
     single deletion survives; the result is feasible and locally minimal.
     """
     vals = values.copy()
-    counts = np.zeros(g.n_factors, dtype=int)
-    np.add.at(counts, g.var_row_factor, vals)
-    np.add.at(counts, g.var_col_factor, vals)
+    counts = _degree_counts(g, vals)
     improved = True
     while improved:
         improved = False

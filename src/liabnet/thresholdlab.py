@@ -19,22 +19,23 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bpcore import (
     BPOptions,
     EntropyCurve,
-    ZERO_RESIDUAL_ATOL,
     build_factor_graph,
     calibrate_fugacity,
     sigma_curve,
 )
 from .netcore import (
+    ZERO_RESIDUAL_ATOL,
     LiabilityMatrix,
-    Observation,
-    ReducedProblem,
+    _fmt,
+    _read_table,
+    _write_table,
     absorb_known,
     make_observation,
 )
@@ -143,31 +144,13 @@ def _true_sparsity(L: LiabilityMatrix) -> float:
     return float(np.mean(L.entries[off] == 0.0))
 
 
-def _cleaned_problem(obs: Observation, rp: ReducedProblem) -> ReducedProblem:
-    """Zero out residuals that are cancellation noise from absorbing knowns.
-
-    Rescaling by a small threshold amplifies the float error of
-    strength-minus-knowns subtractions to around 1e-14 of the rescaled
-    strength, which can exceed the absolute zero-residual tolerance and
-    fabricate unknowns.  Anything below 1e-12 of the bank's rescaled
-    strength is treated as zero; a genuine hidden liability twelve orders
-    of magnitude below its bank's total is negligible for sparsity and
-    entropy purposes.
-    """
-    tol_out = np.maximum(ZERO_RESIDUAL_ATOL, 1e-12 * np.asarray(obs.out_strength))
-    tol_in = np.maximum(ZERO_RESIDUAL_ATOL, 1e-12 * np.asarray(obs.in_strength))
-    res_out = np.where(rp.res_out > tol_out, rp.res_out, 0.0)
-    res_in = np.where(rp.res_in > tol_in, rp.res_in, 0.0)
-    return ReducedProblem(n=rp.n, unknown=rp.unknown, res_out=res_out, res_in=res_in)
-
-
 def _sweep_one(
     L_true: LiabilityMatrix, theta: float, opts: ThresholdOptions, seed: int
 ) -> ThresholdRecord:
     n = L_true.n
     total_slots = n * (n - 1)
     obs = make_observation(L_true, theta, opts.disclosed)
-    rp = _cleaned_problem(obs, absorb_known(obs))
+    rp = absorb_known(obs)
     known_links = sum(1 for v in obs.known.values() if v > 0.0)
     note = None
     if float(L_true.entries.max()) <= theta:
@@ -193,25 +176,13 @@ def _sweep_one(
             note=note,
         )
     g = build_factor_graph(rp, strict=True)
-    lam_opts = LambdaMaxOptions(
-        trials=opts.lambda_opts.trials,
-        rng_seed=seed,
-        decimation=opts.lambda_opts.decimation,
-        z_ladder=opts.lambda_opts.z_ladder,
-        peel=opts.lambda_opts.peel,
-    )
-    lm = lambda_max(g, rp, lam_opts)
+    lm = lambda_max(g, rp, replace(opts.lambda_opts, rng_seed=seed))
     links_min = lm.links
     lam_whole = 1.0 - (known_links + links_min) / total_slots
     curve = sigma_curve(g, opts.z_grid, opts.bp)
     # Sigma at the sparsity edge: the log-count of supports per link at the
     # sparsest achievable density, which vanishes as disclosure completes.
-    edge_bp = BPOptions(
-        tol=opts.bp.tol,
-        max_sweeps=4 * opts.bp.max_sweeps,
-        damping=opts.bp.damping,
-        init=opts.bp.init,
-    )
+    edge_bp = replace(opts.bp, max_sweeps=4 * opts.bp.max_sweeps)
     z_edge, lam_edge = calibrate_fugacity(g, lm.lambda_max, edge_bp)
     edge_point = sigma_curve(g, (z_edge,), edge_bp).points[0]
     entropy_edge = edge_point.sigma
@@ -337,37 +308,18 @@ def threshold_sweep(
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_THRESHOLD_HEADER = "theta,M,lambda_max,entropy_at_lambda_max"
 
 
 def write_threshold_csv(path: str, report: ThresholdReport) -> None:
     """One row per threshold: `theta, M, lambda_max, entropy_at_lambda_max`."""
-    lines = ["theta,M,lambda_max,entropy_at_lambda_max"]
-    for rec in report.records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(rec.theta),
-                    str(rec.m),
-                    _fmt(rec.lambda_max),
-                    _fmt(rec.entropy_at_lambda_max),
-                ]
-            )
-        )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        [_fmt(rec.theta), str(rec.m), _fmt(rec.lambda_max), _fmt(rec.entropy_at_lambda_max)]
+        for rec in report.records
+    )
+    _write_table(path, _THRESHOLD_HEADER, rows)
 
 
 def read_threshold_csv(path: str) -> list[tuple[float, int, float, float]]:
-    out = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "theta,M,lambda_max,entropy_at_lambda_max":
-            raise ValueError(f"unrecognized threshold header: {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            t, m, lam, s = line.strip().split(",")
-            out.append((float(t), int(m), float(lam), float(s)))
-    return out
+    _, rows = _read_table(path, "threshold", _THRESHOLD_HEADER)
+    return [(float(t), int(m), float(lam), float(s)) for t, m, lam, s in rows]

@@ -13,6 +13,7 @@ from liabnet.contagion import (
     read_default_curves_csv,
     write_default_curves_csv,
 )
+from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.maxent import MEOptions
 from liabnet.netcore import LiabilityMatrix
 
@@ -250,6 +251,17 @@ class TestCompareMethods:
             mc = rep.curve_for(m)
             assert mc.error is None
             assert mc.curve.mean_fraction == pytest.approx(base, abs=1e-12)
+
+    def test_small_threshold_residual_noise_is_cleaned(self):
+        # Rescaling by the smallest entry amplifies the rounding left by
+        # absorbing the knowns; uncleaned, banks with no hidden link keep
+        # residuals of ~1e-11 that the true support cannot carry.
+        L, cap = generate(EnsembleSpec("uniform", 80, 0.3, seed=3))
+        theta = float(L.entries[L.entries > 0].min())
+        rep = compare_methods(
+            L, cap, [0.5], ["me_on_true_support"], CompareOptions(theta=theta)
+        )
+        assert rep.curve_for("me_on_true_support").error is None
 
     def test_all_methods_canonical_order(self):
         L, cap = random_case(6, 14)

@@ -45,8 +45,15 @@ class TestValidateMatrix:
         assert report.ok
 
     def test_constraint_rank(self):
-        # 2N - 1 once there are enough slots; N=2 has only two independent ones.
-        for n, expected in ((2, 2), (3, 5), (5, 9)):
+        # The closed form against the rank of the incidence of the 2N
+        # strength constraints on the N(N-1) off-diagonal slots.
+        for n in range(1, 9):
+            slots = offdiag(n)
+            a = np.zeros((2 * n, len(slots)))
+            for e, (i, j) in enumerate(slots):
+                a[i, e] = 1.0
+                a[n + j, e] = 1.0
+            expected = int(np.linalg.matrix_rank(a))
             L = nc.LiabilityMatrix(np.zeros((n, n)))
             assert nc.validate_matrix(L).constraint_rank == expected
 

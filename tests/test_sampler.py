@@ -18,7 +18,7 @@ from liabnet.sampler import (
 )
 
 from _instances import benchmark3, forced3, random_problem
-from _oracles import all_patterns, enumerate_ensemble, exact_lambda_max, lp_feasible
+from _oracles import all_patterns, enumerate_ensemble, exact_lambda_max, h_is_zero, lp_feasible
 
 
 def full_offdiag(n):
@@ -153,6 +153,20 @@ class TestDecimate:
             g = build_factor_graph(p)
             for s in sample_supports(g, p, 1.0, 10, rng_seed=seed):
                 assert s.trace.h_zero
+
+    def test_integer_residual_keeps_its_requirement(self):
+        # A residual of exactly 1.0 needs two links; committing one of them
+        # must leave one more required, not zero.
+        p = ReducedProblem(
+            n=3,
+            unknown=full_offdiag(3),
+            res_out=np.array([1.0, 0.6, 0.4]),
+            res_in=np.array([0.4, 0.6, 1.0]),
+        )
+        g = build_factor_graph(p)
+        for seed in range(30):
+            tr = decimate(g, p, 1.0, seed)
+            assert h_is_zero(p, tr.final_support.values)
 
     def test_infeasible_graph_exhausts_immediately(self):
         p = ReducedProblem(
