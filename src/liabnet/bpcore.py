@@ -17,15 +17,30 @@ zeta^m charges zeta^2 = z per link, which reproduces the z^(links)
 ensemble; running the same equations with z in place of zeta would charge
 z^2 per link (checked against exhaustive enumeration in the tests).
 
+Kernel.  A message needs only its cavity (the link count over the
+factor's other slots) and only near the requirement r.  Each sweep builds
+every factor's link-count distributions over the slots before and after
+each slot, cut at R = max(r) + 2 (bin R holds "R or more", so updates add
+only non-negative terms), and reads messages from sums of their products:
+no division recursion, no logs, O(F K R) time and memory.  At finite z the
+messages are tilted to q = zeta mu / (1 - mu + zeta mu); sum_m zeta^m V^m
+is prod(1 - mu + zeta mu) times the tilted distribution, the product
+cancels, and mu = zeta T(>= r-1) / (zeta T(>= r-1) + T(>= r)) with T the
+tilted cavity tail.
+
 The limits z -> 0 (sparsest admissible graphs) and z -> infinity (complete
 graph) are selected by passing z = 0.0 or z = math.inf and use exact
-closed forms, never extreme floats.
+closed forms, never extreme floats.  At z = 0, mu = V^{r-1} / (V^{r-1} +
+V^r); when both vanish because the cavity already holds more than r
+links, mu is 0 (the z -> 0 limit), and only a cavity that cannot reach
+r - 1 links is degenerate (0.5, counted in BPState.degenerate).
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +50,7 @@ from .netcore import ZERO_RESIDUAL_ATOL, ReducedProblem, _fmt, _read_table, _wri
 
 __all__ = [
     "LocallyInfeasible",
+    "KernelTooLarge",
     "FactorGraph",
     "BPOptions",
     "MessageSet",
@@ -66,6 +82,10 @@ class LocallyInfeasible(ValueError):
     def __init__(self, labels: tuple[str, ...]):
         super().__init__(f"locally infeasible factors: {', '.join(labels)}")
         self.labels = labels
+
+
+class KernelTooLarge(ValueError):
+    """The message kernel's arrays would not fit in physical memory."""
 
 
 def required_degrees(residuals: np.ndarray) -> np.ndarray:
@@ -227,28 +247,19 @@ def node_weights(incoming: Sequence[float], m_max: int) -> np.ndarray:
     mus = np.asarray(incoming, dtype=float)
     if np.any((mus < 0) | (mus > 1)):
         raise ValueError("messages must lie in [0, 1]")
-    v = _full_weights(mus.reshape(1, -1))[0, : m_max + 1]
-    return np.pad(v, (0, m_max + 1 - v.size))
+    return _prefix_weights(mus.reshape(1, -1), m_max + 1)[-1, : m_max + 1, 0]
 
 
 # ---------------------------------------------------------------------------
 # Vectorized sweep machinery
 
-MODE_FINITE = "finite"
-MODE_SPARSE = "sparse"  # z -> 0 limit
-MODE_DENSE = "dense"  # z -> infinity limit
 
-
-def _mode_of(z: float) -> tuple[str, float]:
-    if z == 0.0:
-        return MODE_SPARSE, 0.0
-    if math.isinf(z):
-        return MODE_DENSE, 0.0
-    if not z > 0:
+def _zeta_of(z: float) -> float:
+    """Internal per-factor weight zeta = sqrt(z), so the two factor sides
+    of a link jointly charge z per link; 0 and inf select the limits."""
+    if not z >= 0:
         raise ValueError("fugacity must be positive (or the 0 / inf sentinels)")
-    # Internal per-factor weight: zeta = sqrt(z), so the two factor sides
-    # of a link jointly charge z per link.
-    return MODE_FINITE, 0.5 * math.log(z)
+    return math.sqrt(z)
 
 
 @dataclass
@@ -262,8 +273,7 @@ class BPState:
 
     g: FactorGraph
     z: float
-    mode: str
-    log_zeta: float
+    zeta: float
     mu_row: np.ndarray
     mu_col: np.ndarray
     active: np.ndarray
@@ -272,14 +282,29 @@ class BPState:
     degenerate: int = 0
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def make_state(g: FactorGraph, z: float, init: float = 0.5) -> BPState:
-    mode, log_zeta = _mode_of(z)
+    """Fresh state at fugacity z; raises KernelTooLarge when the sweep
+    kernel's arrays would exceed physical memory."""
+    zeta = _zeta_of(z)
+    if not math.isinf(zeta):
+        # float64 arrays a sweep holds at once: the stacked prefix/suffix
+        # distributions, the suffix tails and one gathered operand.
+        f, k, cut = g.n_factors, g.max_degree, int(g.r.max(initial=0)) + 2
+        nbytes = 8 * (2 * f * (k + 1) * (cut + 1) + f * k * (2 * cut + 3))
+        if nbytes > _physical_memory():
+            raise KernelTooLarge(
+                f"message kernel for n={g.n}, K={k}, R={cut} needs {nbytes} bytes, "
+                "more than physical memory"
+            )
     m = g.m_total
     return BPState(
         g=g,
         z=z,
-        mode=mode,
-        log_zeta=log_zeta,
+        zeta=zeta,
         mu_row=np.full(m, init),
         mu_col=np.full(m, init),
         active=np.ones(m, dtype=bool),
@@ -298,108 +323,82 @@ def _incoming(state: BPState) -> np.ndarray:
     return inc
 
 
-def _full_weights(inc: np.ndarray) -> np.ndarray:
-    """(F, K+1) degree distribution V^m over each factor's full slot set."""
-    fcount, kmax = inc.shape
-    v = np.zeros((fcount, kmax + 1))
-    v[:, 0] = 1.0
-    for t in range(kmax):
-        mu_t = inc[:, t][:, None]
-        shifted = np.empty_like(v)
-        shifted[:, 0] = 0.0
-        shifted[:, 1:] = v[:, :-1]
-        v = v * (1.0 - mu_t) + shifted * mu_t
-    return v
+def _tilt(inc: np.ndarray, zeta: float) -> np.ndarray:
+    """Messages reweighted by zeta per link: zeta mu / (1 - mu + zeta mu)."""
+    on = zeta * inc
+    return on / (1.0 - inc + on)
 
 
-def _cavity_weights(inc: np.ndarray, v_full: np.ndarray) -> np.ndarray:
-    """(F, K, K+1) cavity distributions: v_full with one slot peeled off.
+def _prefix_weights(q: np.ndarray, cut: int) -> np.ndarray:
+    """(K+1, cut+1, F) link-count distributions of each row's first t slots.
 
-    Uses the forward division recursion where the peeled message is < 0.5
-    and the backward one otherwise, so the per-step error amplification
-    factor never exceeds 1.  The last coefficient column is zero padding
-    (a cavity set of K-1 slots has degree at most K-1).
+    [t, :, f] is the distribution of the number of links among slots
+    0..t-1 of row f when slot s is on with probability q[f, s].  Bins
+    0..cut-1 are exact; bin cut holds "cut or more".
     """
-    fcount, kmax = inc.shape
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fwd = np.zeros((fcount, kmax, kmax + 1))
-        one_minus = 1.0 - inc
-        fwd[:, :, 0] = v_full[:, 0][:, None] / one_minus
-        for m in range(1, kmax):
-            fwd[:, :, m] = (v_full[:, m][:, None] - inc * fwd[:, :, m - 1]) / one_minus
-        bwd = np.zeros((fcount, kmax, kmax + 1))
-        bwd[:, :, kmax - 1] = v_full[:, kmax][:, None] / inc
-        for m in range(kmax - 2, -1, -1):
-            bwd[:, :, m] = (v_full[:, m + 1][:, None] - one_minus * bwd[:, :, m + 1]) / inc
-    use_fwd = (inc < 0.5)[:, :, None]
-    cav = np.where(use_fwd, fwd, bwd)
-    cav = np.nan_to_num(cav, nan=0.0, posinf=0.0, neginf=0.0)
-    np.clip(cav, 0.0, None, out=cav)
-    sums = cav.sum(axis=2, keepdims=True)
-    np.divide(cav, sums, out=cav, where=sums > 0)
-    return cav
-
-
-def _logsumexp_last(arr: np.ndarray) -> np.ndarray:
-    mx = arr.max(axis=-1)
-    finite = np.isfinite(mx)
-    out = np.full(mx.shape, -np.inf)
-    if np.any(finite):
-        shifted = np.exp(arr[finite] - mx[finite][..., None])
-        out[finite] = mx[finite] + np.log(shifted.sum(axis=-1))
+    fcount, kmax = q.shape
+    out = np.zeros((kmax + 1, cut + 1, fcount))
+    out[0, 0] = 1.0
+    on = np.ascontiguousarray(q.T)
+    off = 1.0 - on
+    for t in range(kmax):
+        prev, cur = out[t], out[t + 1]
+        np.multiply(prev[:cut], off[t], out=cur[:cut])
+        cur[1:cut] += prev[: cut - 1] * on[t]
+        np.multiply(prev[cut - 1], on[t], out=cur[cut])
+        cur[cut] += prev[cut]
     return out
 
 
-def _slot_messages(state: BPState, cav: np.ndarray) -> np.ndarray:
-    """(F, K) fresh outgoing messages given cavity weights per slot."""
+def _cavity_pair(pre: np.ndarray, post: np.ndarray, r: np.ndarray, tails: bool):
+    """(K, F) sums over j of pre[t, j, f] * post[t, s - j, f] at s = r - 1 and s = r.
+
+    With post the suffix tails these are the cavity tails T(>= s), an
+    index below 0 reading the whole suffix mass; with post the suffix
+    distributions they are the cavity coefficients V^s, those terms 0.
+    """
+    idx = r - np.arange(pre.shape[1] + 1)[:, None]
+    picked = post[:, np.maximum(idx, 0), np.arange(r.size)]
+    if not tails:
+        picked[:, idx < 0] = 0.0
+    at_prev = np.einsum("tjf,tjf->tf", pre, picked[:, 1:])
+    return at_prev, np.einsum("tjf,tjf->tf", pre, picked[:, :-1])
+
+
+def _slot_messages(state: BPState) -> np.ndarray:
+    """(F, K) fresh outgoing messages at finite z or z = 0."""
     g = state.g
     fcount, kmax = g.n_factors, g.max_degree
-    r = state.r[:, None]
-    if state.mode == MODE_DENSE:
-        return np.ones((fcount, kmax))
-    if state.mode == MODE_SPARSE:
-        # mu = V^{r-1} / (V^{r-1} + V^r); the r = 0 convention zeroes the
-        # numerator, so unneeded links vanish in the sparsest limit.
-        idx = np.broadcast_to(r[..., None], (fcount, kmax, 1))
-        v_r = np.take_along_axis(cav, np.minimum(idx, kmax), axis=2)[:, :, 0]
-        r_prev = np.maximum(r - 1, 0)
-        idx_prev = np.broadcast_to(r_prev[..., None], (fcount, kmax, 1))
-        v_prev = np.take_along_axis(cav, idx_prev, axis=2)[:, :, 0]
-        v_prev = np.where(r > 0, v_prev, 0.0)
-        den = v_prev + v_r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mu = np.where(den > 0, v_prev / den, 0.5)
-        state.degenerate += int(np.count_nonzero((den <= 0) & g.slot_valid))
-        return mu
-    with np.errstate(divide="ignore"):
-        log_cav = np.where(cav > 0, np.log(np.maximum(cav, 1e-300)), -np.inf)
-    mrange = np.arange(kmax + 1)
-    terms = log_cav + state.log_zeta * mrange
-    terms = np.where(mrange[None, None, :] >= r[..., None], terms, -np.inf)
-    log_w = _logsumexp_last(terms)  # log sum_{m >= r} zeta^m V^m
-    r_prev = np.maximum(r - 1, 0)
-    idx_prev = np.broadcast_to(r_prev[..., None], (fcount, kmax, 1))
-    log_a = np.take_along_axis(log_cav, idx_prev, axis=2)[:, :, 0] + state.log_zeta * r
-    log_a = np.where(r > 0, log_a, -np.inf)
-    log_num = np.logaddexp(log_a, state.log_zeta + log_w)
-    log_den = np.logaddexp(log_num, log_w)
-    with np.errstate(invalid="ignore"):
-        mu = np.exp(log_num - log_den)
-    bad = ~np.isfinite(mu)
-    if np.any(bad & state.g.slot_valid):
-        state.degenerate += int(np.count_nonzero(bad & state.g.slot_valid))
-    mu = np.where(bad, 0.5, mu)
-    return mu
+    inc = _incoming(state)
+    finite = state.zeta > 0
+    q = _tilt(inc, state.zeta) if finite else inc
+    cut = int(state.r.max()) + 2
+    both = _prefix_weights(np.concatenate([q, q[:, ::-1]]), cut)
+    pre = both[:kmax, :, :fcount]  # slots before t
+    post = both[kmax - 1 :: -1, :, fcount:]  # slots after t
+    tails = post.copy()
+    for u in range(cut - 1, -1, -1):
+        tails[:, u] += tails[:, u + 1]
+    reach, at_least = _cavity_pair(pre, tails, state.r, tails=True)
+    if finite:
+        num = state.zeta * reach
+        den = num + at_least
+    else:
+        # mu = V^{r-1} / (V^{r-1} + V^r); V^{-1} = 0, so unneeded links
+        # vanish in the sparsest limit.
+        num, v_r = _cavity_pair(pre, post, state.r, tails=False)
+        den = num + v_r
+    # den = 0 with a reachable r - 1: the cavity already holds more than r
+    # links, and the z -> 0 limit of the message is 0.
+    mu = np.divide(num, den, out=np.where(reach > 0, 0.0, 0.5), where=den > 0)
+    state.degenerate += int(np.count_nonzero((reach <= 0) & g.slot_valid.T))
+    return mu.T
 
 
 def _sweep(state: BPState, damping: float) -> float:
     """One synchronous update of every message; returns the max change."""
     g = state.g
-    inc = _incoming(state)
-    v_full = _full_weights(inc)
-    cav = _cavity_weights(inc, v_full)
-    msg = _slot_messages(state, cav)
-    np.clip(msg, 0.0, 1.0, out=msg)
+    msg = _slot_messages(state)
     fresh_row = msg[g.var_row_factor, g.var_slot_row]
     fresh_col = msg[g.var_col_factor, g.var_slot_col]
     new_row = damping * state.mu_row + (1.0 - damping) * fresh_row
@@ -420,7 +419,7 @@ def run_sweeps(state: BPState, opts: BPOptions) -> tuple[bool, int, float]:
     """Iterate synchronous sweeps until the max message change is below tol."""
     if state.g.m_total == 0 or not np.any(state.active):
         return True, 0, 0.0
-    if state.mode == MODE_DENSE:
+    if math.isinf(state.zeta):
         state.mu_row[state.active] = 1.0
         state.mu_col[state.active] = 1.0
         return True, 1, 0.0
@@ -516,8 +515,8 @@ def bethe_entropy(g: FactorGraph, m: MessageSet, z: float) -> float:
     instance scores exactly 0 there.  Returns -inf (with a log record)
     when some variable's messages are contradictory.
     """
-    mode, log_zeta = _mode_of(z)
-    if mode != MODE_FINITE:
+    zeta = _zeta_of(z)
+    if zeta == 0 or math.isinf(zeta):
         raise ValueError("entropy is defined for finite positive z only")
     if g.m_total == 0:
         return 0.0
@@ -525,18 +524,15 @@ def bethe_entropy(g: FactorGraph, m: MessageSet, z: float) -> float:
     state.mu_row[:] = m.mu_row
     state.mu_col[:] = m.mu_col
     inc = _incoming(state)
-    v_full = _full_weights(inc)
-    with np.errstate(divide="ignore"):
-        log_v = np.where(v_full > 0, np.log(np.maximum(v_full, 1e-300)), -np.inf)
-    mrange = np.arange(g.max_degree + 1)
-    terms = log_v + log_zeta * mrange
-    in_window = (mrange[None, :] >= g.r[:, None]) & (mrange[None, :] <= g.k[:, None])
-    terms = np.where(in_window, terms, -np.inf)
-    factor_terms = _logsumexp_last(terms)
+    cut = int(g.r.max()) + 2
+    full = _prefix_weights(_tilt(inc, zeta), cut)[-1]
+    at_least = np.where(np.arange(cut + 1)[:, None] >= g.r, full, 0.0).sum(axis=0)
     live = g.k > 0
-    if not np.all(np.isfinite(factor_terms[live])):
+    if np.any(at_least[live] <= 0):
         logger.warning("contradictory factor in entropy evaluation")
         return float("-inf")
+    # sum_{m >= r} zeta^m V^m = prod(1 - mu + zeta mu) * T_full(>= r)
+    factor_terms = np.log1p((zeta - 1.0) * inc[live]).sum(axis=1) + np.log(at_least[live])
     edge = m.mu_row * m.mu_col + (1.0 - m.mu_row) * (1.0 - m.mu_col)
     if np.any(edge <= 0):
         logger.warning(
@@ -544,7 +540,7 @@ def bethe_entropy(g: FactorGraph, m: MessageSet, z: float) -> float:
             int(np.count_nonzero(edge <= 0)),
         )
         return float("-inf")
-    total = float(factor_terms[live].sum()) - float(np.log(edge).sum())
+    total = float(factor_terms.sum()) - float(np.log(edge).sum())
     return total / g.m_total
 
 

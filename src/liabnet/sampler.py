@@ -274,6 +274,15 @@ def _degree_counts(g: FactorGraph, values: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _fixing_order(bias: np.ndarray) -> np.ndarray:
+    """Most biased first (smallest min(p, 1 - p)), ties toward lower index.
+
+    Biases are rounded to 9 decimals first, so two links whose marginals
+    differ only by rounding noise count as tied.
+    """
+    return np.argsort(np.round(bias, 9), kind="stable")
+
+
 def decimate(
     g: FactorGraph,
     p: ReducedProblem,
@@ -323,7 +332,7 @@ def decimate(
             marg, _ = state_marginals(state.mu_row, state.mu_col)
             undecided = np.flatnonzero(state.active)
             bias = np.minimum(marg[undecided], 1.0 - marg[undecided])
-            order = np.argsort(bias, kind="stable")
+            order = _fixing_order(bias)
             batch = undecided[order[: opts.batch_size(undecided.size)]]
             for e in batch:
                 value = 1 if rng.random() < marg[e] else 0

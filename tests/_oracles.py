@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, minimize
@@ -278,6 +279,41 @@ def subset_weights(mus: np.ndarray) -> np.ndarray:
                 prob *= 1.0 - mus[t]
         out[ones] += prob
     return out
+
+
+def exact_cavity_message(others, r: int, zeta) -> Fraction | None:
+    """Factor-to-variable message in exact rational arithmetic.
+
+    others: the messages arriving from the factor's other slots; r: its
+    degree requirement; zeta: the per-factor link weight as an exact
+    rational, or 0 for the z -> 0 limit.  Builds the cavity V^m by
+    polynomial multiplication and reads the message from its definition,
+
+        zeta sum_{m >= r-1} zeta^m V^m
+        / (zeta sum_{m >= r-1} zeta^m V^m + sum_{m >= r} zeta^m V^m).
+
+    At zeta = 0 the limit is V^{r-1} / (V^{r-1} + V^r), or 0 when both
+    vanish but some V^m with m > r does not.  Returns None when no count
+    of at least r - 1 is possible (the message is then undetermined).
+    """
+    v = [Fraction(1)]
+    for mu in map(Fraction, others):
+        nxt = [Fraction(0)] * (len(v) + 1)
+        for m, w in enumerate(v):
+            nxt[m] += (1 - mu) * w
+            nxt[m + 1] += mu * w
+        v = nxt
+    lo = max(r - 1, 0)
+    if not any(v[lo:]):
+        return None
+    zeta = Fraction(zeta)
+    if zeta == 0:
+        prev = v[r - 1] if 1 <= r <= len(v) else Fraction(0)
+        cur = v[r] if r < len(v) else Fraction(0)
+        return prev / (prev + cur) if prev + cur else Fraction(0)
+    on = zeta * sum(zeta**m * v[m] for m in range(lo, len(v)))
+    off = sum(zeta**m * v[m] for m in range(r, len(v)))
+    return on / (on + off)
 
 
 def naive_cascade(L: LiabilityMatrix, capital: np.ndarray, alpha: float, trigger: int):

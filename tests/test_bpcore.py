@@ -2,16 +2,20 @@
 vs exhaustive enumeration, limit behavior, and the entropy curve."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liabnet import bpcore
 from liabnet.bpcore import (
     BPOptions,
     EntropyCurve,
     EntropyPoint,
+    KernelTooLarge,
     LocallyInfeasible,
     MessageSet,
     bethe_entropy,
@@ -19,17 +23,20 @@ from liabnet.bpcore import (
     build_factor_graph,
     calibrate_fugacity,
     link_marginals,
+    make_state,
     mean_density,
     node_weights,
     read_entropy_csv,
     required_degrees,
+    run_sweeps,
     sigma_curve,
     write_entropy_csv,
 )
-from liabnet.netcore import ReducedProblem
+from liabnet.ensembles import EnsembleSpec, generate
+from liabnet.netcore import ReducedProblem, absorb_known, make_observation
 
 from _instances import benchmark3, forced3, random_problem
-from _oracles import count_h0_by_links, enumerate_ensemble, subset_weights
+from _oracles import count_h0_by_links, enumerate_ensemble, exact_cavity_message, subset_weights
 
 
 class TestRequiredDegrees:
@@ -97,6 +104,89 @@ class TestNodeWeights:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             node_weights([1.2], 1)
+
+
+def fresh_messages(g, z, mu_row, mu_col):
+    """Messages after one undamped sweep from the given ones."""
+    state = make_state(g, z)
+    state.mu_row[:] = mu_row
+    state.mu_col[:] = mu_col
+    run_sweeps(state, BPOptions(max_sweeps=1, damping=0.0))
+    return state
+
+
+def oracle_errors(g, z, mu_row, mu_col):
+    """Per-message gaps between one sweep and the exact rational message,
+    over the slots whose cavity can reach r - 1 links."""
+    state = fresh_messages(g, z, mu_row, mu_col)
+    zeta = Fraction(math.sqrt(z)) if z > 0 else 0
+    errors = []
+    for f in range(g.n_factors):
+        slots = [e for e in g.slot_var[f] if e >= 0]
+        arriving, sent = (mu_col, state.mu_row) if f < g.n else (mu_row, state.mu_col)
+        for e in slots:
+            ref = exact_cavity_message([arriving[o] for o in slots if o != e], int(g.r[f]), zeta)
+            if ref is not None:
+                errors.append(abs(float(ref) - sent[e]))
+    return errors
+
+
+class TestMessagesAgainstExactArithmetic:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("z", [0.0, 1e-3, 1.0, 1e3])
+    def test_one_sweep_matches_rational_cavity(self, seed, z):
+        rng = np.random.default_rng(seed)
+        _, _, p = random_problem(4 + seed, seed, density=0.7)
+        g = build_factor_graph(p, strict=False)
+        m = g.m_total
+        for power in (0.05, 1.0, 20.0):
+            errors = oracle_errors(g, z, rng.random(m) ** power, rng.random(m) ** power)
+            assert max(errors) < 1e-12
+        exact = oracle_errors(g, z, rng.integers(0, 2, m).astype(float), rng.integers(0, 2, m).astype(float))
+        assert max(exact, default=0.0) < 1e-12
+
+    def test_sparse_limit_over_satisfied_cavity_gives_zero(self):
+        # Bank 0 needs one outgoing link; with its other two slots already
+        # on, the z -> 0 message to the third slot is 0, not undetermined.
+        p = ReducedProblem(
+            n=4,
+            unknown=((0, 1), (0, 2), (0, 3), (1, 0)),
+            res_out=np.array([0.5, 0.2, 0.0, 0.0]),
+            res_in=np.array([0.2, 0.2, 0.2, 0.1]),
+        )
+        g = build_factor_graph(p)
+        assert g.r[0] == 1 and g.k[0] == 3
+        mu_col = np.array([1.0, 1.0, 0.5, 0.5])
+        state = fresh_messages(g, 0.0, np.full(4, 0.5), mu_col)
+        assert state.mu_row[2] == 0.0
+        assert state.degenerate == 0
+        assert exact_cavity_message([1.0, 1.0], 1, 0) == 0
+
+
+class TestKernelSize:
+    def test_guard_names_the_size(self, monkeypatch):
+        g = build_factor_graph(benchmark3())
+        monkeypatch.setattr(bpcore, "_physical_memory", lambda: 1000)
+        with pytest.raises(KernelTooLarge) as exc:
+            bp_fixed_point(g, 1.0)
+        # n = 3, K = 2 slots per factor, R = max(r) + 2 = 3
+        assert "n=3, K=2, R=3 needs 2016 bytes" in str(exc.value)
+        assert isinstance(exc.value, ValueError)
+        # the complete-graph limit runs no kernel
+        assert bp_fixed_point(g, math.inf).converged
+
+    def test_sweep_memory_at_n200(self):
+        L, _ = generate(EnsembleSpec("powerlaw", 200, 0.3, seed=0))
+        theta = float(np.quantile(L.entries[L.entries > 0], 0.8))
+        g = build_factor_graph(absorb_known(make_observation(L, theta)), strict=False)
+        state = make_state(g, 1.0)
+        tracemalloc.start()
+        try:
+            run_sweeps(state, BPOptions(max_sweeps=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128e6
 
 
 class TestFixedPointAgainstEnumeration:

@@ -10,6 +10,7 @@ from liabnet.sampler import (
     DecimationOptions,
     ExhaustedRestarts,
     LambdaMaxOptions,
+    _fixing_order,
     decimate,
     feasibility_check,
     lambda_max,
@@ -187,6 +188,12 @@ class TestDecimate:
         for seed in range(5):
             tr = decimate(g, p, 1.0, seed, opts)
             assert tr.h_zero
+
+    def test_fixing_order_ignores_rounding_noise(self):
+        # Biases that differ only in the 12th decimal are a tie, which the
+        # stable order breaks toward the lower index.
+        assert _fixing_order(np.array([0.3 + 1e-12, 0.3]))[0] == 0
+        assert _fixing_order(np.array([0.3, 0.1, 0.2])).tolist() == [1, 2, 0]
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
