@@ -26,7 +26,11 @@ no division recursion, no logs, O(F K R) time and memory.  At finite z the
 messages are tilted to q = zeta mu / (1 - mu + zeta mu); sum_m zeta^m V^m
 is prod(1 - mu + zeta mu) times the tilted distribution, the product
 cancels, and mu = zeta T(>= r-1) / (zeta T(>= r-1) + T(>= r)) with T the
-tilted cavity tail.
+tilted cavity tail.  Messages live in one buffer [mu_row | mu_col | 0]:
+the graph's slot_in gathers every slot's incoming message in one call
+(pads read the trailing 0) and msg_slot picks the fresh ones back out.
+The cavity gathers depend on r, so run_sweeps builds them once per call;
+decimation lowers r between calls, and a plan kept longer would be stale.
 
 The limits z -> 0 (sparsest admissible graphs) and z -> infinity (complete
 graph) are selected by passing z = 0.0 or z = math.inf and use exact
@@ -120,6 +124,8 @@ class FactorGraph:
     var_slot_col: np.ndarray
     var_row_factor: np.ndarray
     var_col_factor: np.ndarray
+    slot_in: np.ndarray
+    msg_slot: np.ndarray
     infeasible_factors: tuple[str, ...]
 
     @property
@@ -180,6 +186,12 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
         raise LocallyInfeasible(bad)
     var_row_factor = np.array([i for i, _ in p.unknown], dtype=int).reshape(m)
     var_col_factor = np.array([n + j for _, j in p.unknown], dtype=int).reshape(m)
+    # a row factor hears mu_col (offset m), a column factor mu_row
+    heard = np.where(slot_var < 0, 2 * m, slot_var + np.where(np.arange(2 * n) < n, m, 0)[:, None])
+    slot_in = np.ascontiguousarray(np.concatenate([heard, heard[:, ::-1]]).T)
+    msg_slot = np.concatenate(
+        [var_slot_row * (2 * n) + var_row_factor, var_slot_col * (2 * n) + var_col_factor]
+    )
     arrays = (
         k,
         r,
@@ -189,6 +201,8 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
         var_slot_col,
         var_row_factor,
         var_col_factor,
+        slot_in,
+        msg_slot,
     )
     for arr in arrays:
         arr.setflags(write=False)
@@ -203,6 +217,8 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
         var_slot_col=var_slot_col,
         var_row_factor=var_row_factor,
         var_col_factor=var_col_factor,
+        slot_in=slot_in,
+        msg_slot=msg_slot,
         infeasible_factors=bad,
     )
 
@@ -247,7 +263,7 @@ def node_weights(incoming: Sequence[float], m_max: int) -> np.ndarray:
     mus = np.asarray(incoming, dtype=float)
     if np.any((mus < 0) | (mus > 1)):
         raise ValueError("messages must lie in [0, 1]")
-    return _prefix_weights(mus.reshape(1, -1), m_max + 1)[-1, : m_max + 1, 0]
+    return _prefix_weights(mus.reshape(-1, 1), m_max + 1)[-1, : m_max + 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +282,28 @@ def _zeta_of(z: float) -> float:
 class BPState:
     """Mutable message-passing state; owned by one fixed-point run.
 
-    The decimation driver pins variables by setting active to False and
-    forcing both messages to 0 (an exact removal in the V recursion),
-    lowering r and k_eff as links are committed.
+    msgs is the buffer [mu_row | mu_col | 0]; mu_row and mu_col are views
+    into it.  The decimation driver pins variables by setting active to
+    False and forcing both messages to 0 (an exact removal in the V
+    recursion), lowering r and k_eff as links are committed.
     """
 
     g: FactorGraph
     z: float
     zeta: float
-    mu_row: np.ndarray
-    mu_col: np.ndarray
+    msgs: np.ndarray
     active: np.ndarray
     r: np.ndarray
     k_eff: np.ndarray
     degenerate: int = 0
+
+    @property
+    def mu_row(self) -> np.ndarray:
+        return self.msgs[: self.g.m_total]
+
+    @property
+    def mu_col(self) -> np.ndarray:
+        return self.msgs[self.g.m_total : -1]
 
 
 def _physical_memory() -> int:
@@ -305,8 +329,7 @@ def make_state(g: FactorGraph, z: float, init: float = 0.5) -> BPState:
         g=g,
         z=z,
         zeta=zeta,
-        mu_row=np.full(m, init),
-        mu_col=np.full(m, init),
+        msgs=np.append(np.full(2 * m, init), 0.0),
         active=np.ones(m, dtype=bool),
         r=np.array(g.r),
         k_eff=np.array(g.k),
@@ -315,12 +338,7 @@ def make_state(g: FactorGraph, z: float, init: float = 0.5) -> BPState:
 
 def _incoming(state: BPState) -> np.ndarray:
     """(F, K) matrix of messages arriving at each factor slot; 0 on pads."""
-    g = state.g
-    safe = np.where(g.slot_valid, g.slot_var, 0)
-    is_row = np.arange(g.n_factors)[:, None] < g.n
-    inc = np.where(is_row, state.mu_col[safe], state.mu_row[safe])
-    inc[~g.slot_valid] = 0.0
-    return inc
+    return state.msgs[state.g.slot_in[:, : state.g.n_factors].T]
 
 
 def _tilt(inc: np.ndarray, zeta: float) -> np.ndarray:
@@ -329,89 +347,89 @@ def _tilt(inc: np.ndarray, zeta: float) -> np.ndarray:
     return on / (1.0 - inc + on)
 
 
-def _prefix_weights(q: np.ndarray, cut: int) -> np.ndarray:
-    """(K+1, cut+1, F) link-count distributions of each row's first t slots.
+def _prefix_weights(on: np.ndarray, cut: int) -> np.ndarray:
+    """(K+1, cut+1, C) link-count distributions of each column's first t slots.
 
-    [t, :, f] is the distribution of the number of links among slots
-    0..t-1 of row f when slot s is on with probability q[f, s].  Bins
+    [t, :, c] is the distribution of the number of links among slots
+    0..t-1 of column c when slot s is on with probability on[s, c].  Bins
     0..cut-1 are exact; bin cut holds "cut or more".
     """
-    fcount, kmax = q.shape
-    out = np.zeros((kmax + 1, cut + 1, fcount))
+    kmax, cols = on.shape
+    out = np.zeros((kmax + 1, cut + 1, cols))
     out[0, 0] = 1.0
-    on = np.ascontiguousarray(q.T)
     off = 1.0 - on
-    for t in range(kmax):
-        prev, cur = out[t], out[t + 1]
-        np.multiply(prev[:cut], off[t], out=cur[:cut])
-        cur[1:cut] += prev[: cut - 1] * on[t]
-        np.multiply(prev[cut - 1], on[t], out=cur[cut])
-        cur[cut] += prev[cut]
+    carry = np.empty((cut, cols))
+    for prev, lo, hi, top, on_t, off_t in zip(
+        out[:-1], out[1:, :cut], out[1:, 1:], out[1:, cut], on, off
+    ):
+        np.multiply(prev[:cut], on_t, out=carry)
+        np.multiply(prev[:cut], off_t, out=lo)
+        top[:] = prev[cut]
+        np.add(hi, carry, out=hi)
     return out
 
 
-def _cavity_pair(pre: np.ndarray, post: np.ndarray, r: np.ndarray, tails: bool):
-    """(K, F) sums over j of pre[t, j, f] * post[t, s - j, f] at s = r - 1 and s = r.
+def _gather_plan(g: FactorGraph, r: np.ndarray):
+    """Cut and (cut+2, F) cavity gathers for requirements r.
 
-    With post the suffix tails these are the cavity tails T(>= s), an
-    index below 0 reading the whole suffix mass; with post the suffix
-    distributions they are the cavity coefficients V^s, those terms 0.
+    Row j pairs prefix bin j with suffix bin max(r - j, 0): tail_at indexes
+    the bin-reversed suffix tails, coef_at the suffix distributions inside
+    the stacked prefix array, and reachable marks r - j >= 0.  r changes
+    between run_sweeps calls, so a plan serves one call only.
     """
-    idx = r - np.arange(pre.shape[1] + 1)[:, None]
-    picked = post[:, np.maximum(idx, 0), np.arange(r.size)]
-    if not tails:
-        picked[:, idx < 0] = 0.0
-    at_prev = np.einsum("tjf,tjf->tf", pre, picked[:, 1:])
-    return at_prev, np.einsum("tjf,tjf->tf", pre, picked[:, :-1])
+    fcount = g.n_factors
+    cut = int(r.max()) + 2
+    idx = r - np.arange(cut + 2)[:, None]
+    bins = np.maximum(idx, 0)
+    cols = np.arange(fcount)
+    return cut, (cut - bins) * fcount + cols, bins * (2 * fcount) + fcount + cols, idx >= 0
 
 
-def _slot_messages(state: BPState) -> np.ndarray:
-    """(F, K) fresh outgoing messages at finite z or z = 0."""
+def _slot_messages(state: BPState, plan) -> np.ndarray:
+    """(K, F) fresh outgoing messages at finite z or z = 0."""
     g = state.g
     fcount, kmax = g.n_factors, g.max_degree
-    inc = _incoming(state)
+    cut, tail_at, coef_at, reachable = plan
     finite = state.zeta > 0
-    q = _tilt(inc, state.zeta) if finite else inc
-    cut = int(state.r.max()) + 2
-    both = _prefix_weights(np.concatenate([q, q[:, ::-1]]), cut)
-    pre = both[:kmax, :, :fcount]  # slots before t
-    post = both[kmax - 1 :: -1, :, fcount:]  # slots after t
-    tails = post.copy()
-    for u in range(cut - 1, -1, -1):
-        tails[:, u] += tails[:, u + 1]
-    reach, at_least = _cavity_pair(pre, tails, state.r, tails=True)
+    q = _tilt(state.msgs, state.zeta) if finite else state.msgs
+    both = _prefix_weights(q[g.slot_in], cut)
+    pre = both[:kmax, :, :fcount]  # slots before s
+    # Suffix tails T(>= b) with bins reversed (bin b at cut - b); row t of
+    # both holds the last t slots, so slot s reads row K-1-s.
+    tails = np.cumsum(both[:kmax, ::-1, fcount:], axis=1).reshape(kmax, -1)
+    picked = np.take(tails, tail_at, axis=1)[::-1]
+    del tails
+    # sums over j of pre[s, j] * T(>= max(r - 1 - j, 0)), resp. r - j
+    reach = np.einsum("tjf,tjf->tf", pre, picked[:, 1:])
+    at_least = np.einsum("tjf,tjf->tf", pre, picked[:, :-1])
+    del picked  # before the z = 0 gather, so the two never coexist
     if finite:
         num = state.zeta * reach
         den = num + at_least
     else:
         # mu = V^{r-1} / (V^{r-1} + V^r); V^{-1} = 0, so unneeded links
         # vanish in the sparsest limit.
-        num, v_r = _cavity_pair(pre, post, state.r, tails=False)
-        den = num + v_r
+        picked = np.take(both.reshape(kmax + 1, -1)[:kmax], coef_at, axis=1)[::-1]
+        picked *= reachable
+        num = np.einsum("tjf,tjf->tf", pre, picked[:, 1:])
+        den = num + np.einsum("tjf,tjf->tf", pre, picked[:, :-1])
     # den = 0 with a reachable r - 1: the cavity already holds more than r
     # links, and the z -> 0 limit of the message is 0.
-    mu = np.divide(num, den, out=np.where(reach > 0, 0.0, 0.5), where=den > 0)
-    state.degenerate += int(np.count_nonzero((reach <= 0) & g.slot_valid.T))
-    return mu.T
+    dead = reach <= 0
+    mu = np.divide(num, den, out=np.where(dead, 0.5, 0.0), where=den > 0)
+    state.degenerate += int(np.count_nonzero(dead & g.slot_valid.T))
+    return mu
 
 
-def _sweep(state: BPState, damping: float) -> float:
+def _sweep(state: BPState, damping: float, plan) -> float:
     """One synchronous update of every message; returns the max change."""
-    g = state.g
-    msg = _slot_messages(state)
-    fresh_row = msg[g.var_row_factor, g.var_slot_row]
-    fresh_col = msg[g.var_col_factor, g.var_slot_col]
-    new_row = damping * state.mu_row + (1.0 - damping) * fresh_row
-    new_col = damping * state.mu_col + (1.0 - damping) * fresh_col
-    act = state.active
-    delta = 0.0
-    if np.any(act):
-        delta = max(
-            float(np.max(np.abs(new_row[act] - state.mu_row[act]))),
-            float(np.max(np.abs(new_col[act] - state.mu_col[act]))),
-        )
-    state.mu_row[act] = new_row[act]
-    state.mu_col[act] = new_col[act]
+    m = state.g.m_total
+    fresh = np.take(_slot_messages(state, plan), state.g.msg_slot)
+    old = state.msgs[: 2 * m]
+    new = damping * old + (1.0 - damping) * fresh
+    old, new = old.reshape(2, m), new.reshape(2, m)
+    delta = float(np.max(np.abs(new - old), where=state.active, initial=0.0))
+    np.copyto(old, new, where=state.active)
     return delta
 
 
@@ -423,12 +441,11 @@ def run_sweeps(state: BPState, opts: BPOptions) -> tuple[bool, int, float]:
         state.mu_row[state.active] = 1.0
         state.mu_col[state.active] = 1.0
         return True, 1, 0.0
+    plan = _gather_plan(state.g, state.r)
     delta = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
-        delta = _sweep(state, opts.damping)
-        lo = min(state.mu_row.min(initial=1.0), state.mu_col.min(initial=1.0))
-        hi = max(state.mu_row.max(initial=0.0), state.mu_col.max(initial=0.0))
-        assert lo >= -1e-12 and hi <= 1 + 1e-12, "message left [0, 1]"
+        delta = _sweep(state, opts.damping, plan)
+        assert state.msgs.min() >= -1e-12 and state.msgs.max() <= 1 + 1e-12, "message left [0, 1]"
         if delta < opts.tol:
             return True, sweep, delta
     return False, opts.max_sweeps, delta
@@ -525,7 +542,7 @@ def bethe_entropy(g: FactorGraph, m: MessageSet, z: float) -> float:
     state.mu_col[:] = m.mu_col
     inc = _incoming(state)
     cut = int(g.r.max()) + 2
-    full = _prefix_weights(_tilt(inc, zeta), cut)[-1]
+    full = _prefix_weights(_tilt(inc, zeta).T, cut)[-1]
     at_least = np.where(np.arange(cut + 1)[:, None] >= g.r, full, 0.0).sum(axis=0)
     live = g.k > 0
     if np.any(at_least[live] <= 0):

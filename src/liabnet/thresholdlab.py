@@ -54,9 +54,26 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def default_theta_grid(points: int = 13) -> tuple[float, ...]:
-    """Log-spaced thresholds from 0.01 up to 1."""
-    return tuple(float(t) for t in np.geomspace(0.01, 1.0, points))
+def default_theta_grid(L: LiabilityMatrix, points: int = 13) -> tuple[float, ...]:
+    """Thresholds at evenly spaced quantiles of L's distinct positive entries.
+
+    Each point sits halfway between two neighbouring entries, so no entry
+    lies on a threshold and every point discloses something while hiding
+    something.  Quantiles that land between the same pair of entries give
+    one point, so the grid, strictly ascending, can have fewer than
+    `points` thresholds.
+
+    Raises:
+        ValueError: when points < 1 or L has fewer than two distinct
+            positive entries.
+    """
+    if points < 1:
+        raise ValueError("a threshold grid needs at least one point")
+    pos = np.unique(L.entries[L.entries > 0])
+    if pos.size < 2:
+        raise ValueError("a threshold grid needs two distinct positive entries")
+    k = np.minimum((np.linspace(0.0, 1.0, points) * (pos.size - 1)).astype(int), pos.size - 2)
+    return tuple(float(t) for t in np.unique(0.5 * (pos[k] + pos[k + 1])))
 
 
 @dataclass(frozen=True)

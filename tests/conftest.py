@@ -1,6 +1,16 @@
-"""Pytest hooks: collect acceptance-criterion outcomes and print a summary."""
+"""Pytest hooks: collect acceptance-criterion outcomes and print a summary.
+
+Property tests run under a fixed profile: derandomized examples, no example
+database and no deadline, so a run repeats the previous one's outcome and
+writes no `.hypothesis/` directory.
+"""
 
 from __future__ import annotations
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 _ACCEPTANCE: dict[str, str] = {}
 

@@ -34,6 +34,7 @@ from liabnet.bpcore import (
 )
 from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import ReducedProblem, absorb_known, make_observation
+from liabnet.sampler import _fix_variable
 
 from _instances import benchmark3, forced3, random_problem
 from _oracles import count_h0_by_links, enumerate_ensemble, exact_cavity_message, subset_weights
@@ -115,17 +116,20 @@ def fresh_messages(g, z, mu_row, mu_col):
     return state
 
 
-def oracle_errors(g, z, mu_row, mu_col):
-    """Per-message gaps between one sweep and the exact rational message,
-    over the slots whose cavity can reach r - 1 links."""
-    state = fresh_messages(g, z, mu_row, mu_col)
-    zeta = Fraction(math.sqrt(z)) if z > 0 else 0
+def oracle_errors(state, mu_row, mu_col):
+    """Per-message gaps between the state's messages after one sweep from
+    mu_row/mu_col and the exact rational message at the state's current
+    requirements, over the active slots whose cavity can reach r - 1 links."""
+    g = state.g
+    zeta = Fraction(state.zeta) if state.zeta > 0 else 0
     errors = []
     for f in range(g.n_factors):
         slots = [e for e in g.slot_var[f] if e >= 0]
         arriving, sent = (mu_col, state.mu_row) if f < g.n else (mu_row, state.mu_col)
         for e in slots:
-            ref = exact_cavity_message([arriving[o] for o in slots if o != e], int(g.r[f]), zeta)
+            if not state.active[e]:
+                continue
+            ref = exact_cavity_message([arriving[o] for o in slots if o != e], int(state.r[f]), zeta)
             if ref is not None:
                 errors.append(abs(float(ref) - sent[e]))
     return errors
@@ -140,10 +144,29 @@ class TestMessagesAgainstExactArithmetic:
         g = build_factor_graph(p, strict=False)
         m = g.m_total
         for power in (0.05, 1.0, 20.0):
-            errors = oracle_errors(g, z, rng.random(m) ** power, rng.random(m) ** power)
+            mu_row, mu_col = rng.random(m) ** power, rng.random(m) ** power
+            errors = oracle_errors(fresh_messages(g, z, mu_row, mu_col), mu_row, mu_col)
             assert max(errors) < 1e-12
-        exact = oracle_errors(g, z, rng.integers(0, 2, m).astype(float), rng.integers(0, 2, m).astype(float))
+        mu_row, mu_col = rng.integers(0, 2, m).astype(float), rng.integers(0, 2, m).astype(float)
+        exact = oracle_errors(fresh_messages(g, z, mu_row, mu_col), mu_row, mu_col)
         assert max(exact, default=0.0) < 1e-12
+
+    @pytest.mark.parametrize("z", [0.0, 1e-3, 1.0])
+    def test_conditioned_state_matches_rational_cavity(self, z):
+        # Decimation lowers r between run_sweeps calls; the next call must
+        # read the lowered requirements.
+        _, _, p = random_problem(6, 2, density=0.7)
+        g = build_factor_graph(p, strict=False)
+        state = make_state(g, z)
+        run_sweeps(state, BPOptions(max_sweeps=3))
+        for e, value in ((0, 1), (7, 0), (13, 1), (20, 1), (24, 0)):
+            _fix_variable(state, e, value)
+        assert np.count_nonzero(state.r < g.r) >= 4
+        mu_row, mu_col = state.mu_row.copy(), state.mu_col.copy()
+        run_sweeps(state, BPOptions(max_sweeps=1, damping=0.0))
+        errors = oracle_errors(state, mu_row, mu_col)
+        assert len(errors) > g.m_total
+        assert max(errors) < 1e-12
 
     def test_sparse_limit_over_satisfied_cavity_gives_zero(self):
         # Bank 0 needs one outgoing link; with its other two slots already
@@ -175,11 +198,12 @@ class TestKernelSize:
         # the complete-graph limit runs no kernel
         assert bp_fixed_point(g, math.inf).converged
 
-    def test_sweep_memory_at_n200(self):
+    @pytest.mark.parametrize("z", [0.0, 1.0])
+    def test_sweep_memory_at_n200(self, z):
         L, _ = generate(EnsembleSpec("powerlaw", 200, 0.3, seed=0))
         theta = float(np.quantile(L.entries[L.entries > 0], 0.8))
         g = build_factor_graph(absorb_known(make_observation(L, theta)), strict=False)
-        state = make_state(g, 1.0)
+        state = make_state(g, z)
         tracemalloc.start()
         try:
             run_sweeps(state, BPOptions(max_sweeps=1))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from liabnet.bpcore import BPOptions
-from liabnet.ensembles import EnsembleSpec, gen_powerlaw, gen_uniform
+from liabnet.ensembles import EnsembleSpec, gen_powerlaw, gen_uniform, generate
 from liabnet.netcore import LiabilityMatrix
 from liabnet.sampler import DecimationOptions, LambdaMaxOptions
 from liabnet.thresholdlab import (
@@ -41,10 +41,14 @@ def powerlaw_net(n: int = 10, seed: int = 3) -> LiabilityMatrix:
 
 
 class TestGrid:
-    def test_default_grid_spans_two_decades(self):
-        grid = default_theta_grid()
-        assert grid[0] == pytest.approx(0.01)
-        assert grid[-1] == pytest.approx(1.0)
+    def test_default_grid_lies_inside_the_entries(self):
+        # Entries of this network stay below 0.08, far under the old
+        # absolute grid's upper decade.
+        L, _ = generate(EnsembleSpec("powerlaw", 20, 0.3, seed=0))
+        positive = L.entries[L.entries > 0]
+        grid = default_theta_grid(L)
+        assert len(grid) == 13
+        assert all(positive.min() < t < positive.max() for t in grid)
         assert all(a < b for a, b in zip(grid, grid[1:]))
 
     def test_validation(self):
