@@ -104,24 +104,31 @@ def required_degrees(residuals: np.ndarray) -> np.ndarray:
     return r
 
 
+def _factor_label(n: int, f: int) -> str:
+    """Factor f's name: "out:i" for bank i's row, "in:j" for bank j's column."""
+    return f"out:{f}" if f < n else f"in:{f - n}"
+
+
 @dataclass(frozen=True)
 class FactorGraph:
     """Padded-array view of the 2N-factor, M-variable constraint graph.
 
     Factor f < n is bank f's row (credit) side; factor n + j is bank j's
-    column (debt) side.  slot_var[f, s] is the variable in slot s of factor
-    f (-1 pads), and var_slot_row/var_slot_col give each variable's slot
-    position inside its two factors.
+    column (debt) side; variable e sits in factors var_row_factor[e] and
+    var_col_factor[e].  slot_valid[f, s] marks the K slots of factor f
+    that hold a variable.  The message kernel reads two gather maps over
+    the buffer [mu_row | mu_col | 0]: slot_in (K, 2F) gives the message
+    arriving at each slot (columns F..2F-1 repeat each factor's slots in
+    reverse order; pads read the trailing 0), and msg_slot (2M,) gives the
+    flat position s * F + f, in the (K, F) array of fresh messages, of
+    each directed message sent from slot s of factor f.
     """
 
     n: int
     unknown: tuple[tuple[int, int], ...]
     k: np.ndarray
     r: np.ndarray
-    slot_var: np.ndarray
     slot_valid: np.ndarray
-    var_slot_row: np.ndarray
-    var_slot_col: np.ndarray
     var_row_factor: np.ndarray
     var_col_factor: np.ndarray
     slot_in: np.ndarray
@@ -138,10 +145,10 @@ class FactorGraph:
 
     @property
     def max_degree(self) -> int:
-        return self.slot_var.shape[1]
+        return self.slot_in.shape[0]
 
     def factor_label(self, f: int) -> str:
-        return f"out:{f}" if f < self.n else f"in:{f - self.n}"
+        return _factor_label(self.n, f)
 
 
 def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
@@ -165,23 +172,20 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
         neighbor_lists[n + j].append(e)
     k = np.array([len(lst) for lst in neighbor_lists], dtype=int)
     kmax = max(1, int(k.max(initial=0)))
+    # slot_var[f, s]: the variable in slot s of factor f (-1 pads);
+    # var_slot_row/col: each variable's slot inside its two factors.
     slot_var = np.full((2 * n, kmax), -1, dtype=int)
-    slot_valid = np.zeros((2 * n, kmax), dtype=bool)
     var_slot_row = np.zeros(m, dtype=int)
     var_slot_col = np.zeros(m, dtype=int)
     for f, lst in enumerate(neighbor_lists):
         for s, e in enumerate(lst):
             slot_var[f, s] = e
-            slot_valid[f, s] = True
             if f < n:
                 var_slot_row[e] = s
             else:
                 var_slot_col[e] = s
-    bad = tuple(
-        (f"out:{f}" if f < n else f"in:{f - n}")
-        for f in range(2 * n)
-        if r[f] > k[f]
-    )
+    slot_valid = slot_var >= 0
+    bad = tuple(_factor_label(n, f) for f in range(2 * n) if r[f] > k[f])
     if bad and strict:
         raise LocallyInfeasible(bad)
     var_row_factor = np.array([i for i, _ in p.unknown], dtype=int).reshape(m)
@@ -192,29 +196,14 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
     msg_slot = np.concatenate(
         [var_slot_row * (2 * n) + var_row_factor, var_slot_col * (2 * n) + var_col_factor]
     )
-    arrays = (
-        k,
-        r,
-        slot_var,
-        slot_valid,
-        var_slot_row,
-        var_slot_col,
-        var_row_factor,
-        var_col_factor,
-        slot_in,
-        msg_slot,
-    )
-    for arr in arrays:
+    for arr in (k, r, slot_valid, var_row_factor, var_col_factor, slot_in, msg_slot):
         arr.setflags(write=False)
     return FactorGraph(
         n=n,
         unknown=p.unknown,
         k=k,
         r=r,
-        slot_var=slot_var,
         slot_valid=slot_valid,
-        var_slot_row=var_slot_row,
-        var_slot_col=var_slot_col,
         var_row_factor=var_row_factor,
         var_col_factor=var_col_factor,
         slot_in=slot_in,
@@ -228,13 +217,10 @@ class BPOptions:
     tol: float = 1e-10
     max_sweeps: int = 1000
     damping: float = 0.5
-    init: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0 <= self.damping < 1:
             raise ValueError("damping must be in [0, 1)")
-        if not 0 < self.init < 1:
-            raise ValueError("init must be strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -289,7 +275,6 @@ class BPState:
     """
 
     g: FactorGraph
-    z: float
     zeta: float
     msgs: np.ndarray
     active: np.ndarray
@@ -310,9 +295,10 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def make_state(g: FactorGraph, z: float, init: float = 0.5) -> BPState:
-    """Fresh state at fugacity z; raises KernelTooLarge when the sweep
-    kernel's arrays would exceed physical memory."""
+def make_state(g: FactorGraph, z: float) -> BPState:
+    """Fresh state at fugacity z with every message at 0.5; raises
+    KernelTooLarge when the sweep kernel's arrays would exceed physical
+    memory."""
     zeta = _zeta_of(z)
     if not math.isinf(zeta):
         # float64 arrays a sweep holds at once: the stacked prefix/suffix
@@ -327,9 +313,8 @@ def make_state(g: FactorGraph, z: float, init: float = 0.5) -> BPState:
     m = g.m_total
     return BPState(
         g=g,
-        z=z,
         zeta=zeta,
-        msgs=np.append(np.full(2 * m, init), 0.0),
+        msgs=np.append(np.full(2 * m, 0.5), 0.0),
         active=np.ones(m, dtype=bool),
         r=np.array(g.r),
         k_eff=np.array(g.k),
@@ -463,8 +448,9 @@ def bp_fixed_point(
         g: factor graph (must be locally feasible).
         z: fugacity; 0.0 selects the sparsest-graph limit equations and
             math.inf the complete-graph limit.
-        opts: tolerance, sweep cap, damping, and initial message value.
-        init: optional warm-start messages from a previous run.
+        opts: tolerance, sweep cap and damping.
+        init: optional warm-start messages from a previous run (cold runs
+            start every message at 0.5).
 
     Returns:
         MessageSet with converged flag, sweep count, and final residual;
@@ -472,7 +458,7 @@ def bp_fixed_point(
     """
     if g.infeasible_factors:
         raise LocallyInfeasible(g.infeasible_factors)
-    state = make_state(g, z, init=opts.init)
+    state = make_state(g, z)
     if init is not None:
         state.mu_row[:] = init.mu_row
         state.mu_col[:] = init.mu_col
@@ -606,19 +592,23 @@ def sigma_curve(g: FactorGraph, z_grid: Sequence[float], opts: BPOptions = BPOpt
     return EntropyCurve(tuple(points))
 
 
+# Fugacity range and step cap of calibrate_fugacity's bisection.
+_CALIBRATE_Z_LO = 1e-4
+_CALIBRATE_Z_HI = 1e4
+_CALIBRATE_MAX_ITER = 60
+
+
 def calibrate_fugacity(
     g: FactorGraph,
     target_lambda: float,
     opts: BPOptions = BPOptions(),
-    z_lo: float = 1e-4,
-    z_hi: float = 1e4,
     tol: float = 5e-3,
-    max_iter: int = 60,
 ) -> tuple[float, float]:
     """Find z whose mean density matches a target sparsity, by bisection.
 
-    lambda_hat(z) is non-increasing in z, so log-space bisection applies.
-    Returns the endpoint when the target is outside the reachable range.
+    lambda_hat(z) is non-increasing in z, so log-space bisection over the
+    fixed range z in [1e-4, 1e4] applies, for at most 60 steps.  Returns
+    the endpoint when the target is outside the reachable range.
     """
     if not 0 <= target_lambda <= 1:
         raise ValueError("target sparsity must be in [0, 1]")
@@ -626,15 +616,15 @@ def calibrate_fugacity(
     def density(z: float) -> float:
         return mean_density(link_marginals(bp_fixed_point(g, z, opts)))
 
-    lam_lo = density(z_lo)
+    lam_lo = density(_CALIBRATE_Z_LO)
     if lam_lo <= target_lambda + tol:
-        return z_lo, lam_lo
-    lam_hi = density(z_hi)
+        return _CALIBRATE_Z_LO, lam_lo
+    lam_hi = density(_CALIBRATE_Z_HI)
     if lam_hi >= target_lambda - tol:
-        return z_hi, lam_hi
-    lo, hi = math.log(z_lo), math.log(z_hi)
-    z, lam = z_lo, lam_lo
-    for _ in range(max_iter):
+        return _CALIBRATE_Z_HI, lam_hi
+    lo, hi = math.log(_CALIBRATE_Z_LO), math.log(_CALIBRATE_Z_HI)
+    z, lam = _CALIBRATE_Z_LO, lam_lo
+    for _ in range(_CALIBRATE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         z = math.exp(mid)
         lam = density(z)

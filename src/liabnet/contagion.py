@@ -174,6 +174,11 @@ class DefaultCurve:
     excluded_bank: int | None = None
 
 
+def _check_exclude_bank(exclude_bank: int | None, n: int) -> None:
+    if exclude_bank is not None and exclude_bank not in range(n):
+        raise ValueError(f"exclude_bank {exclude_bank} is not a bank of a {n}-bank network")
+
+
 def default_curve(
     L: LiabilityMatrix, cap, alpha_grid, exclude_bank: int | None = None
 ) -> DefaultCurve:
@@ -183,7 +188,8 @@ def default_curve(
         L, cap: as in furfine_cascade.
         alpha_grid: nonempty ascending grid inside [0, 1].
         exclude_bank: optional bank (e.g. an accounting closure node)
-            removed from both the trigger set and the failure counts.
+            removed from both the trigger set and the failure counts;
+            ValueError unless it is None or in range(N).
 
     Returns:
         DefaultCurve with the per-trigger matrix retained.
@@ -197,6 +203,7 @@ def default_curve(
     if sorted(alphas) != alphas:
         raise ValueError("alpha grid must be sorted ascending")
     n = L.n
+    _check_exclude_bank(exclude_bank, n)
     triggers = [z for z in range(n) if z != exclude_bank]
     if not triggers:
         raise ValueError("no triggers left after exclusion")
@@ -216,6 +223,10 @@ def default_curve(
         per_trigger=per,
         excluded_bank=exclude_bank,
     )
+
+
+# Message-passing budget of the typical-support fugacity calibration.
+_TYPICAL_BP = BPOptions(tol=1e-8, max_sweeps=300)
 
 
 @dataclass(frozen=True)
@@ -238,7 +249,6 @@ class CompareOptions:
     rng_seed: int = 0
     exclude_bank: int | None = None
     me: MEOptions = field(default_factory=MEOptions)
-    bp: BPOptions = field(default_factory=lambda: BPOptions(tol=1e-8, max_sweeps=300))
     decimation: DecimationOptions = field(default_factory=DecimationOptions)
     lambda_trials: int = 20
 
@@ -312,6 +322,7 @@ def compare_methods(
         raise ValueError(f"unknown methods: {sorted(unknown_methods)}")
     if not wanted:
         raise ValueError("no methods requested")
+    _check_exclude_bank(opts.exclude_bank, L_true.n)
     alphas = tuple(float(a) for a in alpha_grid)
     obs = make_observation(L_true, opts.theta, opts.disclosed)
     rp = absorb_known(obs)
@@ -391,7 +402,7 @@ def _run_method(method, L_true, cap, alphas, obs, rp, g, opts, run) -> MethodCur
         z = opts.typical_z
     else:
         target = sparsity(support_of(L_true, rp.unknown), rp.m)
-        z, _ = calibrate_fugacity(g, target, opts.bp)
+        z, _ = calibrate_fugacity(g, target, _TYPICAL_BP)
     samples = sample_supports(
         g,
         rp,
@@ -399,7 +410,6 @@ def _run_method(method, L_true, cap, alphas, obs, rp, g, opts, run) -> MethodCur
         opts.support_samples,
         np.random.SeedSequence(opts.rng_seed),
         opts.decimation,
-        check_flow=True,
     )
     rows = []
     rows_excl = []

@@ -60,15 +60,12 @@ class NotConverged(RuntimeError):
 class MEOptions:
     max_iterations: int = 10000
     tolerance: float = 1e-8
-    prior_value: float = 1.0
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.prior_value <= 0:
-            raise ValueError("prior_value must be positive")
 
 
 def kl_divergence(L: Sequence[float], Q: Sequence[float]) -> float:
@@ -244,8 +241,11 @@ def _safe_ratio(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(q), q, 1.0)
 
 
-def _dykstra(g: _Groups, x0: np.ndarray, opts: MEOptions) -> tuple[np.ndarray, float, int, bool]:
-    x = np.minimum(x0, 1.0)
+def _dykstra(g: _Groups, size: int, opts: MEOptions) -> tuple[np.ndarray, float, int, bool]:
+    """Project the uniform prior 1 onto the groups' constraints.  Any other
+    uniform prior would give the same point: the first row projection
+    rescales it away."""
+    x = np.ones(size)
     q_row = np.ones_like(x)
     q_col = np.ones_like(x)
     viol = np.inf
@@ -281,8 +281,7 @@ def _solve(p: ReducedProblem, slots: np.ndarray, opts: MEOptions, presolve: bool
     if np.any(live):
         live_idx = np.flatnonzero(live)
         g = _Groups(p, slots[live_idx], row_t, col_t)
-        x0 = np.full(live_idx.size, opts.prior_value)
-        x_live, _, iters, _ = _dykstra(g, x0, opts)
+        x_live, _, iters, _ = _dykstra(g, live_idx.size, opts)
         x[live_idx] = x_live
     viol = max(full.stranded, full.violation(x))
     ok = viol <= opts.tolerance
@@ -296,7 +295,7 @@ def me_reconstruct(p: ReducedProblem, opts: MEOptions = MEOptions()) -> np.ndarr
 
     Args:
         p: reduced problem with residual strengths.
-        opts: iteration cap, constraint tolerance, prior value.
+        opts: iteration cap and constraint tolerance.
 
     Returns:
         Array aligned with p.unknown; every value in [0, 1], every residual

@@ -10,9 +10,9 @@ returns either a realizing assignment or a deficient cut.
 decimate draws a support from the fugacity-z ensemble: run message
 passing, fix the most biased undecided link by a coin flip with its
 marginal probability, condition the remaining problem on that choice, and
-repeat, restarting on contradictions.  lambda_max runs decimation in the
-z -> 0 limit several times and keeps the sparsest support that passes the
-flow check.
+repeat, restarting on contradictions.  lambda_max runs decimation over a
+ladder of fugacities near the z -> 0 limit, greedily peels every draw
+that passes the flow check, and keeps the sparsest result.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _EPS = 1e-12
+# Extra decimation attempts after a contradiction, each on a fresh stream.
+_MAX_RESTARTS = 20
 
 
 class _Dinic:
@@ -199,13 +201,10 @@ class DecimationOptions:
     still undecided; 1 is the faithful one-at-a-time schedule.
     """
 
-    max_restarts: int = 20
     fix_per_round: int | float = 1
     bp: BPOptions = field(default_factory=lambda: BPOptions(tol=1e-8, max_sweeps=300))
 
     def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be nonnegative")
         fp = self.fix_per_round
         if isinstance(fp, float) and not fp.is_integer():
             if not 0 < fp < 1:
@@ -222,13 +221,11 @@ class DecimationOptions:
 
 @dataclass(frozen=True)
 class DecimationTrace:
-    """What one decimation run did: fix count, restarts, and the result."""
+    """What one decimation run did: restarts, message-passing rounds, and
+    the drawn support (None when every attempt hit a contradiction)."""
 
-    steps: int
     restarts: int
     final_support: Support | None
-    completed: bool
-    h_zero: bool | None
     converged_rounds: int = 0
     rounds: int = 0
 
@@ -297,32 +294,29 @@ def decimate(
     index), flips each on with its marginal probability, and conditions
     the factors on the outcome.  A contradiction (some bank left needing
     more links than remain available) restarts the run with a fresh
-    stream, up to opts.max_restarts extra attempts.
+    stream, up to 20 extra attempts.
 
     Returns:
         DecimationTrace whose final_support satisfies every degree
-        requirement of the original problem (h_zero is asserted).
+        requirement of the original problem (asserted).
 
     Raises:
         ExhaustedRestarts: if every attempt hit a contradiction.
     """
     if g.infeasible_factors:
-        raise ExhaustedRestarts(
-            DecimationTrace(0, 0, None, completed=False, h_zero=None)
-        )
+        raise ExhaustedRestarts(DecimationTrace(restarts=0, final_support=None))
     ss = (
         rng_seed
         if isinstance(rng_seed, np.random.SeedSequence)
         else np.random.SeedSequence(rng_seed)
     )
-    streams = ss.spawn(opts.max_restarts + 1)
+    streams = ss.spawn(_MAX_RESTARTS + 1)
     m = g.m_total
-    steps = 0
     rounds = 0
     converged_rounds = 0
     for attempt, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        state = make_state(g, z, init=opts.bp.init)
+        state = make_state(g, z)
         values = np.zeros(m, dtype=np.uint8)
         contradiction = False
         while np.any(state.active):
@@ -338,31 +332,23 @@ def decimate(
                 value = 1 if rng.random() < marg[e] else 0
                 values[e] = value
                 _fix_variable(state, int(e), value)
-                steps += 1
             if np.any(state.r > state.k_eff):
                 contradiction = True
                 break
         if contradiction:
             continue
-        support = Support(unknown=g.unknown, values=values)
-        h_zero = bool(np.all(_degree_counts(g, values) >= g.r))
-        assert h_zero, "decimation produced a degree-violating support"
+        degrees_met = np.all(_degree_counts(g, values) >= g.r)
+        assert degrees_met, "decimation produced a degree-violating support"
         return DecimationTrace(
-            steps=steps,
             restarts=attempt,
-            final_support=support,
-            completed=True,
-            h_zero=h_zero,
+            final_support=Support(unknown=g.unknown, values=values),
             converged_rounds=converged_rounds,
             rounds=rounds,
         )
     raise ExhaustedRestarts(
         DecimationTrace(
-            steps=steps,
             restarts=len(streams) - 1,
             final_support=None,
-            completed=False,
-            h_zero=None,
             converged_rounds=converged_rounds,
             rounds=rounds,
         )
@@ -372,11 +358,12 @@ def decimate(
 @dataclass(frozen=True)
 class SampledSupport:
     """One draw: the support (None if the run failed), its trace, and the
-    transport certificate when the flow check was requested."""
+    transport certificate of the support (None exactly when the draw
+    failed)."""
 
     support: Support | None
     trace: DecimationTrace
-    certificate: FeasibilityCertificate | None = None
+    certificate: FeasibilityCertificate | None
 
 
 def sample_supports(
@@ -386,9 +373,9 @@ def sample_supports(
     count: int,
     rng_seed: int | np.random.SeedSequence,
     opts: DecimationOptions = DecimationOptions(),
-    check_flow: bool = True,
 ) -> list[SampledSupport]:
-    """Draw count independent supports at fugacity z.
+    """Draw count independent supports at fugacity z, each with its flow
+    certificate.
 
     Each draw gets its own child stream of rng_seed, so results do not
     depend on completion order.  Failed draws (ExhaustedRestarts) are
@@ -409,28 +396,22 @@ def sample_supports(
             logger.warning("support draw failed: %s", err)
             out.append(SampledSupport(None, err.trace, None))
             continue
-        cert = None
-        if check_flow:
-            cert = feasibility_check(p, trace.final_support)
+        cert = feasibility_check(p, trace.final_support)
         out.append(SampledSupport(trace.final_support, trace, cert))
     return out
 
 
 def sample_stats(samples: list[SampledSupport]) -> dict[str, float]:
-    """Batch summary: completion, degree-validity, transport feasibility,
-    and the mean link count of completed draws."""
+    """Batch summary: completion, transport feasibility, and the mean link
+    count of completed draws (every completed draw meets its degrees)."""
     total = len(samples)
     done = [s for s in samples if s.support is not None]
-    checked = [s for s in done if s.certificate is not None]
     return {
         "count": float(total),
         "completed_fraction": len(done) / total if total else 0.0,
-        "h_zero_fraction": (
-            sum(1 for s in done if s.trace.h_zero) / len(done) if done else 0.0
-        ),
         "feasible_fraction": (
-            sum(1 for s in checked if s.certificate.feasible) / len(checked)
-            if checked
+            sum(1 for s in done if s.certificate.feasible) / len(done)
+            if done
             else float("nan")
         ),
         "mean_links": (
@@ -445,7 +426,7 @@ def sample_stats(samples: list[SampledSupport]) -> dict[str, float]:
 @dataclass(frozen=True)
 class LambdaMaxOptions:
     """Search controls: total decimation trials split across a ladder of
-    fugacities near the sparse limit, plus optional greedy peeling.
+    fugacities near the sparse limit; every certified draw is peeled.
 
     The exact z = 0 ensemble concentrates on degree-minimal supports,
     which often cannot transport the residuals; small finite rungs keep
@@ -458,7 +439,6 @@ class LambdaMaxOptions:
     rng_seed: int = 0
     decimation: DecimationOptions = field(default_factory=DecimationOptions)
     z_ladder: tuple[float, ...] = (0.0, 0.05, 0.2, 1.0)
-    peel: bool = True
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -521,8 +501,8 @@ def lambda_max(
     """Estimate the maximal sparsity by repeated near-sparse decimation.
 
     Trials are split across opts.z_ladder; every completed draw is put
-    through the transport check, feasible draws are optionally peeled to
-    local minimality, and the sparsest certified support wins.  A
+    through the transport check, feasible draws are peeled to local
+    minimality, and the sparsest certified support wins.  A
     deterministic baseline candidate (the greedily thinned full support)
     is always in play.  Every candidate is admissible, so the estimate
     never exceeds the true maximum.  With no feasible sampled draw the
@@ -553,8 +533,7 @@ def lambda_max(
     # candidate survives even if every sampled draw fails the flow check.
     full = Support(unknown=g.unknown, values=np.ones(g.m_total, dtype=np.uint8))
     if feasibility_check(p, full):
-        base_vals = _peel_support(g, p, full.values) if opts.peel else full.values
-        best = Support(g.unknown, base_vals)
+        best = Support(g.unknown, _peel_support(g, p, full.values))
     completed = 0
     feasible = 0
     seen: set[bytes] = set()
@@ -574,10 +553,7 @@ def lambda_max(
             if not feasibility_check(p, support):
                 continue
             feasible += 1
-            vals = support.values
-            if opts.peel:
-                vals = _peel_support(g, p, vals)
-            candidate = Support(g.unknown, vals)
+            candidate = Support(g.unknown, _peel_support(g, p, support.values))
             if best is None or candidate.ones < best.ones:
                 best = candidate
     if best is None:

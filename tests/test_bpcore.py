@@ -46,16 +46,35 @@ class TestRequiredDegrees:
         assert got.tolist() == [0, 0, 1, 2, 2, 3]
 
 
+def assert_gather_maps(g):
+    """Every directed message d is written to one valid slot of the factor
+    that sends it, and that slot hears the reverse message of the same
+    link; pad slots read the trailing 0 at index 2m."""
+    m, fcount = g.m_total, g.n_factors
+    senders = np.concatenate([g.var_row_factor, g.var_col_factor])
+    for d in range(2 * m):
+        s, f = divmod(int(g.msg_slot[d]), fcount)
+        assert f == senders[d]
+        assert g.slot_in[s, f] == (d + m) % (2 * m)
+    assert np.sort(g.msg_slot).tolist() == np.flatnonzero(g.slot_valid.T).tolist()
+    forward, reverse = g.slot_in[:, :fcount], g.slot_in[:, fcount:]
+    assert np.array_equal(forward == 2 * m, ~g.slot_valid.T)
+    assert np.array_equal(reverse, forward[::-1])
+
+
 class TestBuildFactorGraph:
     def test_benchmark_shapes(self):
         g = build_factor_graph(benchmark3())
         assert g.m_total == 6 and g.n_factors == 6 and g.max_degree == 2
         assert g.k.tolist() == [2] * 6
         assert g.r.tolist() == [1] * 6
-        # every variable sits in exactly the slot recorded for it
-        for e, (i, j) in enumerate(g.unknown):
-            assert g.slot_var[i, g.var_slot_row[e]] == e
-            assert g.slot_var[g.n + j, g.var_slot_col[e]] == e
+        assert_gather_maps(g)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_gather_maps_pair_reverse_messages(self, n, seed):
+        _, _, p = random_problem(n, seed)
+        assert_gather_maps(build_factor_graph(p, strict=False))
 
     def test_locally_infeasible_strict(self):
         p = ReducedProblem(
@@ -124,7 +143,7 @@ def oracle_errors(state, mu_row, mu_col):
     zeta = Fraction(state.zeta) if state.zeta > 0 else 0
     errors = []
     for f in range(g.n_factors):
-        slots = [e for e in g.slot_var[f] if e >= 0]
+        slots = np.flatnonzero((g.var_row_factor == f) | (g.var_col_factor == f))
         arriving, sent = (mu_col, state.mu_row) if f < g.n else (mu_row, state.mu_col)
         for e in slots:
             if not state.active[e]:

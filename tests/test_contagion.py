@@ -200,6 +200,14 @@ class TestDefaultCurve:
         assert sorted(res.per_trigger[0]) == pytest.approx([1 / 3, 2 / 3, 1.0])
         assert res.excluded_bank == 3
 
+    @pytest.mark.parametrize("bank", [3, -1])
+    def test_exclude_bank_out_of_range_rejected(self, bank):
+        # Nothing would be excluded, yet the denominator would drop to n - 1
+        # and the failed fraction exceed 1.
+        L = LiabilityMatrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            default_curve(L, [0.1] * 3, [1.0], exclude_bank=bank)
+
     def test_grid_validation(self):
         L, cap = random_case(4, 10)
         with pytest.raises(ValueError):
@@ -321,6 +329,12 @@ class TestCompareMethods:
             assert mc.curve_excluding is not None
             assert mc.curve_excluding.excluded_bank == 0
             assert mc.curve_excluding.per_trigger.shape[1] == 4
+
+    @pytest.mark.parametrize("bank", [5, -1])
+    def test_out_of_range_exclusion_rejected_up_front(self, bank):
+        L, cap = random_case(5, 17)
+        with pytest.raises(ValueError):
+            compare_methods(L, cap, [0.5], ["true"], CompareOptions(exclude_bank=bank))
 
     def test_reproducible(self):
         L, cap = random_case(6, 18)

@@ -115,12 +115,6 @@ class TestOptimalityStructure:
                 checked += 1
         assert checked > 0
 
-    def test_solution_invariant_to_uniform_prior_scale(self):
-        _, _, p = random_problem(4, seed=12)
-        v1 = me_reconstruct(p, MEOptions(prior_value=1.0))
-        v2 = me_reconstruct(p, MEOptions(prior_value=2.5))
-        assert v1 == pytest.approx(v2, abs=1e-7)
-
     def test_objective_not_above_oracle(self):
         _, _, p = random_problem(5, seed=21)
         mine = me_reconstruct(p)
@@ -208,5 +202,3 @@ class TestErrorPaths:
             MEOptions(tolerance=0.0)
         with pytest.raises(ValueError):
             MEOptions(max_iterations=0)
-        with pytest.raises(ValueError):
-            MEOptions(prior_value=-1.0)
