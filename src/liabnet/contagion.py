@@ -113,6 +113,31 @@ class CascadeResult:
         return frozenset(out)
 
 
+def _failure_waves(entries: np.ndarray, c: np.ndarray, alphas, triggers) -> np.ndarray:
+    """Wave at which each bank fails, one cascade per row; -1 if it survives.
+
+    Row k is the cascade of triggers[k] at loss given default alphas[k]: the
+    trigger fails at wave 0, and each later wave takes alpha times the claims
+    on the banks that failed in the wave before off every capital, failing
+    the banks it drives strictly below zero.  All rows advance together and
+    the loop ends at the first wave with no fresh failure, within n waves.
+    """
+    alphas = np.asarray(alphas, dtype=float)[:, None]
+    rows = np.arange(len(triggers))
+    wave = np.full((rows.size, entries.shape[0]), -1)
+    wave[rows, triggers] = 0
+    fresh = wave == 0
+    cap = np.tile(c, (rows.size, 1))
+    for k in range(1, entries.shape[0] + 1):
+        hit = np.flatnonzero(fresh.any(axis=1))
+        if not hit.size:
+            break
+        cap[hit] -= alphas[hit] * (fresh[hit] @ entries.T)
+        fresh = (cap < 0.0) & (wave < 0)
+        wave[fresh] = k
+    return wave
+
+
 def furfine_cascade(
     L: LiabilityMatrix, cap, alpha: float, trigger: int
 ) -> CascadeResult:
@@ -135,27 +160,13 @@ def furfine_cascade(
         raise ValueError("loss given default must be in [0, 1]")
     if not 0 <= trigger < n:
         raise ValueError("trigger out of range")
-    entries = L.entries
-    c = np.array(cap.c, dtype=float)
-    failed = np.zeros(n, dtype=bool)
-    failed[trigger] = True
-    rounds = [frozenset({trigger})]
-    fresh = np.array([trigger])
-    for _ in range(n):
-        loss = alpha * entries[:, fresh].sum(axis=1)
-        c = c - loss
-        new_mask = (c < 0.0) & ~failed
-        if not np.any(new_mask):
-            break
-        fresh = np.flatnonzero(new_mask)
-        failed |= new_mask
-        rounds.append(frozenset(int(i) for i in fresh))
-    survivors = frozenset(int(i) for i in np.flatnonzero(~failed))
+    wave = _failure_waves(L.entries, cap.c, [alpha], [trigger])[0]
+    rounds = tuple(frozenset(np.flatnonzero(wave == k).tolist()) for k in range(wave.max() + 1))
     return CascadeResult(
         trigger=trigger,
-        rounds=tuple(rounds),
-        survivors=survivors,
-        default_fraction=float(failed.sum()) / n,
+        rounds=rounds,
+        survivors=frozenset(np.flatnonzero(wave < 0).tolist()),
+        default_fraction=float(np.count_nonzero(wave >= 0)) / n,
     )
 
 
@@ -184,6 +195,9 @@ def default_curve(
 ) -> DefaultCurve:
     """Average cascade outcomes over every equally-likely trigger.
 
+    Every (alpha, trigger) cascade runs at once, as one row of the wave
+    kernel that furfine_cascade also runs, so the two agree by construction.
+
     Args:
         L, cap: as in furfine_cascade.
         alpha_grid: nonempty ascending grid inside [0, 1].
@@ -208,14 +222,13 @@ def default_curve(
     if not triggers:
         raise ValueError("no triggers left after exclusion")
     denom = n - (1 if exclude_bank is not None else 0)
-    per = np.zeros((len(alphas), len(triggers)))
-    for k, a in enumerate(alphas):
-        for col, z in enumerate(triggers):
-            res = furfine_cascade(L, cap, a, z)
-            count = len(res.defaulted)
-            if exclude_bank is not None and exclude_bank in res.defaulted:
-                count -= 1
-            per[k, col] = count / denom
+    wave = _failure_waves(
+        L.entries, cap.c, np.repeat(alphas, len(triggers)), np.tile(triggers, len(alphas))
+    )
+    failed = wave >= 0
+    if exclude_bank is not None:
+        failed[:, exclude_bank] = False
+    per = failed.sum(axis=1).reshape(len(alphas), len(triggers)) / denom
     per.setflags(write=False)
     return DefaultCurve(
         alphas=tuple(alphas),
@@ -255,6 +268,8 @@ class CompareOptions:
     def __post_init__(self) -> None:
         if self.support_samples < 1:
             raise ValueError("support_samples must be at least 1")
+        if self.lambda_trials < 1:
+            raise ValueError("lambda_trials must be at least 1")
         if self.typical_z is not None and not self.typical_z > 0:
             raise ValueError("typical_z must be positive")
 

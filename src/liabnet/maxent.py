@@ -1,15 +1,30 @@
 """Dense maximum-entropy reconstruction of the unknown liability entries.
 
 The reconstruction is the KL-projection of a uniform prior onto the
-polytope cut out by the residual row/column sums and the box [0, 1].
-It is computed by cyclic Bregman projections with Dykstra-style
-correction terms: rows and columns alternate, and each single-bank
-projection (a sum constraint plus per-entry caps) has the closed
-multiplicative water-filling form x = min(1, t * y).
+polytope cut out by the residual row/column sums and the box [0, 1]: it
+minimises sum x log x - x over the allowed slots.  The optimum has the form
+x_ij = min(1, a_i b_j), so it is found on the dual.  In u = (log a, log b)
+the dual objective
 
-The correction terms matter because the box makes the per-bank sets
-non-affine; plain iterative scaling would converge to a point of the
-intersection but not to the KL-optimal one.
+    F(u) = sum over slots h(u_i + u_{n+j}) - sum_i u_i r_i - sum_j u_{n+j} c_j,
+
+with h(t) = e^t for t <= 0 and 1 + t above, is convex and C^1, and its
+gradient is the row/column sum violation of x = min(1, e^t).  Damped Newton
+steps with Armijo backtracking minimise it.  The Hessian is the bipartite
+signless Laplacian of the uncapped slots, weighted by x; it is singular
+along (1, -1) and on banks whose slots are all capped, so its diagonal is
+shifted by a small ridge plus a term that shrinks with the violation.  Its
+column block is diagonal, so each step solves the n x n Schur complement
+on the row block.  Banks with a zero target are pinned: their slots are 0.
+The first step starts from the gravity point x_ij = r_i c_j / total,
+rescaled so the allowed slots carry the total.
+
+A solve stops once the largest row/column sum violation is at most the
+tolerance.  It ends at once, unconverged, when a bank's target exceeds its
+number of allowed slots by more than the tolerance (a bank with no slot
+left is the extreme case).  If the tolerance is not reached, the flow
+certificate tells an empty polytope (Infeasible) from a solve that ran
+out of steps (NotConverged).
 """
 
 from __future__ import annotations
@@ -20,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .netcore import ReducedProblem, Support
+from .netcore import ReducedProblem, Support, _pair_arrays
 
 __all__ = [
     "MEOptions",
@@ -33,6 +48,18 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# The Newton system is shifted by _RIDGE + _DAMPING * violation on its
+# diagonal.  The small constant keeps the (1, -1) direction solvable; the
+# part that shrinks with the violation bounds the step of a bank whose slots
+# are all capped (no curvature) to 1 / _DAMPING in log units, and vanishes
+# near the optimum, where the steps become pure Newton steps.
+_RIDGE = 1e-9
+_DAMPING = 0.1
+# Armijo sufficient-decrease fraction, and the step halvings tried before a
+# solve counts as stalled.
+_ARMIJO = 1e-4
+_BACKTRACKS = 40
 
 
 class Infeasible(ValueError):
@@ -48,7 +75,7 @@ class InfeasibleSupport(Infeasible):
 
 
 class NotConverged(RuntimeError):
-    """Iteration cap hit while the polytope looks feasible."""
+    """Step cap hit while the polytope looks feasible."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -58,7 +85,13 @@ class NotConverged(RuntimeError):
 
 @dataclass(frozen=True)
 class MEOptions:
-    max_iterations: int = 10000
+    """Stopping rule of the dual Newton solver.
+
+    max_iterations caps the Newton steps of one solve; tolerance bounds the
+    largest row/column sum violation of the returned values.
+    """
+
+    max_iterations: int = 100
     tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -86,208 +119,83 @@ def kl_divergence(L: Sequence[float], Q: Sequence[float]) -> float:
     return float(np.sum(L[pos] * np.log(L[pos] / Q[pos])))
 
 
-def _waterfill(y: np.ndarray, target: float) -> np.ndarray:
-    """KL projection of y onto {x: sum x = target, 0 <= x <= 1}.
+def _dual_change(t, x, t_new, x_new) -> float:
+    """Sum over slots of h(t_new) - h(t), accurate to rounding of each change
+    rather than of h itself, so the line search still sees the tiny
+    decreases of the last Newton steps."""
+    dt = t_new - t
+    change = np.where(t_new > 0.0, 1.0 + t_new, x_new) - np.where(t > 0.0, 1.0 + t, x)
+    np.copyto(change, dt, where=(t > 0.0) & (t_new > 0.0))
+    near = (t <= 0.0) & (t_new <= 0.0) & (dt < 1.0)
+    np.copyto(change, x * np.expm1(np.minimum(dt, 1.0)), where=near)
+    return float(change.sum())
 
-    The solution has the form min(1, t * y); entries with y = 0 stay 0.
-    When target exceeds what the caps allow, returns the saturated vector
-    (all ones on the positive part); the caller detects the leftover
-    violation through its convergence check.
+
+def _solve(p: ReducedProblem, slots: np.ndarray, opts: MEOptions):
+    """ME values over p.unknown with every slot outside `slots` at 0.
+
+    Returns (values, violation, Newton steps taken).
     """
-    k = y.size
-    if target <= 0.0:
-        return np.zeros(k)
-    order = np.argsort(-y)
-    ys = y[order]
-    npos = int(np.count_nonzero(ys > 0))
-    if npos == 0 or target >= npos:
-        out = np.zeros(k)
-        out[y > 0] = 1.0
-        return out
-    suffix = np.concatenate([np.cumsum(ys[::-1])[::-1], [0.0]])
-    for c in range(npos):
-        rest = suffix[c]
-        t = (target - c) / rest
-        if t <= 0.0:
-            break
-        if t * ys[c] <= 1.0 + 1e-12 and (c == 0 or t * ys[c - 1] >= 1.0 - 1e-12):
-            return np.minimum(1.0, t * y)
-    # Fallback: saturate the largest entries one by one (degenerate ties).
-    out = np.minimum(1.0, y * (target / max(suffix[0], 1e-300)))
-    return out
-
-
-class _Contradiction(Exception):
-    """Constraint propagation proved the instance inconsistent."""
-
-
-def _bank_slots(
-    p: ReducedProblem, slots: np.ndarray
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """Positions in slots of each bank's row slots and column slots, by bank."""
-    rows: dict[int, list[int]] = {}
-    cols: dict[int, list[int]] = {}
-    for local, e in enumerate(slots):
-        i, j = p.unknown[e]
-        rows.setdefault(i, []).append(local)
-        cols.setdefault(j, []).append(local)
-    return rows, cols
-
-
-class _Groups:
-    """Each bank's row and column slots, as positions in a slot array, with
-    the sum they must meet.
-
-    stranded is the largest target of a bank with no slot at all, which no
-    assignment can meet; violation leaves it to the caller.
-    """
-
-    def __init__(self, p: ReducedProblem, slots: np.ndarray, row_t, col_t):
-        rows, cols = _bank_slots(p, slots)
-        self.row_groups = [
-            (np.array(v, dtype=int), float(row_t[i])) for i, v in sorted(rows.items())
-        ]
-        self.col_groups = [
-            (np.array(v, dtype=int), float(col_t[j])) for j, v in sorted(cols.items())
-        ]
-        self.stranded = max(
-            [float(row_t[i]) for i in range(p.n) if i not in rows]
-            + [float(col_t[j]) for j in range(p.n) if j not in cols]
-            + [0.0]
-        )
-
-    def violation(self, x: np.ndarray) -> float:
-        worst = 0.0
-        for idx, s in self.row_groups:
-            worst = max(worst, abs(float(x[idx].sum()) - s))
-        for idx, s in self.col_groups:
-            worst = max(worst, abs(float(x[idx].sum()) - s))
-        return worst
-
-
-def _presolve(
-    p: ReducedProblem, slots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict[int, float], dict[int, float]]:
-    """Fix every entry that all feasible points must share.
-
-    Iterated rules per bank over its still-live slots: a ~zero target
-    forces zeros, a target ~equal to the live slot count forces ones, and
-    a single live slot is pinned to the target.  Each fix is subtracted
-    from both of its banks' targets.  Degenerate chains of forcings (the
-    typical cause of slow alternating-projection convergence) are resolved
-    here exactly, leaving a problem whose every group has at least two
-    slots and an interior target.
-
-    Returns (values with NaN on live slots, live mask, remaining row
-    targets by bank, remaining column targets by bank).
-
-    Raises:
-        _Contradiction: a bank's target cannot be met by its live slots.
-    """
-    k = slots.size
-    eps = 1e-9 * max(1.0, float(p.total_residual()))
-    value = np.full(k, np.nan)
-    live = np.ones(k, dtype=bool)
-    row_members, col_members = _bank_slots(p, slots)
-    row_t = {i: float(p.res_out[i]) for i in range(p.n)}
-    col_t = {j: float(p.res_in[j]) for j in range(p.n)}
-
-    def fix(local: int, v: float) -> None:
-        value[local] = v
-        live[local] = False
-        i, j = p.unknown[slots[local]]
-        row_t[i] -= v
-        col_t[j] -= v
-
-    changed = True
-    while changed:
-        changed = False
-        for members_map, targets in ((row_members, row_t), (col_members, col_t)):
-            for bank in range(p.n):
-                t = targets[bank]
-                if t < -eps:
-                    raise _Contradiction
-                mem = [l for l in members_map.get(bank, []) if live[l]]
-                if not mem:
-                    if t > eps:
-                        raise _Contradiction
-                    continue
-                if t > len(mem) + eps:
-                    raise _Contradiction
-                if t <= eps:
-                    for l in mem:
-                        fix(l, 0.0)
-                    changed = True
-                elif t >= len(mem) - eps:
-                    for l in mem:
-                        fix(l, 1.0)
-                    changed = True
-                elif len(mem) == 1:
-                    fix(mem[0], min(1.0, max(0.0, t)))
-                    changed = True
-    return value, live, row_t, col_t
-
-
-def _project_family(x: np.ndarray, groups) -> np.ndarray:
-    out = x.copy()
-    for idx, s in groups:
-        out[idx] = _waterfill(x[idx], s)
-    return out
-
-
-def _safe_ratio(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(x > 0, y / x, 1.0)
-    return np.where(np.isfinite(q), q, 1.0)
-
-
-def _dykstra(g: _Groups, size: int, opts: MEOptions) -> tuple[np.ndarray, float, int, bool]:
-    """Project the uniform prior 1 onto the groups' constraints.  Any other
-    uniform prior would give the same point: the first row projection
-    rescales it away."""
-    x = np.ones(size)
-    q_row = np.ones_like(x)
-    q_col = np.ones_like(x)
-    viol = np.inf
-    for it in range(1, opts.max_iterations + 1):
-        y = x * q_row
-        x = _project_family(y, g.row_groups)
-        q_row = _safe_ratio(y, x)
-        y = x * q_col
-        x = _project_family(y, g.col_groups)
-        q_col = _safe_ratio(y, x)
-        viol = g.violation(x)
-        if viol <= opts.tolerance:
-            return x, viol, it, True
-    return x, viol, opts.max_iterations, False
-
-
-def _solve(p: ReducedProblem, slots: np.ndarray, opts: MEOptions, presolve: bool = True):
-    """Presolve forced entries, project the rest, and verify the full system.
-
-    The convergence check always runs against the original groups over all
-    selected slots, so presolve can only help, never mask a violation.
-    May raise _Contradiction (from the presolve pass).
-    """
-    full = _Groups(p, slots, p.res_out, p.res_in)
-    x = np.full(slots.size, np.nan)
-    if presolve:
-        fixed, live, row_t, col_t = _presolve(p, slots)
-        x[~live] = fixed[~live]
-    else:
-        live = np.ones(slots.size, dtype=bool)
-        row_t, col_t = p.res_out, p.res_in
-    iters = 0
-    if np.any(live):
-        live_idx = np.flatnonzero(live)
-        g = _Groups(p, slots[live_idx], row_t, col_t)
-        x_live, _, iters, _ = _dykstra(g, live_idx.size, opts)
-        x[live_idx] = x_live
-    viol = max(full.stranded, full.violation(x))
-    ok = viol <= opts.tolerance
+    rows, cols = _pair_arrays(p.unknown)
+    rows, cols = rows[slots], cols[slots]
+    r, c = p.res_out, p.res_in
+    live = (r[rows] > 0) & (c[cols] > 0)
+    # Each slot carries at most 1, so no step can bring a bank's violation
+    # below its target's excess over its live slot count.
+    overfull = float(max(
+        (r - np.bincount(rows[live], minlength=p.n)).max(initial=0.0),
+        (c - np.bincount(cols[live], minlength=p.n)).max(initial=0.0),
+    ))
+    row_banks, ri = np.unique(rows[live], return_inverse=True)
+    col_banks, cj = np.unique(cols[live], return_inverse=True)
+    rt, ct = r[row_banks], c[col_banks]
+    nr, nc = rt.size, ct.size
     values = np.zeros(p.m)
-    values[slots] = np.clip(x, 0.0, 1.0)
-    return values, viol, iters, ok
+    if overfull > opts.tolerance or not ri.size:
+        return values, overfull, 0
+
+    def at(u, v):
+        t = u[ri] + v[cj]
+        return t, np.exp(np.minimum(t, 0.0))
+
+    u, v = np.log(rt), np.log(ct)
+    shift = 0.5 * (np.log(rt.sum()) - np.log(np.exp(u[ri] + v[cj]).sum()))
+    u += shift
+    v += shift
+    t, x = at(u, v)
+    steps = 0
+    while True:
+        gr = np.bincount(ri, x, nr) - rt
+        gc = np.bincount(cj, x, nc) - ct
+        viol = max(overfull, float(np.abs(gr).max()), float(np.abs(gc).max()))
+        if viol <= opts.tolerance or steps == opts.max_iterations:
+            break
+        steps += 1
+        w = np.where(t < 0.0, x, 0.0)
+        mu = _RIDGE + _DAMPING * viol
+        dr = np.bincount(ri, w, nr) + mu
+        dc = np.bincount(cj, w, nc) + mu
+        W = np.zeros((nr, nc))
+        W[ri, cj] = w
+        Wd = W / dc
+        schur = Wd @ -W.T
+        schur[np.diag_indices(nr)] += dr
+        du = np.linalg.solve(schur, Wd @ gc - gr)
+        dv = -(gc + W.T @ du) / dc
+        slope = gr @ du + gc @ dv
+        step = 1.0
+        for _ in range(_BACKTRACKS):
+            t_new, x_new = at(u + step * du, v + step * dv)
+            change = _dual_change(t, x, t_new, x_new) - step * (du @ rt + dv @ ct)
+            if change <= _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:
+            break  # no decrease left above rounding: the solve has stalled
+        u, v = u + step * du, v + step * dv
+        t, x = t_new, x_new
+    values[slots[live]] = x
+    return values, viol, steps
 
 
 def me_reconstruct(p: ReducedProblem, opts: MEOptions = MEOptions()) -> np.ndarray:
@@ -295,7 +203,7 @@ def me_reconstruct(p: ReducedProblem, opts: MEOptions = MEOptions()) -> np.ndarr
 
     Args:
         p: reduced problem with residual strengths.
-        opts: iteration cap and constraint tolerance.
+        opts: step cap and constraint tolerance.
 
     Returns:
         Array aligned with p.unknown; every value in [0, 1], every residual
@@ -303,32 +211,18 @@ def me_reconstruct(p: ReducedProblem, opts: MEOptions = MEOptions()) -> np.ndarr
 
     Raises:
         Infeasible: the flow certificate proves the polytope is empty.
-        NotConverged: the iteration cap was hit on a feasible instance.
+        NotConverged: the step cap was hit on a feasible instance.
     """
     from .sampler import feasibility_check  # deferred: sampler depends on bpcore
 
-    try:
-        values, viol, iters, ok = _solve(p, np.arange(p.m), opts)
-    except _Contradiction:
-        full = Support(p.unknown, np.ones(p.m, dtype=np.uint8))
-        cert = feasibility_check(p, full)
-        if not cert.feasible:
-            raise Infeasible(
-                "residual constraints admit no solution in [0,1]", cert
-            ) from None
-        # Propagation tripped on a tolerance edge the transport check
-        # accepts; retry conservatively without it.
-        values, viol, iters, ok = _solve(p, np.arange(p.m), opts, presolve=False)
-    if ok:
-        logger.debug("me_reconstruct converged in %d iterations (viol %.3e)", iters, viol)
+    values, viol, steps = _solve(p, np.arange(p.m), opts)
+    if viol <= opts.tolerance:
+        logger.debug("me_reconstruct converged in %d Newton steps (viol %.3e)", steps, viol)
         return values
-    full = Support(p.unknown, np.ones(p.m, dtype=np.uint8))
-    cert = feasibility_check(p, full)
+    cert = feasibility_check(p)
     if not cert.feasible:
         raise Infeasible("residual constraints admit no solution in [0,1]", cert)
-    raise NotConverged(
-        f"projection residual {viol:.3e} after {iters} iterations", viol, iters
-    )
+    raise NotConverged(f"sum violation {viol:.3e} after {steps} Newton steps", viol, steps)
 
 
 def me_on_support(p: ReducedProblem, a: Support, opts: MEOptions = MEOptions()) -> np.ndarray:
@@ -336,7 +230,7 @@ def me_on_support(p: ReducedProblem, a: Support, opts: MEOptions = MEOptions()) 
 
     Raises:
         InfeasibleSupport: the flow certificate fails for this support.
-        NotConverged: iteration cap on a certified-feasible support.
+        NotConverged: step cap on a certified-feasible support.
     """
     if a.unknown != p.unknown:
         raise ValueError("support is not defined on this problem's unknown set")
@@ -345,15 +239,7 @@ def me_on_support(p: ReducedProblem, a: Support, opts: MEOptions = MEOptions()) 
     cert = feasibility_check(p, a)
     if not cert.feasible:
         raise InfeasibleSupport("support admits no valid liability assignment", cert)
-    slots = np.flatnonzero(a.values == 1)
-    try:
-        values, viol, iters, ok = _solve(p, slots, opts)
-    except _Contradiction:
-        # The transport check certified the support, so the propagation hit
-        # a tolerance edge; retry conservatively without it.
-        values, viol, iters, ok = _solve(p, slots, opts, presolve=False)
-    if not ok:
-        raise NotConverged(
-            f"projection residual {viol:.3e} after {iters} iterations", viol, iters
-        )
+    values, viol, steps = _solve(p, np.flatnonzero(a.values == 1), opts)
+    if viol > opts.tolerance:
+        raise NotConverged(f"sum violation {viol:.3e} after {steps} Newton steps", viol, steps)
     return values

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -55,6 +56,12 @@ class InconsistentObservation(ValueError):
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal form, used by every text format."""
     return repr(float(x))
+
+
+def _pair_arrays(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of a sequence of (i, j) pairs."""
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
+    return flat[0::2], flat[1::2]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -204,17 +211,16 @@ class Support:
 
 def support_of(L: LiabilityMatrix, unknown_set: Iterable[tuple[int, int]]) -> Support:
     """Binary support of L restricted to unknown_set; strict positivity marks a link."""
-    unknown = tuple((int(i), int(j)) for i, j in unknown_set)
+    unknown = tuple(unknown_set)
     n = L.n
-    for i, j in unknown:
+    rows, cols = _pair_arrays(unknown)
+    bad = (rows == cols) | (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n)
+    if bad.any():
+        i, j = unknown[int(np.argmax(bad))]
         if i == j:
             raise ValueError(f"diagonal index ({i}, {j}) in unknown set")
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"index ({i}, {j}) out of range for n={n}")
-    vals = np.fromiter(
-        (1 if L.entries[i, j] > 0 else 0 for i, j in unknown), dtype=np.uint8, count=len(unknown)
-    )
-    return Support(unknown, vals)
+        raise IndexError(f"index ({i}, {j}) out of range for n={n}")
+    return Support(unknown, (L.entries[rows, cols] > 0).astype(np.uint8))
 
 
 def sparsity(a: Support, denominator: int) -> float:
@@ -277,23 +283,18 @@ def make_observation(
     if not theta > 0:
         raise ValueError("theta must be positive")
     n = L_true.n
-    disclosed_set = set()
+    listed = np.zeros((n, n), dtype=bool)
     for i, j in disclosed:
         i, j = int(i), int(j)
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"disclosed index ({i}, {j}) invalid for n={n}")
-        disclosed_set.add((i, j))
-    known: dict[tuple[int, int], float] = {}
-    unknown: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            v = L_true.entries[i, j]
-            if v > theta or (i, j) in disclosed_set:
-                known[(i, j)] = v / theta
-            else:
-                unknown.append((i, j))
+        listed[i, j] = True
+    off_diagonal = ~np.eye(n, dtype=bool)
+    seen = ((L_true.entries > theta) | listed) & off_diagonal
+    ki, kj = np.nonzero(seen)
+    ui, uj = np.nonzero(off_diagonal & ~seen)
+    known = dict(zip(zip(ki.tolist(), kj.tolist()), (L_true.entries[ki, kj] / theta).tolist()))
+    unknown = tuple(zip(ui.tolist(), uj.tolist()))
     return Observation(
         n=n,
         theta=theta,
@@ -379,10 +380,9 @@ def assemble_matrix(obs: Observation, values: Sequence[float]) -> LiabilityMatri
     if vals.shape != (obs.m,):
         raise ValueError("values must align with the observation's unknown set")
     entries = np.zeros((obs.n, obs.n))
-    for (i, j), v in obs.known.items():
-        entries[i, j] = v * obs.theta
-    for (i, j), v in zip(obs.unknown, vals):
-        entries[i, j] = v * obs.theta
+    known = np.fromiter(obs.known.values(), dtype=float, count=len(obs.known))
+    entries[_pair_arrays(tuple(obs.known))] = known * obs.theta
+    entries[_pair_arrays(obs.unknown)] = vals * obs.theta
     return LiabilityMatrix(entries)
 
 

@@ -16,6 +16,7 @@ from liabnet.contagion import (
 from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.maxent import MEOptions
 from liabnet.netcore import LiabilityMatrix
+from liabnet.sampler import DecimationOptions
 
 from _instances import random_network
 from _oracles import naive_cascade
@@ -36,6 +37,17 @@ def random_case(n: int, seed: int):
     rng = np.random.default_rng(seed + 1000)
     cap = rng.random(n) * 0.5
     return L, cap
+
+
+def dyadic_case(n: int, seed: int):
+    """Entries in eighths and capitals in sixteenths: at a dyadic loss given
+    default every loss is exact, and many leave a capital at exactly 0,
+    which the strict C < 0 rule must spare."""
+    rng = np.random.default_rng(seed + 2000)
+    e = rng.integers(1, 9, size=(n, n)) / 8.0
+    e *= rng.random((n, n)) < 0.6
+    np.fill_diagonal(e, 0.0)
+    return LiabilityMatrix(e), rng.integers(0, 9, size=n) / 16.0
 
 
 class TestCapitalVector:
@@ -95,10 +107,11 @@ class TestFurfineCascade:
         assert res.rounds == (frozenset({0}),)
         assert res.survivors == frozenset({1})
 
-    def test_matches_reference_cascade(self):
+    @pytest.mark.parametrize("case", [random_case, dyadic_case])
+    def test_matches_reference_cascade(self, case):
         for seed in range(4):
-            L, cap = random_case(6, seed)
-            for alpha in (0.2, 0.5, 0.8, 1.0):
+            L, cap = case(6, seed)
+            for alpha in (0.2, 0.25, 0.5, 0.8, 1.0):
                 for t in range(6):
                     got = furfine_cascade(L, cap, alpha, t)
                     want = naive_cascade(L, cap, alpha, t)
@@ -184,13 +197,23 @@ class TestDefaultCurve:
             assert dc.mean_fraction[k] == pytest.approx(dc.per_trigger[k].mean())
             assert 1 / 6 <= dc.mean_fraction[k] <= 1.0
 
-    def test_matches_direct_average(self):
-        L, cap = random_case(6, 9)
-        dc = default_curve(L, cap, [0.4])
-        direct = np.mean(
-            [furfine_cascade(L, cap, 0.4, t).default_fraction for t in range(6)]
-        )
-        assert dc.mean_fraction[0] == pytest.approx(direct)
+    @pytest.mark.parametrize("exclude", [None, 2])
+    @pytest.mark.parametrize("case", [random_case, dyadic_case])
+    def test_matches_direct_average(self, case, exclude):
+        # All triggers run at once; each count must be the plain cascade's.
+        grid = [0.0, 0.25, 0.4, 0.5, 1.0]
+        denom = 6 if exclude is None else 5
+        for seed in (0, 1, 2, 9):
+            L, cap = case(6, seed)
+            dc = default_curve(L, cap, grid, exclude_bank=exclude)
+            for k, alpha in enumerate(grid):
+                want = [
+                    len(set().union(*naive_cascade(L, cap, alpha, z)) - {exclude}) / denom
+                    for z in range(6)
+                    if z != exclude
+                ]
+                assert dc.per_trigger[k].tolist() == want
+                assert dc.mean_fraction[k] == pytest.approx(np.mean(want))
 
     def test_exclude_bank_accounting(self):
         res = default_curve(chain4(), [0.3] * 4, [0.5], exclude_bank=3)
@@ -235,6 +258,26 @@ class TestCompareMethods:
             compare_methods(L, cap, [0.5], ["nonsense"])
         with pytest.raises(ValueError):
             compare_methods(L, cap, [0.5], [])
+
+    @pytest.mark.parametrize("name", ["support_samples", "lambda_trials"])
+    def test_sample_counts_validated(self, name):
+        with pytest.raises(ValueError, match=name):
+            CompareOptions(**{name: 0})
+
+    def test_sparsest_support_me_converges(self):
+        # A peeled sparsest support on which alternating projections stalled
+        # at a sum violation of 1.9e-4 after 10000 iterations.
+        L, cap = generate(EnsembleSpec("uniform", 15, 0.3, capital=0.3, seed=2))
+        rep = compare_methods(
+            L,
+            cap,
+            [0.2, 0.4, 0.6],
+            ["me_on_sparsest_support"],
+            CompareOptions(lambda_trials=4, decimation=DecimationOptions(fix_per_round=0.12)),
+        )
+        mc = rep.curve_for("me_on_sparsest_support")
+        assert mc.error is None
+        assert mc.curve is not None
 
     def test_below_minimum_threshold_reconstructions_are_exact(self):
         # with every positive entry disclosed, only true zeros stay unknown and

@@ -84,8 +84,43 @@ class TestExamples:
         assert residual_violation(p, values) < 1e-8
 
 
+def forced_zero_problem() -> ReducedProblem:
+    """Bank 0 must lend 1 to each of banks 1 and 2, which fills bank 1's
+    borrowing, so the slot (2, 1) is 0 in every feasible point."""
+    return ReducedProblem(
+        n=3,
+        unknown=tuple((i, j) for i in range(3) for j in range(3) if i != j),
+        res_out=np.array([2.0, 0.8, 0.4]),
+        res_in=np.array([0.7, 1.0, 1.5]),
+    )
+
+
+def sparsest_support_case(n, seed):
+    """A peeled sparsest support of random_problem(n, seed)."""
+    from liabnet.bpcore import build_factor_graph
+    from liabnet.sampler import LambdaMaxOptions, lambda_max
+
+    _, _, p = random_problem(n, seed)
+    lm = lambda_max(build_factor_graph(p, strict=False), p, LambdaMaxOptions(trials=4, rng_seed=seed))
+    return p, lm.support.values
+
+
+def random_support_case():
+    """A dense-ish random support of random_problem(4, 30) that stays feasible."""
+    from liabnet.sampler import feasibility_check
+
+    _, _, p = random_problem(4, seed=30)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        pattern = (rng.random(p.m) < 0.85).astype(np.uint8)
+        if feasibility_check(p, Support(p.unknown, pattern)):
+            return p, pattern
+    pytest.skip("no feasible random support found")
+
+
 class TestOracleMatch:
-    @pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (4, 3), (4, 4), (5, 5)])
+    # random_problem(3, 4) has two slots that are 0 in every feasible point.
+    @pytest.mark.parametrize("n,seed", [(3, 1), (3, 2), (3, 4), (4, 3), (4, 4), (5, 5)])
     def test_matches_convex_solver(self, n, seed):
         _, _, p = random_problem(n, seed)
         mine = me_reconstruct(p)
@@ -155,20 +190,21 @@ class TestOnSupport:
         with pytest.raises(ValueError):
             me_on_support(p, other)
 
-    def test_matches_oracle_on_support(self):
-        _, _, p = random_problem(4, seed=30)
-        rng = np.random.default_rng(5)
-        # dense-ish random support that stays feasible
-        from liabnet.sampler import feasibility_check
-
-        for _ in range(20):
-            pattern = (rng.random(p.m) < 0.85).astype(np.uint8)
-            a = Support(p.unknown, pattern)
-            if feasibility_check(p, a):
-                break
-        else:
-            pytest.skip("no feasible random support found")
-        mine = me_on_support(p, a)
+    @pytest.mark.parametrize(
+        "case",
+        [
+            random_support_case,
+            lambda: sparsest_support_case(5, 0),
+            lambda: sparsest_support_case(5, 1),
+            lambda: sparsest_support_case(6, 2),
+            lambda: sparsest_support_case(6, 3),
+            lambda: (forced_zero_problem(), np.ones(6, dtype=np.uint8)),
+        ],
+        ids=["random", "sparsest-5-0", "sparsest-5-1", "sparsest-6-2", "sparsest-6-3", "forced-zero"],
+    )
+    def test_matches_oracle_on_support(self, case):
+        p, pattern = case()
+        mine = me_on_support(p, Support(p.unknown, pattern))
         ref = oracle_me(p, pattern)
         assert np.max(np.abs(mine - ref)) < 1e-6
         assert np.all(mine[pattern == 0] == 0)
@@ -185,6 +221,20 @@ class TestErrorPaths:
         with pytest.raises(Infeasible) as exc:
             me_reconstruct(p)
         assert exc.value.certificate is not None
+
+    def test_transport_cut_raises_infeasible(self):
+        # Every bank's target fits its own slots, but banks 0 and 1 lend only
+        # to banks 2 and 3, whose borrowing (1.8) cannot take their 2.4.
+        p = ReducedProblem(
+            n=4,
+            unknown=((0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3), (3, 0), (3, 1), (3, 2)),
+            res_out=np.array([1.2, 1.2, 0.3, 0.3]),
+            res_in=np.array([0.6, 0.6, 0.9, 0.9]),
+        )
+        with pytest.raises(Infeasible) as exc:
+            me_reconstruct(p)
+        assert not exc.value.certificate.feasible
+        assert exc.value.certificate.deficit == pytest.approx(0.6)
 
     def test_iteration_cap_raises_not_converged(self):
         p = ReducedProblem(

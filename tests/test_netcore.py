@@ -147,6 +147,28 @@ class TestObservation:
         with pytest.raises(ValueError):
             nc.make_observation(L, theta=0.0)
 
+    @pytest.mark.parametrize("theta", [1.0, 0.37, 0.05])
+    def test_matches_per_entry_reference(self, theta):
+        # The observation and the rebuilt matrix, bit for bit, against the
+        # per-entry loops they replace.
+        L = random_network(7, seed=12)
+        disclosed = [(0, 1), (3, 2), (6, 5)]
+        obs = nc.make_observation(L, theta, disclosed)
+        known, unknown = {}, []
+        for i in range(7):
+            for j in range(7):
+                if i != j and (L.entries[i, j] > theta or (i, j) in disclosed):
+                    known[(i, j)] = L.entries[i, j] / theta
+                elif i != j:
+                    unknown.append((i, j))
+        assert list(obs.known.items()) == list(known.items())
+        assert obs.unknown == tuple(unknown)
+        values = np.random.default_rng(0).random(obs.m)
+        want = np.zeros((7, 7))
+        for (i, j), v in [*known.items(), *zip(unknown, values)]:
+            want[i, j] = v * theta
+        assert np.array_equal(nc.assemble_matrix(obs, values).entries, want)
+
     def test_rescale_roundtrip_identity(self):
         L = random_network(4, seed=4)
         theta = 0.37

@@ -1,14 +1,20 @@
-"""Packaging metadata and module exports point at code that exists."""
+"""Packaging metadata and module exports point at code that exists, and
+the package imports nothing at run time beyond the standard library and
+numpy."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import pytest
 
 import liabnet
 
-PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+RUNTIME_PACKAGES = sys.stdlib_module_names | {"numpy", "liabnet"}
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(liabnet.__path__)])
@@ -25,3 +31,19 @@ def test_console_scripts_import():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    # Walks each whole tree, so imports deferred into functions count too;
+    # scipy is installed for the test oracles, so nothing else would catch it.
+    outside = {}
+    for path in sorted((ROOT / "src" / "liabnet").glob("*.py")):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.partition(".")[0])
+        if found - RUNTIME_PACKAGES:
+            outside[path.name] = sorted(found - RUNTIME_PACKAGES)
+    assert not outside, f"imports outside the standard library and numpy: {outside}"
