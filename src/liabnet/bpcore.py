@@ -166,36 +166,28 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
     n = p.n
     m = p.m
     r = required_degrees(np.concatenate([p.res_out, p.res_in]))
-    neighbor_lists: list[list[int]] = [[] for _ in range(2 * n)]
-    for e, (i, j) in enumerate(p.unknown):
-        neighbor_lists[i].append(e)
-        neighbor_lists[n + j].append(e)
-    k = np.array([len(lst) for lst in neighbor_lists], dtype=int)
+    rows, cols = p.ends
+    var_row_factor = rows.astype(int)
+    var_col_factor = cols + n
+    # Each variable sits in its row factor, then in its column factor; a
+    # stable sort by factor lists every factor's variables in index order.
+    factor = np.concatenate([var_row_factor, var_col_factor])
+    order = np.argsort(factor, kind="stable")
+    k = np.bincount(factor, minlength=2 * n)
     kmax = max(1, int(k.max(initial=0)))
-    # slot_var[f, s]: the variable in slot s of factor f (-1 pads);
-    # var_slot_row/col: each variable's slot inside its two factors.
+    slot = np.empty(2 * m, dtype=int)
+    slot[order] = np.arange(2 * m) - (np.cumsum(k) - k)[factor[order]]
+    # slot_var[f, s]: the variable in slot s of factor f (-1 pads)
     slot_var = np.full((2 * n, kmax), -1, dtype=int)
-    var_slot_row = np.zeros(m, dtype=int)
-    var_slot_col = np.zeros(m, dtype=int)
-    for f, lst in enumerate(neighbor_lists):
-        for s, e in enumerate(lst):
-            slot_var[f, s] = e
-            if f < n:
-                var_slot_row[e] = s
-            else:
-                var_slot_col[e] = s
+    slot_var[factor, slot] = np.tile(np.arange(m), 2)
     slot_valid = slot_var >= 0
-    bad = tuple(_factor_label(n, f) for f in range(2 * n) if r[f] > k[f])
+    bad = tuple(_factor_label(n, f) for f in np.flatnonzero(r > k).tolist())
     if bad and strict:
         raise LocallyInfeasible(bad)
-    var_row_factor = np.array([i for i, _ in p.unknown], dtype=int).reshape(m)
-    var_col_factor = np.array([n + j for _, j in p.unknown], dtype=int).reshape(m)
     # a row factor hears mu_col (offset m), a column factor mu_row
     heard = np.where(slot_var < 0, 2 * m, slot_var + np.where(np.arange(2 * n) < n, m, 0)[:, None])
     slot_in = np.ascontiguousarray(np.concatenate([heard, heard[:, ::-1]]).T)
-    msg_slot = np.concatenate(
-        [var_slot_row * (2 * n) + var_row_factor, var_slot_col * (2 * n) + var_col_factor]
-    )
+    msg_slot = slot * (2 * n) + factor
     for arr in (k, r, slot_valid, var_row_factor, var_col_factor, slot_in, msg_slot):
         arr.setflags(write=False)
     return FactorGraph(
@@ -440,7 +432,6 @@ def bp_fixed_point(
     g: FactorGraph,
     z: float,
     opts: BPOptions = BPOptions(),
-    init: MessageSet | None = None,
 ) -> MessageSet:
     """Run message passing to a fixed point at fugacity z.
 
@@ -449,8 +440,6 @@ def bp_fixed_point(
         z: fugacity; 0.0 selects the sparsest-graph limit equations and
             math.inf the complete-graph limit.
         opts: tolerance, sweep cap and damping.
-        init: optional warm-start messages from a previous run (cold runs
-            start every message at 0.5).
 
     Returns:
         MessageSet with converged flag, sweep count, and final residual;
@@ -459,9 +448,6 @@ def bp_fixed_point(
     if g.infeasible_factors:
         raise LocallyInfeasible(g.infeasible_factors)
     state = make_state(g, z)
-    if init is not None:
-        state.mu_row[:] = init.mu_row
-        state.mu_col[:] = init.mu_col
     converged, sweeps, resid = run_sweeps(state, opts)
     if not converged:
         logger.warning(

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .netcore import ReducedProblem, Support, _pair_arrays
+from .netcore import ReducedProblem, Support
 
 __all__ = [
     "MEOptions",
@@ -136,8 +136,7 @@ def _solve(p: ReducedProblem, slots: np.ndarray, opts: MEOptions):
 
     Returns (values, violation, Newton steps taken).
     """
-    rows, cols = _pair_arrays(p.unknown)
-    rows, cols = rows[slots], cols[slots]
+    rows, cols = (ends[slots] for ends in p.ends)
     r, c = p.res_out, p.res_in
     live = (r[rows] > 0) & (c[cols] > 0)
     # Each slot carries at most 1, so no step can bring a bank's violation
@@ -201,6 +200,9 @@ def _solve(p: ReducedProblem, slots: np.ndarray, opts: MEOptions):
 def me_reconstruct(p: ReducedProblem, opts: MEOptions = MEOptions()) -> np.ndarray:
     """Maximum-entropy values over the unknown set.
 
+    Solves first; only a solve that misses opts.tolerance asks the flow
+    certificate, which tells Infeasible from NotConverged.
+
     Args:
         p: reduced problem with residual strengths.
         opts: step cap and constraint tolerance.
@@ -210,36 +212,40 @@ def me_reconstruct(p: ReducedProblem, opts: MEOptions = MEOptions()) -> np.ndarr
         row/column sum met within opts.tolerance.
 
     Raises:
-        Infeasible: the flow certificate proves the polytope is empty.
-        NotConverged: the step cap was hit on a feasible instance.
+        Infeasible: the solve missed and the certificate proves the
+            polytope empty.
+        NotConverged: the solve missed on a certified-feasible instance.
     """
-    from .sampler import feasibility_check  # deferred: sampler depends on bpcore
-
-    values, viol, steps = _solve(p, np.arange(p.m), opts)
-    if viol <= opts.tolerance:
-        logger.debug("me_reconstruct converged in %d Newton steps (viol %.3e)", steps, viol)
-        return values
-    cert = feasibility_check(p)
-    if not cert.feasible:
-        raise Infeasible("residual constraints admit no solution in [0,1]", cert)
-    raise NotConverged(f"sum violation {viol:.3e} after {steps} Newton steps", viol, steps)
+    return _reconstruct(p, None, opts)
 
 
 def me_on_support(p: ReducedProblem, a: Support, opts: MEOptions = MEOptions()) -> np.ndarray:
     """Maximum-entropy values with zeros forced off the given support.
 
+    Same solve-then-certify contract as me_reconstruct, so a support that
+    the flow check rejects by less than opts.tolerance still gets values.
+
     Raises:
-        InfeasibleSupport: the flow certificate fails for this support.
-        NotConverged: step cap on a certified-feasible support.
+        InfeasibleSupport: the solve missed and the certificate fails.
+        NotConverged: the solve missed on a certified-feasible support.
     """
     if a.unknown != p.unknown:
         raise ValueError("support is not defined on this problem's unknown set")
-    from .sampler import feasibility_check
+    return _reconstruct(p, a, opts)
+
+
+def _reconstruct(p: ReducedProblem, a: Support | None, opts: MEOptions) -> np.ndarray:
+    """Solve over a's links (every slot when a is None), then certify a miss."""
+    slots = np.arange(p.m) if a is None else np.flatnonzero(a.values)
+    values, viol, steps = _solve(p, slots, opts)
+    if viol <= opts.tolerance:
+        logger.debug("ME converged in %d Newton steps (viol %.3e)", steps, viol)
+        return values
+    from .sampler import feasibility_check  # deferred: sampler depends on bpcore
 
     cert = feasibility_check(p, a)
-    if not cert.feasible:
-        raise InfeasibleSupport("support admits no valid liability assignment", cert)
-    values, viol, steps = _solve(p, np.flatnonzero(a.values == 1), opts)
-    if viol > opts.tolerance:
+    if cert.feasible:
         raise NotConverged(f"sum violation {viol:.3e} after {steps} Newton steps", viol, steps)
-    return values
+    if a is None:
+        raise Infeasible("residual constraints admit no solution in [0,1]", cert)
+    raise InfeasibleSupport("support admits no valid liability assignment", cert)

@@ -6,7 +6,7 @@ is the amount bank j borrowed from bank i, so row sums are credits extended
 every entry above a disclosure threshold theta, plus any law-disclosed
 entries, and otherwise only the per-bank strengths.  This module holds the
 matrix, observation, and reduced-problem containers, binary support
-primitives, and the file formats used by the command line tools.
+primitives, and the CSV and JSON file formats.
 
 Values inside an Observation and everything derived from it are rescaled by
 theta, so each unknown entry lives in [0, 1].
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -59,8 +60,9 @@ def _fmt(x: float) -> str:
 
 
 def _pair_arrays(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of a sequence of (i, j) pairs."""
+    """Read-only row and column index arrays of a sequence of (i, j) pairs."""
     flat = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
+    flat.setflags(write=False)
     return flat[0::2], flat[1::2]
 
 
@@ -68,6 +70,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
+
+
+class _UnknownSlots:
+    """The unknown set of an Observation or ReducedProblem, and its index arrays."""
+
+    unknown: tuple[tuple[int, int], ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.unknown)
+
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only row and column bank index of every unknown slot."""
+        return _pair_arrays(self.unknown)
 
 
 @dataclass(frozen=True)
@@ -186,7 +203,7 @@ class Support:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        unknown = tuple((int(i), int(j)) for i, j in self.unknown)
+        unknown = tuple(self.unknown)
         vals = np.asarray(self.values)
         if vals.shape != (len(unknown),):
             raise ValueError("support values must align with the unknown set")
@@ -235,7 +252,7 @@ def sparsity(a: Support, denominator: int) -> float:
 
 
 @dataclass(frozen=True)
-class Observation:
+class Observation(_UnknownSlots):
     """What the regulator sees at threshold theta, rescaled so unknowns lie in [0, 1].
 
     known maps entry index (i, j) to the rescaled value; unknown lists the
@@ -255,10 +272,6 @@ class Observation:
         object.__setattr__(self, "unknown", tuple(self.unknown))
         object.__setattr__(self, "out_strength", _freeze(self.out_strength))
         object.__setattr__(self, "in_strength", _freeze(self.in_strength))
-
-    @property
-    def m(self) -> int:
-        return len(self.unknown)
 
 
 def make_observation(
@@ -306,7 +319,7 @@ def make_observation(
 
 
 @dataclass(frozen=True)
-class ReducedProblem:
+class ReducedProblem(_UnknownSlots):
     """Unknown entries plus residual strengths after absorbing known values."""
 
     n: int
@@ -320,12 +333,8 @@ class ReducedProblem:
         object.__setattr__(self, "res_in", _freeze(self.res_in))
 
     @property
-    def m(self) -> int:
-        return len(self.unknown)
-
-    @property
     def bank_set(self) -> frozenset[int]:
-        return frozenset(i for e in self.unknown for i in e)
+        return frozenset(np.concatenate(self.ends).tolist())
 
     def total_residual(self) -> float:
         return float(self.res_out.sum())
@@ -382,7 +391,7 @@ def assemble_matrix(obs: Observation, values: Sequence[float]) -> LiabilityMatri
     entries = np.zeros((obs.n, obs.n))
     known = np.fromiter(obs.known.values(), dtype=float, count=len(obs.known))
     entries[_pair_arrays(tuple(obs.known))] = known * obs.theta
-    entries[_pair_arrays(obs.unknown)] = vals * obs.theta
+    entries[obs.ends] = vals * obs.theta
     return LiabilityMatrix(entries)
 
 

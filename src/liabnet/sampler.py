@@ -161,11 +161,11 @@ def feasibility_check(p: ReducedProblem, a: Support | None = None) -> Feasibilit
     """
     n = p.n
     if a is None:
-        edges = list(p.unknown)
+        slots = np.arange(p.m)
     else:
         if a.unknown != p.unknown:
             raise ValueError("support is indexed over a different unknown set")
-        edges = a.edges()
+        slots = np.flatnonzero(a.values)
     required = float(np.sum(p.res_out))
     required_in = float(np.sum(p.res_in))
     tol = 1e-9 * max(1.0, max(required, required_in))
@@ -176,13 +176,15 @@ def feasibility_check(p: ReducedProblem, a: Support | None = None) -> Feasibilit
             net.add_edge(src, i, float(p.res_out[i]))
         if p.res_in[i] > 0:
             net.add_edge(n + i, snk, float(p.res_in[i]))
-    edge_ids = {}
-    for (i, j) in edges:
-        edge_ids[(i, j)] = net.add_edge(i, n + j, 1.0)
+    rows, cols = (ends[slots].tolist() for ends in p.ends)
+    edge_ids = [net.add_edge(i, n + j, 1.0) for i, j in zip(rows, cols)]
     moved = net.max_flow(src, snk)
     target = max(required, required_in)
     if moved >= target - tol:
-        flow = {e: min(1.0, max(0.0, net.flow_on(eid))) for e, eid in edge_ids.items()}
+        flow = {
+            (i, j): min(1.0, max(0.0, net.flow_on(eid)))
+            for i, j, eid in zip(rows, cols, edge_ids)
+        }
         return FeasibilityCertificate(True, moved, target, flow=flow)
     side = set(net.source_side())
     cut_rows = frozenset(i for i in range(n) if i in side)
@@ -506,7 +508,9 @@ def lambda_max(
     deterministic baseline candidate (the greedily thinned full support)
     is always in play.  Every candidate is admissible, so the estimate
     never exceeds the true maximum.  With no feasible sampled draw the
-    baseline is reported with fallback=True.
+    baseline is reported with fallback=True; when even the full support
+    fails the flow check, no trial runs and the full support is reported
+    with sparsity 0.
 
     With no unknown slots at all the empty support is vacuously maximal
     and lambda_max is reported as 1.0.
@@ -526,14 +530,26 @@ def lambda_max(
     rungs = len(opts.z_ladder)
     per_rung = -(-opts.trials // rungs)  # ceil division
     total_trials = rungs * per_rung
-    children = ss.spawn(total_trials)
-    best: Support | None = None
-    # Deterministic baseline: thin the full support greedily.  The full
-    # support is feasible whenever the problem is at all, so a meaningful
-    # candidate survives even if every sampled draw fails the flow check.
+    # Deterministic baseline: thin the full support greedily.  Removing
+    # links never restores transport, so when the full support fails the
+    # flow check no draw can pass it and the search is skipped.
     full = Support(unknown=g.unknown, values=np.ones(g.m_total, dtype=np.uint8))
-    if feasibility_check(p, full):
-        best = Support(g.unknown, _peel_support(g, p, full.values))
+    if not feasibility_check(p, full):
+        logger.warning(
+            "the residuals cannot be transported on any support; reporting "
+            "the full unknown support with sparsity 0"
+        )
+        return LambdaMaxResult(
+            support=full,
+            lambda_max=0.0,
+            links=g.m_total,
+            trials=total_trials,
+            completed_trials=0,
+            feasible_trials=0,
+            fallback=True,
+        )
+    best = Support(g.unknown, _peel_support(g, p, full.values))
+    children = ss.spawn(total_trials)
     completed = 0
     feasible = 0
     seen: set[bytes] = set()
@@ -554,22 +570,8 @@ def lambda_max(
                 continue
             feasible += 1
             candidate = Support(g.unknown, _peel_support(g, p, support.values))
-            if best is None or candidate.ones < best.ones:
+            if candidate.ones < best.ones:
                 best = candidate
-    if best is None:
-        logger.warning(
-            "the residuals cannot be transported on any support; reporting "
-            "the full unknown support with sparsity 0"
-        )
-        return LambdaMaxResult(
-            support=full,
-            lambda_max=0.0,
-            links=g.m_total,
-            trials=total_trials,
-            completed_trials=completed,
-            feasible_trials=0,
-            fallback=True,
-        )
     fallback = feasible == 0
     if fallback:
         logger.warning(

@@ -172,13 +172,8 @@ def _sweep_one(
     note = None
     if float(L_true.entries.max()) <= theta:
         note = "threshold at or above the largest entry; nothing is disclosed"
-    live = np.array(
-        [
-            rp.res_out[i] > ZERO_RESIDUAL_ATOL and rp.res_in[j] > ZERO_RESIDUAL_ATOL
-            for i, j in rp.unknown
-        ],
-        dtype=bool,
-    )
+    rows, cols = rp.ends
+    live = (rp.res_out[rows] > ZERO_RESIDUAL_ATOL) & (rp.res_in[cols] > ZERO_RESIDUAL_ATOL)
     m_live = int(live.sum())
     if m_live == 0:
         # fully determined: every undisclosed slot is forced to zero

@@ -62,7 +62,77 @@ def assert_gather_maps(g):
     assert np.array_equal(reverse, forward[::-1])
 
 
+def reference_layout(p):
+    """The factor-graph layout built pair by pair, from per-factor lists."""
+    n, m = p.n, p.m
+    r = required_degrees(np.concatenate([p.res_out, p.res_in]))
+    lists = [[] for _ in range(2 * n)]
+    for e, (i, j) in enumerate(p.unknown):
+        lists[i].append(e)
+        lists[n + j].append(e)
+    k = np.array([len(lst) for lst in lists])
+    kmax = max(1, int(k.max(initial=0)))
+    heard = np.full((2 * n, kmax), 2 * m)
+    slot_of = {}
+    for f, lst in enumerate(lists):
+        for s, e in enumerate(lst):
+            heard[f, s] = e + m if f < n else e
+            slot_of[f, e] = s
+    rows = [i for i, _ in p.unknown]
+    cols = [n + j for _, j in p.unknown]
+    sent = zip(rows + cols, list(range(m)) * 2)
+    return {
+        "k": k,
+        "r": r,
+        "slot_valid": heard < 2 * m,
+        "var_row_factor": np.array(rows, dtype=int),
+        "var_col_factor": np.array(cols, dtype=int),
+        "slot_in": np.concatenate([heard, heard[:, ::-1]]).T,
+        "msg_slot": np.array([slot_of[f, e] * 2 * n + f for f, e in sent], dtype=int),
+        "infeasible_factors": tuple(
+            bpcore._factor_label(n, f) for f in range(2 * n) if r[f] > k[f]
+        ),
+    }
+
+
+def partly_observed(n, seed, theta):
+    L, _, _ = random_problem(n, seed)
+    return absorb_known(make_observation(L, theta))
+
+
 class TestBuildFactorGraph:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: random_problem(3, 0)[2],
+            lambda: random_problem(5, 1)[2],
+            lambda: partly_observed(6, 2, 0.5),
+            lambda: partly_observed(7, 3, 0.3),
+            lambda: ReducedProblem(n=3, unknown=(), res_out=np.zeros(3), res_in=np.zeros(3)),
+            lambda: ReducedProblem(
+                n=3, unknown=((0, 1), (1, 0)), res_out=np.full(3, 0.4), res_in=np.full(3, 0.4)
+            ),
+            lambda: ReducedProblem(
+                n=3,
+                unknown=((0, 1), (2, 1), (1, 0)),
+                res_out=np.array([1.5, 0.2, 0.3]),
+                res_in=np.array([0.2, 2.5, 0.0]),
+            ),
+        ],
+        ids=["full-3", "full-5", "partial-6", "partial-7", "empty", "bank-without-slots", "infeasible"],
+    )
+    def test_layout_matches_per_pair_reference(self, case):
+        p = case()
+        g = build_factor_graph(p, strict=False)
+        want = reference_layout(p)
+        for name, value in want.items():
+            got = getattr(g, name)
+            if isinstance(value, tuple):
+                assert got == value, name
+            else:
+                assert got.dtype.kind == value.dtype.kind and np.array_equal(got, value), name
+
+
     def test_benchmark_shapes(self):
         g = build_factor_graph(benchmark3())
         assert g.m_total == 6 and g.n_factors == 6 and g.max_degree == 2
@@ -324,7 +394,7 @@ class TestLimits:
             assert all(a >= b - 1e-6 for a, b in zip(lams, lams[1:]))
 
 
-class TestDeterminismAndWarmStart:
+class TestDeterminism:
     def test_repeat_runs_identical(self):
         g = build_factor_graph(benchmark3())
         m1 = bp_fixed_point(g, 1.7)
@@ -332,13 +402,6 @@ class TestDeterminismAndWarmStart:
         assert np.array_equal(m1.mu_row, m2.mu_row)
         assert np.array_equal(m1.mu_col, m2.mu_col)
         assert m1.sweeps == m2.sweeps
-
-    def test_warm_start_converges_fast(self):
-        g = build_factor_graph(benchmark3())
-        cold = bp_fixed_point(g, 2.0)
-        warm = bp_fixed_point(g, 2.1, init=cold)
-        assert warm.converged
-        assert warm.sweeps <= cold.sweeps
 
 
 class TestEntropyCurve:

@@ -184,6 +184,26 @@ class TestOnSupport:
         assert exc.value.certificate is not None
         assert not exc.value.certificate.feasible
 
+    def test_converged_solve_skips_flow_check(self, monkeypatch):
+        from liabnet import sampler
+
+        calls = []
+        check = sampler.feasibility_check
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(sampler, "feasibility_check", counted)
+        _, _, p = random_problem(5, 0)
+        pattern = np.ones(p.m, dtype=np.uint8)
+        me_on_support(p, Support(p.unknown, pattern))
+        me_reconstruct(p)
+        assert calls == []
+        with pytest.raises(NotConverged):
+            me_on_support(p, Support(p.unknown, pattern), MEOptions(max_iterations=1))
+        assert len(calls) == 1
+
     def test_support_on_wrong_unknown_set_rejected(self):
         p = benchmark3()
         other = Support(((0, 1),), np.array([1], dtype=np.uint8))

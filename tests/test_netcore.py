@@ -94,6 +94,14 @@ class TestSupport:
         with pytest.raises(IndexError):
             nc.support_of(L, [(0, 3)])
 
+    def test_keeps_the_unknown_tuple(self):
+        _, obs, rp = random_problem(4, 0)
+        a = nc.Support(rp.unknown, np.ones(rp.m, dtype=np.uint8))
+        assert a.unknown is rp.unknown
+        rows, cols = rp.ends
+        assert list(zip(rows.tolist(), cols.tolist())) == list(rp.unknown)
+        assert rp.ends is rp.ends and not rows.flags.writeable
+
     def test_sparsity_values(self):
         unknown = offdiag(3)
         full = nc.Support(unknown, np.ones(6, dtype=np.uint8))

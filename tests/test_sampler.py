@@ -278,6 +278,7 @@ class TestLambdaMax:
         assert res.fallback
         assert res.lambda_max == 0.0
         assert res.feasible_trials == 0
+        assert res.completed_trials == 0
 
     def test_empty_unknown_set(self):
         p = ReducedProblem(n=2, unknown=(), res_out=np.zeros(2), res_in=np.zeros(2))
