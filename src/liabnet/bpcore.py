@@ -553,6 +553,16 @@ class EntropyCurve:
     points: tuple[EntropyPoint, ...]
 
 
+def _fugacity_grid(z_grid: Sequence[float]) -> list[float]:
+    """z_grid as a list; ValueError unless strictly positive and ascending."""
+    zs = list(z_grid)
+    if not all(z > 0 for z in zs):
+        raise ValueError("fugacity grid must be strictly positive")
+    if sorted(zs) != zs:
+        raise ValueError("fugacity grid must be sorted ascending")
+    return zs
+
+
 def sigma_curve(g: FactorGraph, z_grid: Sequence[float], opts: BPOptions = BPOptions()) -> EntropyCurve:
     """Evaluate density and entropies over a sorted positive fugacity grid.
 
@@ -560,13 +570,8 @@ def sigma_curve(g: FactorGraph, z_grid: Sequence[float], opts: BPOptions = BPOpt
     configuration, Sigma = 0).  Non-converged points are flagged and the
     curve continues.
     """
-    zs = list(z_grid)
-    if any(z <= 0 for z in zs):
-        raise ValueError("fugacity grid must be strictly positive")
-    if sorted(zs) != zs:
-        raise ValueError("fugacity grid must be sorted ascending")
     points = []
-    for z in zs:
+    for z in _fugacity_grid(z_grid):
         if math.isinf(z):
             points.append(EntropyPoint(z, 0.0, math.inf, 0.0, True))
             continue

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netcore import (
+    CapitalVector,
     LiabilityMatrix,
     _fmt,
     _read_table,
@@ -66,30 +67,24 @@ METHOD_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class CapitalVector:
-    """Initial bank capitals, same monetary units as the liability matrix."""
-
-    c: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.c, dtype=float).copy()
-        if arr.ndim != 1:
-            raise ValueError("capital must be a flat sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("capital must be finite")
-        if np.any(arr < 0):
-            raise ValueError("capital must be nonnegative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "c", arr)
-
-    @property
-    def n(self) -> int:
-        return self.c.size
+def _capital(cap, n: int) -> CapitalVector:
+    """cap as a CapitalVector; ValueError unless it holds one capital per bank."""
+    cap = cap if isinstance(cap, CapitalVector) else CapitalVector(np.asarray(cap, dtype=float))
+    if cap.n != n:
+        raise ValueError(f"capital length {cap.n} does not match the matrix size {n}")
+    return cap
 
 
-def _as_capital(cap) -> CapitalVector:
-    return cap if isinstance(cap, CapitalVector) else CapitalVector(np.asarray(cap, dtype=float))
+def _alpha_grid(alpha_grid) -> tuple[float, ...]:
+    """alpha_grid as floats; ValueError unless nonempty, ascending and inside [0, 1]."""
+    alphas = tuple(float(a) for a in alpha_grid)
+    if not alphas:
+        raise ValueError("alpha grid must be nonempty")
+    if any(not 0.0 <= a <= 1.0 for a in alphas):
+        raise ValueError("alpha grid must lie in [0, 1]")
+    if list(alphas) != sorted(alphas):
+        raise ValueError("alpha grid must be sorted ascending")
+    return alphas
 
 
 @dataclass(frozen=True)
@@ -152,10 +147,8 @@ def furfine_cascade(
     Returns:
         Deterministic CascadeResult; terminates within N rounds.
     """
-    cap = _as_capital(cap)
     n = L.n
-    if cap.n != n:
-        raise ValueError("capital length must match the matrix size")
+    cap = _capital(cap, n)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("loss given default must be in [0, 1]")
     if not 0 <= trigger < n:
@@ -208,15 +201,9 @@ def default_curve(
     Returns:
         DefaultCurve with the per-trigger matrix retained.
     """
-    cap = _as_capital(cap)
-    alphas = [float(a) for a in alpha_grid]
-    if not alphas:
-        raise ValueError("alpha grid must be nonempty")
-    if any(not 0.0 <= a <= 1.0 for a in alphas):
-        raise ValueError("alpha grid must lie in [0, 1]")
-    if sorted(alphas) != alphas:
-        raise ValueError("alpha grid must be sorted ascending")
     n = L.n
+    cap = _capital(cap, n)
+    alphas = _alpha_grid(alpha_grid)
     _check_exclude_bank(exclude_bank, n)
     triggers = [z for z in range(n) if z != exclude_bank]
     if not triggers:
@@ -231,7 +218,7 @@ def default_curve(
     per = failed.sum(axis=1).reshape(len(alphas), len(triggers)) / denom
     per.setflags(write=False)
     return DefaultCurve(
-        alphas=tuple(alphas),
+        alphas=alphas,
         mean_fraction=tuple(float(v) for v in per.mean(axis=1)),
         per_trigger=per,
         excluded_bank=exclude_bank,
@@ -319,8 +306,8 @@ def compare_methods(
 
     Args:
         L_true: ground-truth liability matrix.
-        cap: capitals shared by every method's cascades.
-        alpha_grid: ascending loss-given-default grid in [0, 1].
+        cap: one capital per bank, shared by every method's cascades.
+        alpha_grid: nonempty ascending loss-given-default grid in [0, 1].
         methods: subset of METHOD_NAMES, in any order.
         opts: observation threshold, sampling controls, seeds.
 
@@ -329,8 +316,13 @@ def compare_methods(
         canonical METHOD_NAMES order.  A method that fails (infeasible
         reconstruction, non-convergence) reports its error string instead
         of aborting the comparison.
+
+    Raises:
+        ValueError: before any method runs, for an input every method
+            would reject (alpha grid, capital length, exclude_bank).
     """
-    cap = _as_capital(cap)
+    cap = _capital(cap, L_true.n)
+    alphas = _alpha_grid(alpha_grid)
     wanted = set(methods)
     unknown_methods = wanted - set(METHOD_NAMES)
     if unknown_methods:
@@ -338,7 +330,6 @@ def compare_methods(
     if not wanted:
         raise ValueError("no methods requested")
     _check_exclude_bank(opts.exclude_bank, L_true.n)
-    alphas = tuple(float(a) for a in alpha_grid)
     obs = make_observation(L_true, opts.theta, opts.disclosed)
     rp = absorb_known(obs)
     needs_graph = wanted & {"me_on_typical_support", "me_on_sparsest_support"}

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contagion import CapitalVector
-from .netcore import LiabilityMatrix
+from .netcore import CapitalVector, LiabilityMatrix
 
 __all__ = [
     "EnsembleSpec",

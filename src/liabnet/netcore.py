@@ -5,8 +5,11 @@ is the amount bank j borrowed from bank i, so row sums are credits extended
 (out-strength) and column sums are debts (in-strength).  A regulator sees
 every entry above a disclosure threshold theta, plus any law-disclosed
 entries, and otherwise only the per-bank strengths.  This module holds the
-matrix, observation, and reduced-problem containers, binary support
-primitives, and the CSV and JSON file formats.
+matrix, capital, observation, and reduced-problem containers, binary support
+primitives, and the CSV and JSON file formats.  An Observation stores only
+what the regulator sees; the unknown set (every other off-diagonal slot,
+which each reconstruction fills) and its index arrays are derived from it
+once, and the reduced problem shares them.
 
 Values inside an Observation and everything derived from it are rescaled by
 theta, so each unknown entry lives in [0, 1].
@@ -26,6 +29,7 @@ import numpy as np
 __all__ = [
     "InconsistentObservation",
     "LiabilityMatrix",
+    "CapitalVector",
     "ValidationReport",
     "Observation",
     "ReducedProblem",
@@ -64,6 +68,16 @@ def _pair_arrays(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarr
     flat = np.fromiter(chain.from_iterable(pairs), dtype=np.intp, count=2 * len(pairs))
     flat.setflags(write=False)
     return flat[0::2], flat[1::2]
+
+
+def _checked_pairs(pairs: Iterable[tuple[int, int]], n: int, kind: str):
+    """_pair_arrays of pairs; ValueError naming the first on the diagonal or out of range."""
+    rows, cols = _pair_arrays(tuple(pairs))
+    bad = (rows == cols) | (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{kind} index ({rows[k]}, {cols[k]}) invalid for n={n}")
+    return rows, cols
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -116,6 +130,28 @@ class LiabilityMatrix:
 
     def total(self) -> float:
         return float(self.entries.sum())
+
+
+@dataclass(frozen=True)
+class CapitalVector:
+    """Initial bank capitals, same monetary units as the liability matrix."""
+
+    c: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.asarray(self.c, dtype=float).copy()
+        if arr.ndim != 1:
+            raise ValueError("capital must be a flat sequence")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("capital must be finite")
+        if np.any(arr < 0):
+            raise ValueError("capital must be nonnegative")
+        arr.setflags(write=False)
+        object.__setattr__(self, "c", arr)
+
+    @property
+    def n(self) -> int:
+        return self.c.size
 
 
 @dataclass(frozen=True)
@@ -255,23 +291,46 @@ def sparsity(a: Support, denominator: int) -> float:
 class Observation(_UnknownSlots):
     """What the regulator sees at threshold theta, rescaled so unknowns lie in [0, 1].
 
-    known maps entry index (i, j) to the rescaled value; unknown lists the
-    remaining off-diagonal indices in row-major order.  Strength vectors are
-    rescaled totals of the full matrix.
+    known maps entry index (i, j) to the rescaled value; strength vectors
+    are rescaled totals of the full matrix.  The unknown set is derived once
+    from known: every other off-diagonal index, in row-major order, with
+    its index arrays in ends.  ValueError names the first known pair on the
+    diagonal or out of range, known value not finite and >= 0, or strength
+    vector not of n finite values.
     """
 
     n: int
     theta: float
     known: Mapping[tuple[int, int], float]
-    unknown: tuple[tuple[int, int], ...]
     out_strength: np.ndarray
     in_strength: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "known", MappingProxyType(dict(self.known)))
-        object.__setattr__(self, "unknown", tuple(self.unknown))
-        object.__setattr__(self, "out_strength", _freeze(self.out_strength))
-        object.__setattr__(self, "in_strength", _freeze(self.in_strength))
+        known = MappingProxyType(dict(self.known))
+        rows, cols = _checked_pairs(known, self.n, "known")
+        values = np.fromiter(known.values(), dtype=float, count=len(known))
+        bad = ~(np.isfinite(values) & (values >= 0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"known value {values[k]:g} at ({rows[k]}, {cols[k]}) must be finite and >= 0"
+            )
+        for name in ("out_strength", "in_strength"):
+            vec = _freeze(getattr(self, name))
+            if vec.shape != (self.n,):
+                raise ValueError(f"{name} has shape {vec.shape}, expected ({self.n},)")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{name}[{int(np.argmin(np.isfinite(vec)))}] is not finite")
+            object.__setattr__(self, name, vec)
+        hidden = ~np.eye(self.n, dtype=bool)
+        hidden[rows, cols] = False
+        ends = np.nonzero(hidden)
+        for e in ends:
+            e.setflags(write=False)
+        object.__setattr__(self, "known", known)
+        object.__setattr__(self, "_known_arrays", (rows, cols, values))
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "unknown", tuple(zip(ends[0].tolist(), ends[1].tolist())))
 
 
 def make_observation(
@@ -291,28 +350,20 @@ def make_observation(
         disclosed: extra off-diagonal indices published by law.
 
     Returns:
-        Observation with known/unknown partitioning the off-diagonal set.
+        Observation whose known set holds exactly the seen entries.
     """
     if not theta > 0:
         raise ValueError("theta must be positive")
     n = L_true.n
     listed = np.zeros((n, n), dtype=bool)
-    for i, j in disclosed:
-        i, j = int(i), int(j)
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"disclosed index ({i}, {j}) invalid for n={n}")
-        listed[i, j] = True
-    off_diagonal = ~np.eye(n, dtype=bool)
-    seen = ((L_true.entries > theta) | listed) & off_diagonal
+    listed[_checked_pairs(disclosed, n, "disclosed")] = True
+    seen = ((L_true.entries > theta) | listed) & ~np.eye(n, dtype=bool)
     ki, kj = np.nonzero(seen)
-    ui, uj = np.nonzero(off_diagonal & ~seen)
     known = dict(zip(zip(ki.tolist(), kj.tolist()), (L_true.entries[ki, kj] / theta).tolist()))
-    unknown = tuple(zip(ui.tolist(), uj.tolist()))
     return Observation(
         n=n,
         theta=theta,
         known=known,
-        unknown=tuple(unknown),
         out_strength=L_true.out_strength / theta,
         in_strength=L_true.in_strength / theta,
     )
@@ -356,9 +407,9 @@ def absorb_known(obs: Observation) -> ReducedProblem:
     """
     res_out = np.array(obs.out_strength, dtype=float)
     res_in = np.array(obs.in_strength, dtype=float)
-    for (i, j), v in obs.known.items():
-        res_out[i] -= v
-        res_in[j] -= v
+    rows, cols, values = obs._known_arrays
+    np.subtract.at(res_out, rows, values)
+    np.subtract.at(res_in, cols, values)
     tol = BALANCE_RTOL * max(1.0, float(obs.out_strength.sum()))
     worst = min(res_out.min(initial=0.0), res_in.min(initial=0.0))
     if worst < -tol:
@@ -371,7 +422,9 @@ def absorb_known(obs: Observation) -> ReducedProblem:
         raise InconsistentObservation("total residual credit and debt disagree")
     res_out[res_out <= np.maximum(ZERO_RESIDUAL_ATOL, 1e-12 * obs.out_strength)] = 0.0
     res_in[res_in <= np.maximum(ZERO_RESIDUAL_ATOL, 1e-12 * obs.in_strength)] = 0.0
-    return ReducedProblem(n=obs.n, unknown=obs.unknown, res_out=res_out, res_in=res_in)
+    rp = ReducedProblem(n=obs.n, unknown=obs.unknown, res_out=res_out, res_in=res_in)
+    object.__setattr__(rp, "ends", obs.ends)  # the same slots: share, don't rebuild
+    return rp
 
 
 def assemble_matrix(obs: Observation, values: Sequence[float]) -> LiabilityMatrix:
@@ -389,8 +442,8 @@ def assemble_matrix(obs: Observation, values: Sequence[float]) -> LiabilityMatri
     if vals.shape != (obs.m,):
         raise ValueError("values must align with the observation's unknown set")
     entries = np.zeros((obs.n, obs.n))
-    known = np.fromiter(obs.known.values(), dtype=float, count=len(obs.known))
-    entries[_pair_arrays(tuple(obs.known))] = known * obs.theta
+    rows, cols, known = obs._known_arrays
+    entries[rows, cols] = known * obs.theta
     entries[obs.ends] = vals * obs.theta
     return LiabilityMatrix(entries)
 
@@ -457,19 +510,10 @@ def write_observation_json(path: str, obs: Observation) -> None:
 def read_observation_json(path: str) -> Observation:
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    n = int(doc["n"])
-    known = {(int(i), int(j)): float(v) for i, j, v in doc["known"]}
-    unknown = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and (i, j) not in known
-    )
     return Observation(
-        n=n,
+        n=int(doc["n"]),
         theta=float(doc["theta"]),
-        known=known,
-        unknown=unknown,
+        known={(int(i), int(j)): float(v) for i, j, v in doc["known"]},
         out_strength=np.asarray(doc["out_strength"], dtype=float),
         in_strength=np.asarray(doc["in_strength"], dtype=float),
     )

@@ -26,6 +26,7 @@ import numpy as np
 from .bpcore import (
     BPOptions,
     EntropyCurve,
+    _fugacity_grid,
     build_factor_graph,
     calibrate_fugacity,
     sigma_curve,
@@ -80,7 +81,8 @@ def default_theta_grid(L: LiabilityMatrix, points: int = 13) -> tuple[float, ...
 class ThresholdOptions:
     """Per-threshold computation budget.
 
-    z_grid drives the entropy curve; lambda_opts the maximal-sparsity
+    z_grid drives the entropy curve and must be strictly positive and
+    ascending, as sigma_curve requires; lambda_opts the maximal-sparsity
     search.  rng_seed decorrelates the searches across thresholds.
     """
 
@@ -97,6 +99,9 @@ class ThresholdOptions:
     )
     rng_seed: int = 0
     disclosed: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        _fugacity_grid(self.z_grid)
 
 
 @dataclass(frozen=True)

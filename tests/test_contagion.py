@@ -241,6 +241,13 @@ class TestDefaultCurve:
             default_curve(L, cap, [0.0, 1.5])
 
 
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_capital_length_rejected(self, size):
+        L, cap = random_case(4, 10)
+        with pytest.raises(ValueError, match=f"capital length {size} does not match"):
+            default_curve(L, np.resize(cap, size), [0.5])
+
+
 class TestCompareMethods:
     def test_true_only(self):
         L, cap = random_case(5, 11)
@@ -391,6 +398,24 @@ class TestCompareMethods:
         L, cap = random_case(5, 17)
         with pytest.raises(ValueError):
             compare_methods(L, cap, [0.5], ["true"], CompareOptions(exclude_bank=bank))
+
+    @pytest.mark.parametrize(
+        "grid, size, message",
+        [
+            ([], 5, "nonempty"),
+            ([0.5, 0.2], 5, "sorted ascending"),
+            ([0.0, 1.5], 5, r"lie in \[0, 1\]"),
+            ([-0.5], 5, r"lie in \[0, 1\]"),
+            ([0.5], 4, "capital length 4 does not match the matrix size 5"),
+            ([0.5], 6, "capital length 6 does not match the matrix size 5"),
+        ],
+        ids=["empty", "unsorted", "above-one", "below-zero", "short-capital", "long-capital"],
+    )
+    def test_bad_inputs_rejected_up_front(self, grid, size, message):
+        # Every method would fail with the same error, so none is run.
+        L, cap = random_case(5, 17)
+        with pytest.raises(ValueError, match=message):
+            compare_methods(L, np.resize(cap, size), grid, ["true", "me_dense"])
 
     def test_reproducible(self):
         L, cap = random_case(6, 18)

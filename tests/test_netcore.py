@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,17 @@ class TestObservation:
                     unknown.append((i, j))
         assert list(obs.known.items()) == list(known.items())
         assert obs.unknown == tuple(unknown)
+        rows, cols = obs.ends
+        assert list(zip(rows.tolist(), cols.tolist())) == unknown
+        assert not rows.flags.writeable and not cols.flags.writeable
+        rp = nc.absorb_known(obs)
+        assert rp.ends is obs.ends and rp.unknown is obs.unknown
+        res_out, res_in = obs.out_strength.copy(), obs.in_strength.copy()
+        for (i, j), v in known.items():
+            res_out[i] -= v
+            res_in[j] -= v
+        assert np.array_equal(rp.res_out[rp.res_out > 0], res_out[rp.res_out > 0])
+        assert np.array_equal(rp.res_in[rp.res_in > 0], res_in[rp.res_in > 0])
         values = np.random.default_rng(0).random(obs.m)
         want = np.zeros((7, 7))
         for (i, j), v in [*known.items(), *zip(unknown, values)]:
@@ -221,7 +234,6 @@ class TestAbsorbKnown:
             n=2,
             theta=1.0,
             known={(0, 1): 0.9},
-            unknown=((1, 0),),
             out_strength=np.array([0.3, 0.5]),
             in_strength=np.array([0.5, 0.3]),
         )
@@ -264,7 +276,29 @@ class TestFileFormats:
         assert back.theta == obs.theta
         assert dict(back.known) == dict(obs.known)
         assert back.unknown == obs.unknown
+        assert all(np.array_equal(b, o) for b, o in zip(back.ends, obs.ends, strict=True))
         assert np.array_equal(back.out_strength, obs.out_strength)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"known": [[0, 0, 0.5], [1, 2, -0.2]]}, r"known index \(0, 0\) invalid for n=3"),
+            ({"known": [[1, 2, -0.2]]}, r"known value -0.2 at \(1, 2\)"),
+            ({"known": [[0, 3, 0.1]]}, r"known index \(0, 3\) invalid for n=3"),
+            ({"known": [[-1, 0, 0.1]]}, r"known index \(-1, 0\) invalid for n=3"),
+            ({"known": [[0, 1, 0.1], [2, 1, float("nan")]]}, r"known value nan at \(2, 1\)"),
+            ({"known": [[0, 1, float("inf")]]}, r"known value inf at \(0, 1\)"),
+            ({"out_strength": [1.0, 1.0]}, r"out_strength has shape \(2,\), expected \(3,\)"),
+            ({"in_strength": [1.0, float("inf"), 1.0]}, r"in_strength\[1\] is not finite"),
+        ],
+        ids=["diagonal", "negative", "column", "row", "nan", "inf", "short", "infinite"],
+    )
+    def test_invalid_observation_rejected(self, tmp_path, fields, message):
+        doc = {"n": 3, "theta": 1.0, "known": [], "out_strength": [1.0] * 3, "in_strength": [1.0] * 3}
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps({**doc, **fields}))
+        with pytest.raises(ValueError, match=message):
+            nc.read_observation_json(str(path))
 
     def test_support_roundtrip(self, tmp_path):
         L, obs, rp = random_problem(4, seed=11, density=0.5)

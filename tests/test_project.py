@@ -57,7 +57,7 @@ LAYERS = {
     "sampler": 2,
     "contagion": 3,
     "thresholdlab": 3,
-    "ensembles": 4,
+    "ensembles": 1,
 }
 
 

@@ -9,6 +9,7 @@ from liabnet.bpcore import BPOptions
 from liabnet.ensembles import EnsembleSpec, gen_powerlaw, gen_uniform, generate
 from liabnet.netcore import LiabilityMatrix
 from liabnet.sampler import DecimationOptions, LambdaMaxOptions
+from liabnet import thresholdlab
 from liabnet.thresholdlab import (
     ThresholdOptions,
     default_theta_grid,
@@ -146,18 +147,33 @@ class TestNestedCurves:
 
 
 class TestErrorHandling:
-    def test_per_theta_failure_recorded(self):
+    def test_per_theta_failure_recorded(self, monkeypatch):
+        def failing_curve(g, z_grid, opts):
+            raise ValueError("curve scan failed")
+
+        monkeypatch.setattr(thresholdlab, "sigma_curve", failing_curve)
         L = powerlaw_net()
-        bad = ThresholdOptions(
-            z_grid=(1.0, 0.5),  # unsorted grid is rejected by the curve scan
-            lambda_opts=small_opts().lambda_opts,
-        )
         positive = L.entries[L.entries > 0]
         tiny = float(positive.min()) / 2.0
-        rep = threshold_sweep(L, [tiny, 0.05], bad)
+        rep = threshold_sweep(L, [tiny, 0.05], small_opts())
         assert rep.records[0].error is None  # fully determined path skips BP
-        assert rep.records[1].error is not None
+        assert rep.records[1].error == "curve scan failed"
         assert math.isnan(rep.records[1].lambda_max)
+
+    @pytest.mark.parametrize(
+        "z_grid, message",
+        [
+            ((1.0, 0.5), "sorted ascending"),
+            ((0.0, 1.0), "strictly positive"),
+            ((-1.0,), "strictly positive"),
+            ((math.nan, 1.0), "strictly positive"),
+        ],
+        ids=["unsorted", "zero", "negative", "nan"],
+    )
+    def test_bad_fugacity_grid_rejected_up_front(self, z_grid, message):
+        # Every threshold's curve scan would fail after its sparsity search.
+        with pytest.raises(ValueError, match=message):
+            ThresholdOptions(z_grid=z_grid)
 
 
 class TestCsv:
