@@ -125,7 +125,6 @@ class FactorGraph:
     """
 
     n: int
-    unknown: tuple[tuple[int, int], ...]
     k: np.ndarray
     r: np.ndarray
     slot_valid: np.ndarray
@@ -137,7 +136,7 @@ class FactorGraph:
 
     @property
     def m_total(self) -> int:
-        return len(self.unknown)
+        return self.var_row_factor.size
 
     @property
     def n_factors(self) -> int:
@@ -192,7 +191,6 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
         arr.setflags(write=False)
     return FactorGraph(
         n=n,
-        unknown=p.unknown,
         k=k,
         r=r,
         slot_valid=slot_valid,

@@ -23,6 +23,7 @@ import numpy as np
 from .netcore import (
     CapitalVector,
     LiabilityMatrix,
+    Support,
     _fmt,
     _read_table,
     _write_table,
@@ -30,7 +31,6 @@ from .netcore import (
     assemble_matrix,
     make_observation,
     sparsity,
-    support_of,
 )
 from .maxent import Infeasible, MEOptions, NotConverged, me_on_support, me_reconstruct
 from .bpcore import BPOptions, build_factor_graph, calibrate_fugacity
@@ -169,7 +169,9 @@ class DefaultCurve:
 
     per_trigger[k, z] is the failed fraction when bank z triggers at
     alphas[k]; when an exclusion bank was set, both the triggers and the
-    counted failures skip it, and the fraction denominator is N-1.
+    counted failures skip it, and the fraction denominator is N-1.  The
+    me_on_typical_support curves of compare_methods reuse the slot for
+    samples: there per_trigger[k, s] is sample s's mean fraction at alphas[k].
     """
 
     alphas: tuple[float, ...]
@@ -379,7 +381,7 @@ def _run_method(method, L_true, cap, alphas, obs, rp, g, opts, run) -> MethodCur
         curve, excl = run(assemble_matrix(obs, values))
         return MethodCurve(method=method, curve=curve, curve_excluding=excl)
     if method == "me_on_true_support":
-        a = support_of(L_true, rp.unknown)
+        a = Support(rp.ends, L_true.entries[rp.ends] > 0)
         values = me_on_support(rp, a, opts.me)
         curve, excl = run(assemble_matrix(obs, values))
         return MethodCurve(method=method, curve=curve, curve_excluding=excl)
@@ -407,7 +409,7 @@ def _run_method(method, L_true, cap, alphas, obs, rp, g, opts, run) -> MethodCur
     if opts.typical_z is not None:
         z = opts.typical_z
     else:
-        target = sparsity(support_of(L_true, rp.unknown), rp.m)
+        target = sparsity(Support(rp.ends, L_true.entries[rp.ends] > 0), rp.m)
         z, _ = calibrate_fugacity(g, target, _TYPICAL_BP)
     samples = sample_supports(
         g,

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .netcore import ReducedProblem, Support
+from .netcore import ReducedProblem, Support, _check_same_slots
 
 __all__ = [
     "MEOptions",
@@ -95,7 +95,7 @@ class MEOptions:
     tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -132,7 +132,7 @@ def _dual_change(t, x, t_new, x_new) -> float:
 
 
 def _solve(p: ReducedProblem, slots: np.ndarray, opts: MEOptions):
-    """ME values over p.unknown with every slot outside `slots` at 0.
+    """ME values over p's unknown slots with every slot outside `slots` at 0.
 
     Returns (values, violation, Newton steps taken).
     """
@@ -208,7 +208,7 @@ def me_reconstruct(p: ReducedProblem, opts: MEOptions = MEOptions()) -> np.ndarr
         opts: step cap and constraint tolerance.
 
     Returns:
-        Array aligned with p.unknown; every value in [0, 1], every residual
+        Array aligned with p.ends; every value in [0, 1], every residual
         row/column sum met within opts.tolerance.
 
     Raises:
@@ -229,8 +229,7 @@ def me_on_support(p: ReducedProblem, a: Support, opts: MEOptions = MEOptions()) 
         InfeasibleSupport: the solve missed and the certificate fails.
         NotConverged: the solve missed on a certified-feasible support.
     """
-    if a.unknown != p.unknown:
-        raise ValueError("support is not defined on this problem's unknown set")
+    _check_same_slots(p, a)
     return _reconstruct(p, a, opts)
 
 

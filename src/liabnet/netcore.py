@@ -7,9 +7,10 @@ every entry above a disclosure threshold theta, plus any law-disclosed
 entries, and otherwise only the per-bank strengths.  This module holds the
 matrix, capital, observation, and reduced-problem containers, binary support
 primitives, and the CSV and JSON file formats.  An Observation stores only
-what the regulator sees; the unknown set (every other off-diagonal slot,
-which each reconstruction fills) and its index arrays are derived from it
-once, and the reduced problem shares them.
+what the regulator sees; the unknown slots (every other off-diagonal slot,
+which each reconstruction fills) are derived from it once and stored only as
+ends, read-only row and column index arrays that the reduced problem and its
+supports share.  Their (i, j) pairs are a view rebuilt from ends on request.
 
 Values inside an Observation and everything derived from it are rescaled by
 theta, so each unknown entry lives in [0, 1].
@@ -87,18 +88,24 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class _UnknownSlots:
-    """The unknown set of an Observation or ReducedProblem, and its index arrays."""
+    """Unknown slots stored as ends: read-only row and column bank index arrays."""
 
-    unknown: tuple[tuple[int, int], ...]
+    ends: tuple[np.ndarray, np.ndarray]
 
     @property
     def m(self) -> int:
-        return len(self.unknown)
+        return self.ends[0].size
 
     @cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only row and column bank index of every unknown slot."""
-        return _pair_arrays(self.unknown)
+    def unknown(self) -> tuple[tuple[int, int], ...]:
+        """The slots as (i, j) pairs, rebuilt from ends."""
+        return tuple(zip(self.ends[0].tolist(), self.ends[1].tolist()))
+
+
+def _check_same_slots(p: ReducedProblem, a: Support) -> None:
+    """ValueError unless a is indexed over p's unknown slots: the same ends, or equal arrays."""
+    if a.ends is not p.ends and not all(map(np.array_equal, a.ends, p.ends)):
+        raise ValueError("support is not defined on this problem's unknown slots")
 
 
 @dataclass(frozen=True)
@@ -232,48 +239,43 @@ def validate_matrix(
 
 
 @dataclass(frozen=True)
-class Support:
-    """Binary pattern over a reference unknown set: 1 marks a present link."""
+class Support(_UnknownSlots):
+    """Binary pattern over the unknown slots stored in ends: 1 marks a present link."""
 
-    unknown: tuple[tuple[int, int], ...]
+    ends: tuple[np.ndarray, np.ndarray]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        unknown = tuple(self.unknown)
         vals = np.asarray(self.values)
-        if vals.shape != (len(unknown),):
-            raise ValueError("support values must align with the unknown set")
+        if vals.shape != (self.m,):
+            raise ValueError("support values must align with the unknown slots")
         if not np.all((vals == 0) | (vals == 1)):
             raise ValueError("support values must be 0 or 1")
         out = vals.astype(np.uint8)
         out.setflags(write=False)
-        object.__setattr__(self, "unknown", unknown)
         object.__setattr__(self, "values", out)
-
-    @property
-    def m(self) -> int:
-        return len(self.unknown)
 
     @property
     def ones(self) -> int:
         return int(self.values.sum())
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(e for e, v in zip(self.unknown, self.values) if v)
+        on = self.values == 1
+        return tuple(zip(self.ends[0][on].tolist(), self.ends[1][on].tolist()))
 
 
 def support_of(L: LiabilityMatrix, unknown_set: Iterable[tuple[int, int]]) -> Support:
-    """Binary support of L restricted to unknown_set; strict positivity marks a link."""
-    unknown = tuple(unknown_set)
+    """Binary support of L over the (i, j) pairs unknown_set; strict positivity marks a link."""
     n = L.n
-    rows, cols = _pair_arrays(unknown)
+    rows, cols = _pair_arrays(tuple(unknown_set))
     bad = (rows == cols) | (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n)
     if bad.any():
-        i, j = unknown[int(np.argmax(bad))]
+        k = int(np.argmax(bad))
+        i, j = rows[k], cols[k]
         if i == j:
             raise ValueError(f"diagonal index ({i}, {j}) in unknown set")
         raise IndexError(f"index ({i}, {j}) out of range for n={n}")
-    return Support(unknown, (L.entries[rows, cols] > 0).astype(np.uint8))
+    return Support((rows, cols), (L.entries[rows, cols] > 0).astype(np.uint8))
 
 
 def sparsity(a: Support, denominator: int) -> float:
@@ -292,9 +294,9 @@ class Observation(_UnknownSlots):
     """What the regulator sees at threshold theta, rescaled so unknowns lie in [0, 1].
 
     known maps entry index (i, j) to the rescaled value; strength vectors
-    are rescaled totals of the full matrix.  The unknown set is derived once
-    from known: every other off-diagonal index, in row-major order, with
-    its index arrays in ends.  ValueError names the first known pair on the
+    are rescaled totals of the full matrix.  The unknown slots are derived
+    once from known: every other off-diagonal index, in row-major order,
+    stored as ends.  ValueError names the first known pair on the
     diagonal or out of range, known value not finite and >= 0, or strength
     vector not of n finite values.
     """
@@ -330,7 +332,6 @@ class Observation(_UnknownSlots):
         object.__setattr__(self, "known", known)
         object.__setattr__(self, "_known_arrays", (rows, cols, values))
         object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "unknown", tuple(zip(ends[0].tolist(), ends[1].tolist())))
 
 
 def make_observation(
@@ -371,15 +372,14 @@ def make_observation(
 
 @dataclass(frozen=True)
 class ReducedProblem(_UnknownSlots):
-    """Unknown entries plus residual strengths after absorbing known values."""
+    """Unknown slots, stored as ends, plus residual strengths after absorbing known values."""
 
     n: int
-    unknown: tuple[tuple[int, int], ...]
+    ends: tuple[np.ndarray, np.ndarray]
     res_out: np.ndarray
     res_in: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "unknown", tuple(self.unknown))
         object.__setattr__(self, "res_out", _freeze(self.res_out))
         object.__setattr__(self, "res_in", _freeze(self.res_in))
 
@@ -422,9 +422,7 @@ def absorb_known(obs: Observation) -> ReducedProblem:
         raise InconsistentObservation("total residual credit and debt disagree")
     res_out[res_out <= np.maximum(ZERO_RESIDUAL_ATOL, 1e-12 * obs.out_strength)] = 0.0
     res_in[res_in <= np.maximum(ZERO_RESIDUAL_ATOL, 1e-12 * obs.in_strength)] = 0.0
-    rp = ReducedProblem(n=obs.n, unknown=obs.unknown, res_out=res_out, res_in=res_in)
-    object.__setattr__(rp, "ends", obs.ends)  # the same slots: share, don't rebuild
-    return rp
+    return ReducedProblem(n=obs.n, ends=obs.ends, res_out=res_out, res_in=res_in)
 
 
 def assemble_matrix(obs: Observation, values: Sequence[float]) -> LiabilityMatrix:
@@ -432,7 +430,7 @@ def assemble_matrix(obs: Observation, values: Sequence[float]) -> LiabilityMatri
 
     Args:
         obs: the observation the values refer to.
-        values: one rescaled value per obs.unknown entry.
+        values: one rescaled value per unknown slot, in the order of obs.ends.
 
     Returns:
         LiabilityMatrix with known entries and values both multiplied back
@@ -440,7 +438,7 @@ def assemble_matrix(obs: Observation, values: Sequence[float]) -> LiabilityMatri
     """
     vals = np.asarray(values, dtype=float)
     if vals.shape != (obs.m,):
-        raise ValueError("values must align with the observation's unknown set")
+        raise ValueError("values must align with the observation's unknown slots")
     entries = np.zeros((obs.n, obs.n))
     rows, cols, known = obs._known_arrays
     entries[rows, cols] = known * obs.theta
@@ -531,15 +529,14 @@ def write_support_json(path: str, a: Support) -> None:
 
 
 def read_support_json(path: str, unknown: Iterable[tuple[int, int]]) -> Support:
-    """Rebuild a Support from its edge list against the given unknown set."""
+    """Rebuild a Support from its edge list against the given (i, j) pairs."""
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    unknown = tuple((int(i), int(j)) for i, j in unknown)
-    edge_set = {(int(i), int(j)) for i, j in doc["edges"]}
-    missing = edge_set.difference(unknown)
-    if missing:
-        raise ValueError(f"support edges {sorted(missing)} not in the unknown set")
-    vals = np.fromiter(
-        (1 if e in edge_set else 0 for e in unknown), dtype=np.uint8, count=len(unknown)
-    )
-    return Support(unknown, vals)
+    ends = _pair_arrays(tuple(unknown))
+    edges = np.array(doc["edges"], dtype=np.intp).reshape(-1, 2).T
+    keys, edge_keys = (r + 1j * c for r, c in (ends, edges))  # one exact key per pair
+    missing = ~np.isin(edge_keys, keys)
+    if missing.any():
+        bad = sorted(set(map(tuple, edges.T[missing].tolist())))
+        raise ValueError(f"support edges {bad} not in the unknown set")
+    return Support(ends, np.isin(keys, edge_keys).astype(np.uint8))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .netcore import ReducedProblem, Support, sparsity
+from .netcore import ReducedProblem, Support, _check_same_slots, sparsity
 from .bpcore import (
     BPOptions,
     BPState,
@@ -153,7 +153,7 @@ def feasibility_check(p: ReducedProblem, a: Support | None = None) -> Feasibilit
 
     Args:
         p: reduced problem with residuals in threshold units.
-        a: candidate support over p.unknown; None allows every unknown slot.
+        a: candidate support over p's unknown slots; None allows every one.
 
     Returns:
         FeasibilityCertificate; truthy iff feasible within the balance
@@ -163,8 +163,7 @@ def feasibility_check(p: ReducedProblem, a: Support | None = None) -> Feasibilit
     if a is None:
         slots = np.arange(p.m)
     else:
-        if a.unknown != p.unknown:
-            raise ValueError("support is indexed over a different unknown set")
+        _check_same_slots(p, a)
         slots = np.flatnonzero(a.values)
     required = float(np.sum(p.res_out))
     required_in = float(np.sum(p.res_in))
@@ -282,6 +281,13 @@ def _fixing_order(bias: np.ndarray) -> np.ndarray:
     return np.argsort(np.round(bias, 9), kind="stable")
 
 
+def _seed_sequence(rng_seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
+    """rng_seed itself when it is a SeedSequence, else a SeedSequence seeded with it."""
+    if isinstance(rng_seed, np.random.SeedSequence):
+        return rng_seed
+    return np.random.SeedSequence(rng_seed)
+
+
 def decimate(
     g: FactorGraph,
     p: ReducedProblem,
@@ -307,12 +313,7 @@ def decimate(
     """
     if g.infeasible_factors:
         raise ExhaustedRestarts(DecimationTrace(restarts=0, final_support=None))
-    ss = (
-        rng_seed
-        if isinstance(rng_seed, np.random.SeedSequence)
-        else np.random.SeedSequence(rng_seed)
-    )
-    streams = ss.spawn(_MAX_RESTARTS + 1)
+    streams = _seed_sequence(rng_seed).spawn(_MAX_RESTARTS + 1)
     m = g.m_total
     rounds = 0
     converged_rounds = 0
@@ -343,7 +344,7 @@ def decimate(
         assert degrees_met, "decimation produced a degree-violating support"
         return DecimationTrace(
             restarts=attempt,
-            final_support=Support(unknown=g.unknown, values=values),
+            final_support=Support(p.ends, values),
             converged_rounds=converged_rounds,
             rounds=rounds,
         )
@@ -385,13 +386,8 @@ def sample_supports(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    ss = (
-        rng_seed
-        if isinstance(rng_seed, np.random.SeedSequence)
-        else np.random.SeedSequence(rng_seed)
-    )
     out: list[SampledSupport] = []
-    for child in ss.spawn(count):
+    for child in _seed_sequence(rng_seed).spawn(count):
         try:
             trace = decimate(g, p, z, child, opts)
         except ExhaustedRestarts as err:
@@ -447,7 +443,7 @@ class LambdaMaxOptions:
             raise ValueError("trials must be at least 1")
         if not self.z_ladder:
             raise ValueError("z_ladder must not be empty")
-        if any(z < 0 or math.isinf(z) for z in self.z_ladder):
+        if not all(0 <= z < math.inf for z in self.z_ladder):
             raise ValueError("z_ladder entries must be finite and nonnegative")
 
 
@@ -486,7 +482,7 @@ def _peel_support(g: FactorGraph, p: ReducedProblem, values: np.ndarray) -> np.n
             if counts[fr] <= g.r[fr] or counts[fc] <= g.r[fc]:
                 continue
             vals[e] = 0
-            if feasibility_check(p, Support(g.unknown, vals)):
+            if feasibility_check(p, Support(p.ends, vals)):
                 counts[fr] -= 1
                 counts[fc] -= 1
                 improved = True
@@ -516,7 +512,7 @@ def lambda_max(
     and lambda_max is reported as 1.0.
     """
     if g.m_total == 0:
-        empty = Support(unknown=(), values=np.zeros(0, dtype=np.uint8))
+        empty = Support(p.ends, np.zeros(0, dtype=np.uint8))
         return LambdaMaxResult(
             support=empty,
             lambda_max=1.0,
@@ -533,7 +529,7 @@ def lambda_max(
     # Deterministic baseline: thin the full support greedily.  Removing
     # links never restores transport, so when the full support fails the
     # flow check no draw can pass it and the search is skipped.
-    full = Support(unknown=g.unknown, values=np.ones(g.m_total, dtype=np.uint8))
+    full = Support(p.ends, np.ones(g.m_total, dtype=np.uint8))
     if not feasibility_check(p, full):
         logger.warning(
             "the residuals cannot be transported on any support; reporting "
@@ -548,7 +544,7 @@ def lambda_max(
             feasible_trials=0,
             fallback=True,
         )
-    best = Support(g.unknown, _peel_support(g, p, full.values))
+    best = Support(p.ends, _peel_support(g, p, full.values))
     children = ss.spawn(total_trials)
     completed = 0
     feasible = 0
@@ -569,7 +565,7 @@ def lambda_max(
             if not feasibility_check(p, support):
                 continue
             feasible += 1
-            candidate = Support(g.unknown, _peel_support(g, p, support.values))
+            candidate = Support(p.ends, _peel_support(g, p, support.values))
             if candidate.ones < best.ones:
                 best = candidate
     fallback = feasible == 0

@@ -13,6 +13,16 @@ from liabnet.netcore import (
 )
 
 
+def ends_of(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column index arrays of (i, j) pairs: the form in
+    which ReducedProblem and Support take their unknown slots."""
+    arr = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    ends = arr[:, 0].copy(), arr[:, 1].copy()
+    for e in ends:
+        e.setflags(write=False)
+    return ends
+
+
 def benchmark3() -> ReducedProblem:
     """N=3, all six entries unknown, every residual 0.5.
 
@@ -22,14 +32,14 @@ def benchmark3() -> ReducedProblem:
     """
     unknown = tuple((i, j) for i in range(3) for j in range(3) if i != j)
     res = np.full(3, 0.5)
-    return ReducedProblem(n=3, unknown=unknown, res_out=res, res_in=res)
+    return ReducedProblem(n=3, ends=ends_of(unknown), res_out=res, res_in=res)
 
 
 def forced3() -> ReducedProblem:
     """N=3, residuals all 1.2: every bank needs both of its slots, unique support."""
     unknown = tuple((i, j) for i in range(3) for j in range(3) if i != j)
     res = np.full(3, 1.2)
-    return ReducedProblem(n=3, unknown=unknown, res_out=res, res_in=res)
+    return ReducedProblem(n=3, ends=ends_of(unknown), res_out=res, res_in=res)
 
 
 def random_network(n: int, seed: int, density: float = 0.8) -> LiabilityMatrix:

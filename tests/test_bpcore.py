@@ -36,7 +36,7 @@ from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import ReducedProblem, absorb_known, make_observation
 from liabnet.sampler import _fix_variable
 
-from _instances import benchmark3, forced3, random_problem
+from _instances import benchmark3, ends_of, forced3, random_problem
 from _oracles import count_h0_by_links, enumerate_ensemble, exact_cavity_message, subset_weights
 
 
@@ -108,13 +108,13 @@ class TestBuildFactorGraph:
             lambda: random_problem(5, 1)[2],
             lambda: partly_observed(6, 2, 0.5),
             lambda: partly_observed(7, 3, 0.3),
-            lambda: ReducedProblem(n=3, unknown=(), res_out=np.zeros(3), res_in=np.zeros(3)),
+            lambda: ReducedProblem(n=3, ends=ends_of(()), res_out=np.zeros(3), res_in=np.zeros(3)),
             lambda: ReducedProblem(
-                n=3, unknown=((0, 1), (1, 0)), res_out=np.full(3, 0.4), res_in=np.full(3, 0.4)
+                n=3, ends=ends_of(((0, 1), (1, 0))), res_out=np.full(3, 0.4), res_in=np.full(3, 0.4)
             ),
             lambda: ReducedProblem(
                 n=3,
-                unknown=((0, 1), (2, 1), (1, 0)),
+                ends=ends_of(((0, 1), (2, 1), (1, 0))),
                 res_out=np.array([1.5, 0.2, 0.3]),
                 res_in=np.array([0.2, 2.5, 0.0]),
             ),
@@ -149,7 +149,7 @@ class TestBuildFactorGraph:
     def test_locally_infeasible_strict(self):
         p = ReducedProblem(
             n=2,
-            unknown=((0, 1),),
+            ends=ends_of(((0, 1),)),
             res_out=np.array([1.5, 0.0]),
             res_in=np.array([0.0, 1.5]),
         )
@@ -160,7 +160,7 @@ class TestBuildFactorGraph:
     def test_locally_infeasible_nonstrict_records(self):
         p = ReducedProblem(
             n=2,
-            unknown=((0, 1),),
+            ends=ends_of(((0, 1),)),
             res_out=np.array([1.5, 0.0]),
             res_in=np.array([0.0, 1.5]),
         )
@@ -262,7 +262,7 @@ class TestMessagesAgainstExactArithmetic:
         # on, the z -> 0 message to the third slot is 0, not undetermined.
         p = ReducedProblem(
             n=4,
-            unknown=((0, 1), (0, 2), (0, 3), (1, 0)),
+            ends=ends_of(((0, 1), (0, 2), (0, 3), (1, 0))),
             res_out=np.array([0.5, 0.2, 0.0, 0.0]),
             res_in=np.array([0.2, 0.2, 0.2, 0.1]),
         )

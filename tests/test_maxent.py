@@ -13,9 +13,9 @@ from liabnet.maxent import (
     me_on_support,
     me_reconstruct,
 )
-from liabnet.netcore import ReducedProblem, Support
+from liabnet.netcore import ReducedProblem, Support, support_of
 
-from _instances import benchmark3, random_problem
+from _instances import benchmark3, ends_of, random_problem
 from _oracles import oracle_me
 
 
@@ -65,7 +65,7 @@ class TestExamples:
     def test_fully_determined_two_bank_instance(self):
         p = ReducedProblem(
             n=2,
-            unknown=((0, 1), (1, 0)),
+            ends=ends_of(((0, 1), (1, 0))),
             res_out=np.array([0.4, 0.7]),
             res_in=np.array([0.7, 0.4]),
         )
@@ -75,7 +75,7 @@ class TestExamples:
     def test_caps_active_instance_meets_constraints(self):
         p = ReducedProblem(
             n=3,
-            unknown=tuple((i, j) for i in range(3) for j in range(3) if i != j),
+            ends=ends_of(tuple((i, j) for i in range(3) for j in range(3) if i != j)),
             res_out=np.array([1.2, 0.6, 0.2]),
             res_in=np.array([0.5, 0.7, 0.8]),
         )
@@ -89,7 +89,7 @@ def forced_zero_problem() -> ReducedProblem:
     borrowing, so the slot (2, 1) is 0 in every feasible point."""
     return ReducedProblem(
         n=3,
-        unknown=tuple((i, j) for i in range(3) for j in range(3) if i != j),
+        ends=ends_of(tuple((i, j) for i in range(3) for j in range(3) if i != j)),
         res_out=np.array([2.0, 0.8, 0.4]),
         res_in=np.array([0.7, 1.0, 1.5]),
     )
@@ -113,7 +113,7 @@ def random_support_case():
     rng = np.random.default_rng(5)
     for _ in range(20):
         pattern = (rng.random(p.m) < 0.85).astype(np.uint8)
-        if feasibility_check(p, Support(p.unknown, pattern)):
+        if feasibility_check(p, Support(p.ends, pattern)):
             return p, pattern
     pytest.skip("no feasible random support found")
 
@@ -165,7 +165,7 @@ class TestOnSupport:
         cycle = {(0, 1), (1, 2), (2, 0)}
         for e, edge in enumerate(p.unknown):
             values_pattern[e] = 1 if edge in cycle else 0
-        a = Support(p.unknown, values_pattern)
+        a = Support(p.ends, values_pattern)
         values = me_on_support(p, a)
         for e, edge in enumerate(p.unknown):
             expect = 0.5 if edge in cycle else 0.0
@@ -180,7 +180,7 @@ class TestOnSupport:
         for e, edge in enumerate(p.unknown):
             pattern[e] = 1 if edge in hub else 0
         with pytest.raises(InfeasibleSupport) as exc:
-            me_on_support(p, Support(p.unknown, pattern))
+            me_on_support(p, Support(p.ends, pattern))
         assert exc.value.certificate is not None
         assert not exc.value.certificate.feasible
 
@@ -197,18 +197,25 @@ class TestOnSupport:
         monkeypatch.setattr(sampler, "feasibility_check", counted)
         _, _, p = random_problem(5, 0)
         pattern = np.ones(p.m, dtype=np.uint8)
-        me_on_support(p, Support(p.unknown, pattern))
+        me_on_support(p, Support(p.ends, pattern))
         me_reconstruct(p)
         assert calls == []
         with pytest.raises(NotConverged):
-            me_on_support(p, Support(p.unknown, pattern), MEOptions(max_iterations=1))
+            me_on_support(p, Support(p.ends, pattern), MEOptions(max_iterations=1))
         assert len(calls) == 1
 
     def test_support_on_wrong_unknown_set_rejected(self):
         p = benchmark3()
-        other = Support(((0, 1),), np.array([1], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            me_on_support(p, other)
+        one_slot = Support(ends_of(((0, 1),)), np.array([1], dtype=np.uint8))
+        reversed_slots = Support(tuple(e[::-1] for e in p.ends), np.ones(p.m, dtype=np.uint8))
+        for other in (one_slot, reversed_slots):
+            with pytest.raises(ValueError, match="unknown slots"):
+                me_on_support(p, other)
+        # Arrays rebuilt from the pairs are equal, not identical: the same slots.
+        L, _, rp = random_problem(4, 1)
+        a = support_of(L, rp.unknown)
+        assert a.ends is not rp.ends
+        assert np.array_equal(me_on_support(rp, a), me_on_support(rp, Support(rp.ends, a.values)))
 
     @pytest.mark.parametrize(
         "case",
@@ -224,7 +231,7 @@ class TestOnSupport:
     )
     def test_matches_oracle_on_support(self, case):
         p, pattern = case()
-        mine = me_on_support(p, Support(p.unknown, pattern))
+        mine = me_on_support(p, Support(p.ends, pattern))
         ref = oracle_me(p, pattern)
         assert np.max(np.abs(mine - ref)) < 1e-6
         assert np.all(mine[pattern == 0] == 0)
@@ -234,7 +241,7 @@ class TestErrorPaths:
     def test_infeasible_problem_raises(self):
         p = ReducedProblem(
             n=2,
-            unknown=((0, 1),),
+            ends=ends_of(((0, 1),)),
             res_out=np.array([1.5, 0.0]),
             res_in=np.array([0.0, 1.5]),
         )
@@ -247,7 +254,9 @@ class TestErrorPaths:
         # to banks 2 and 3, whose borrowing (1.8) cannot take their 2.4.
         p = ReducedProblem(
             n=4,
-            unknown=((0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3), (3, 0), (3, 1), (3, 2)),
+            ends=ends_of(
+                ((0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3), (3, 0), (3, 1), (3, 2))
+            ),
             res_out=np.array([1.2, 1.2, 0.3, 0.3]),
             res_in=np.array([0.6, 0.6, 0.9, 0.9]),
         )
@@ -259,7 +268,7 @@ class TestErrorPaths:
     def test_iteration_cap_raises_not_converged(self):
         p = ReducedProblem(
             n=3,
-            unknown=tuple((i, j) for i in range(3) for j in range(3) if i != j),
+            ends=ends_of(tuple((i, j) for i in range(3) for j in range(3) if i != j)),
             res_out=np.array([1.2, 0.6, 0.2]),
             res_in=np.array([0.5, 0.7, 0.8]),
         )
@@ -268,7 +277,8 @@ class TestErrorPaths:
         assert exc.value.iterations == 1
 
     def test_bad_options_rejected(self):
-        with pytest.raises(ValueError):
-            MEOptions(tolerance=0.0)
+        for tolerance in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                MEOptions(tolerance=tolerance)
         with pytest.raises(ValueError):
             MEOptions(max_iterations=0)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liabnet import netcore as nc
-from _instances import random_network, random_problem
+from _instances import ends_of, random_network, random_problem
 
 
 def offdiag(n):
@@ -98,23 +98,23 @@ class TestSupport:
 
     def test_keeps_the_unknown_tuple(self):
         _, obs, rp = random_problem(4, 0)
-        a = nc.Support(rp.unknown, np.ones(rp.m, dtype=np.uint8))
-        assert a.unknown is rp.unknown
+        a = nc.Support(rp.ends, np.ones(rp.m, dtype=np.uint8))
+        assert a.ends is rp.ends
         rows, cols = rp.ends
-        assert list(zip(rows.tolist(), cols.tolist())) == list(rp.unknown)
-        assert rp.ends is rp.ends and not rows.flags.writeable
+        assert list(zip(rows.tolist(), cols.tolist())) == list(rp.unknown) == list(a.unknown)
+        assert rp.unknown is rp.unknown and not rows.flags.writeable
 
     def test_sparsity_values(self):
-        unknown = offdiag(3)
-        full = nc.Support(unknown, np.ones(6, dtype=np.uint8))
-        empty = nc.Support(unknown, np.zeros(6, dtype=np.uint8))
-        two = nc.Support(unknown, np.array([1, 1, 0, 0, 0, 0], dtype=np.uint8))
+        slots = ends_of(offdiag(3))
+        full = nc.Support(slots, np.ones(6, dtype=np.uint8))
+        empty = nc.Support(slots, np.zeros(6, dtype=np.uint8))
+        two = nc.Support(slots, np.array([1, 1, 0, 0, 0, 0], dtype=np.uint8))
         assert nc.sparsity(full, 6) == 0.0
         assert nc.sparsity(empty, 6) == 1.0
         assert nc.sparsity(two, 6) == pytest.approx(2 / 3)
 
     def test_sparsity_zero_denominator(self):
-        a = nc.Support((), np.zeros(0, dtype=np.uint8))
+        a = nc.Support(ends_of(()), np.zeros(0, dtype=np.uint8))
         with pytest.raises(ValueError):
             nc.sparsity(a, 0)
 
@@ -177,7 +177,7 @@ class TestObservation:
         assert list(zip(rows.tolist(), cols.tolist())) == unknown
         assert not rows.flags.writeable and not cols.flags.writeable
         rp = nc.absorb_known(obs)
-        assert rp.ends is obs.ends and rp.unknown is obs.unknown
+        assert rp.ends is obs.ends and rp.unknown == obs.unknown
         res_out, res_in = obs.out_strength.copy(), obs.in_strength.copy()
         for (i, j), v in known.items():
             res_out[i] -= v
@@ -243,7 +243,7 @@ class TestAbsorbKnown:
     def test_bank_set(self):
         rp = nc.ReducedProblem(
             n=4,
-            unknown=((0, 1), (2, 1)),
+            ends=ends_of(((0, 1), (2, 1))),
             res_out=np.array([0.5, 0.0, 0.5, 0.0]),
             res_in=np.array([0.0, 1.0, 0.0, 0.0]),
         )
@@ -307,6 +307,16 @@ class TestFileFormats:
         nc.write_support_json(str(path), a)
         back = nc.read_support_json(str(path), rp.unknown)
         assert np.array_equal(back.values, a.values)
+        assert back.edges() == a.edges()
+
+    def test_support_edge_outside_unknown_set_rejected(self, tmp_path):
+        slots = offdiag(3)
+        a = nc.Support(ends_of(slots), np.array([1, 0, 0, 0, 0, 1]))
+        assert a.edges() == ((0, 1), (2, 1))
+        path = tmp_path / "support.json"
+        nc.write_support_json(str(path), a)
+        with pytest.raises(ValueError, match=r"support edges \[\(2, 1\)\] not in the unknown set"):
+            nc.read_support_json(str(path), slots[:-1])
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

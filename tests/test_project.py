@@ -93,3 +93,19 @@ def test_imports_follow_the_layering():
     # maxent certifies a failed solve with sampler's flow check, and sampler
     # sits above maxent because it needs bpcore.
     assert deferred == [("maxent", "sampler", ("feasibility_check",))]
+
+
+def test_only_netcore_reads_the_pair_view():
+    # The unknown slots are stored once, as ends; the (i, j) pair tuple
+    # .unknown is a view rebuilt from them for tests, the benchmark and the
+    # file formats, and no library layer should come to depend on it.
+    readers = sorted(
+        path.name
+        for path in (ROOT / "src" / "liabnet").glob("*.py")
+        if path.stem != "netcore"
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "unknown"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+    assert not readers, f"modules reading the .unknown pair view: {readers}"

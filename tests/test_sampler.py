@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from liabnet.bpcore import build_factor_graph
-from liabnet.netcore import ReducedProblem, Support
+from liabnet.netcore import ReducedProblem, Support, support_of
 from liabnet.sampler import (
     DecimationOptions,
     ExhaustedRestarts,
@@ -18,7 +18,7 @@ from liabnet.sampler import (
     sample_supports,
 )
 
-from _instances import benchmark3, forced3, random_problem
+from _instances import benchmark3, ends_of, forced3, random_problem
 from _oracles import all_patterns, enumerate_ensemble, exact_lambda_max, h_is_zero, lp_feasible
 
 
@@ -31,7 +31,7 @@ class TestFeasibilityCheck:
         p = benchmark3()
         for pattern in all_patterns(6):
             pat = np.array(pattern, dtype=np.uint8)
-            mine = bool(feasibility_check(p, Support(p.unknown, pat)))
+            mine = bool(feasibility_check(p, Support(p.ends, pat)))
             assert mine == lp_feasible(p, pat)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -45,7 +45,7 @@ class TestFeasibilityCheck:
             for _ in range(40)
         ]
         for pat in candidates:
-            mine = bool(feasibility_check(p, Support(p.unknown, pat)))
+            mine = bool(feasibility_check(p, Support(p.ends, pat)))
             assert mine == lp_feasible(p, pat)
 
     def test_feasible_certificate_realizes_residuals(self):
@@ -65,37 +65,45 @@ class TestFeasibilityCheck:
         p = benchmark3()
         hub = {(0, 1), (0, 2), (1, 0), (2, 0)}
         pat = np.array([1 if e in hub else 0 for e in p.unknown], dtype=np.uint8)
-        cert = feasibility_check(p, Support(p.unknown, pat))
+        cert = feasibility_check(p, Support(p.ends, pat))
         assert not cert.feasible
         assert cert.deficit > 0.1
         assert cert.cut_rows is not None and cert.cut_cols is not None
 
     def test_empty_support(self):
         p = benchmark3()
-        empty = Support(p.unknown, np.zeros(6, dtype=np.uint8))
+        empty = Support(p.ends, np.zeros(6, dtype=np.uint8))
         assert not feasibility_check(p, empty)
         p0 = ReducedProblem(
             n=2,
-            unknown=((0, 1), (1, 0)),
+            ends=ends_of(((0, 1), (1, 0))),
             res_out=np.zeros(2),
             res_in=np.zeros(2),
         )
-        assert feasibility_check(p0, Support(p0.unknown, np.zeros(2, dtype=np.uint8)))
+        assert feasibility_check(p0, Support(p0.ends, np.zeros(2, dtype=np.uint8)))
 
     def test_wrong_unknown_set_rejected(self):
         p = benchmark3()
-        with pytest.raises(ValueError):
-            feasibility_check(p, Support(((0, 1),), np.array([1], dtype=np.uint8)))
+        one_slot = Support(ends_of(((0, 1),)), np.array([1], dtype=np.uint8))
+        reversed_slots = Support(tuple(e[::-1] for e in p.ends), np.ones(p.m, dtype=np.uint8))
+        for other in (one_slot, reversed_slots):
+            with pytest.raises(ValueError, match="unknown slots"):
+                feasibility_check(p, other)
+        # Arrays rebuilt from the pairs are equal, not identical: the same slots.
+        L, _, rp = random_problem(4, 1)
+        a = support_of(L, rp.unknown)
+        assert a.ends is not rp.ends
+        assert feasibility_check(rp, a)
 
     def test_superset_of_feasible_support_stays_feasible(self):
         p = benchmark3()
         cycle = {(0, 1), (1, 2), (2, 0)}
         base = np.array([1 if e in cycle else 0 for e in p.unknown], dtype=np.uint8)
-        assert feasibility_check(p, Support(p.unknown, base))
+        assert feasibility_check(p, Support(p.ends, base))
         for e in range(6):
             grown = base.copy()
             grown[e] = 1
-            assert feasibility_check(p, Support(p.unknown, grown))
+            assert feasibility_check(p, Support(p.ends, grown))
 
 
 class TestDecimate:
@@ -160,7 +168,7 @@ class TestDecimate:
         # must leave one more required, not zero.
         p = ReducedProblem(
             n=3,
-            unknown=full_offdiag(3),
+            ends=ends_of(full_offdiag(3)),
             res_out=np.array([1.0, 0.6, 0.4]),
             res_in=np.array([0.4, 0.6, 1.0]),
         )
@@ -172,7 +180,7 @@ class TestDecimate:
     def test_infeasible_graph_exhausts_immediately(self):
         p = ReducedProblem(
             n=2,
-            unknown=((0, 1),),
+            ends=ends_of(((0, 1),)),
             res_out=np.array([1.5, 0.0]),
             res_in=np.array([0.0, 1.5]),
         )
@@ -257,6 +265,11 @@ class TestLambdaMax:
         assert not res.fallback
         assert feasibility_check(p, res.support)
 
+    @pytest.mark.parametrize("z", [float("nan"), -1.0, float("inf")])
+    def test_bad_z_ladder_rejected(self, z):
+        with pytest.raises(ValueError, match="z_ladder"):
+            LambdaMaxOptions(z_ladder=(0.0, z))
+
     def test_reproducible(self):
         p = benchmark3()
         g = build_factor_graph(p)
@@ -269,7 +282,7 @@ class TestLambdaMax:
         # every degree-admissible support fails the flow check.
         p = ReducedProblem(
             n=3,
-            unknown=full_offdiag(3),
+            ends=ends_of(full_offdiag(3)),
             res_out=np.array([1.9, 0.05, 0.05]),
             res_in=np.array([0.7, 0.7, 0.6]),
         )
@@ -281,7 +294,7 @@ class TestLambdaMax:
         assert res.completed_trials == 0
 
     def test_empty_unknown_set(self):
-        p = ReducedProblem(n=2, unknown=(), res_out=np.zeros(2), res_in=np.zeros(2))
+        p = ReducedProblem(n=2, ends=ends_of(()), res_out=np.zeros(2), res_in=np.zeros(2))
         g = build_factor_graph(p)
         res = lambda_max(g, p)
         assert res.lambda_max == 1.0 and res.links == 0
