@@ -9,7 +9,10 @@ own capital is never consumed; only counterparty losses propagate.
 compare_methods runs the same stress test on the true matrix and on
 reconstructions of it from a thresholded observation, which is how the
 systemic-risk bias of a reconstruction method is measured: a method that
-spreads liabilities too evenly under-produces cascades.
+spreads liabilities too evenly under-produces cascades.  Each method
+yields the matrices it stress-tests, and one path turns them into curves:
+one matrix per method, except for the typical-support method, whose curve
+is the mean over one matrix per usable sampled support.
 """
 
 from __future__ import annotations
@@ -306,6 +309,15 @@ def compare_methods(
 ) -> ComparisonReport:
     """Stress-test the true matrix and its reconstructions side by side.
 
+    Every method's curve is default_curve of the matrices it yields:
+    "true" L_true itself; "me_dense" the ME completion of the observation
+    over all unknown slots; "me_on_true_support" ME on the unknown slots
+    where L_true is positive; "me_on_sparsest_support" ME on lambda_max's
+    sparsest support.  "me_on_typical_support" draws opts.support_samples
+    supports at a fugacity whose density matches the true support (or at
+    opts.typical_z), keeps each draw that carries the flow and admits an ME
+    solution, and averages their curves, with the standard error in stderr.
+
     Args:
         L_true: ground-truth liability matrix.
         cap: one capital per bank, shared by every method's cascades.
@@ -336,124 +348,102 @@ def compare_methods(
     rp = absorb_known(obs)
     needs_graph = wanted & {"me_on_typical_support", "me_on_sparsest_support"}
     g = build_factor_graph(rp, strict=False) if needs_graph else None
-
-    def run(matrix: LiabilityMatrix) -> tuple[DefaultCurve, DefaultCurve | None]:
-        base = default_curve(matrix, cap, alphas)
-        excl = (
-            default_curve(matrix, cap, alphas, exclude_bank=opts.exclude_bank)
-            if opts.exclude_bank is not None
-            else None
-        )
-        return base, excl
-
     out: list[MethodCurve] = []
     for method in METHOD_NAMES:
         if method not in wanted:
             continue
         try:
-            out.append(_run_method(method, L_true, cap, alphas, obs, rp, g, opts, run))
+            matrices, note = _reconstructions(method, L_true, obs, rp, g, opts)
+            out.append(_method_curve(method, matrices, note, cap, alphas, opts.exclude_bank))
         except (Infeasible, NotConverged, ValueError, RuntimeError) as err:
             logger.warning("method %s failed: %s", method, err)
             out.append(MethodCurve(method=method, curve=None, error=str(err)))
     return ComparisonReport(alphas=alphas, curves=tuple(out))
 
 
-def _sample_curve(alphas, rows, excluded_bank: int | None = None) -> DefaultCurve:
-    """Mean fraction over sampled supports, per-sample fractions in the
-    per_trigger slot."""
-    arr = np.array(rows)
-    per = arr.T.copy()
-    per.setflags(write=False)
-    return DefaultCurve(
-        alphas=alphas,
-        mean_fraction=tuple(float(v) for v in arr.mean(axis=0)),
-        per_trigger=per,
-        excluded_bank=excluded_bank,
-    )
-
-
-def _run_method(method, L_true, cap, alphas, obs, rp, g, opts, run) -> MethodCurve:
+def _reconstructions(
+    method, L_true, obs, rp, g, opts
+) -> tuple[list[LiabilityMatrix], str | None]:
+    """The matrices method stress-tests (see compare_methods) and its note:
+    one, or one per usable draw for me_on_typical_support, which raises
+    RuntimeError when no draw is usable."""
     if method == "true":
-        curve, excl = run(L_true)
-        return MethodCurve(method=method, curve=curve, curve_excluding=excl)
+        return [L_true], None
     if method == "me_dense":
-        values = me_reconstruct(rp, opts.me)
-        curve, excl = run(assemble_matrix(obs, values))
-        return MethodCurve(method=method, curve=curve, curve_excluding=excl)
-    if method == "me_on_true_support":
-        a = Support(rp.ends, L_true.entries[rp.ends] > 0)
-        values = me_on_support(rp, a, opts.me)
-        curve, excl = run(assemble_matrix(obs, values))
-        return MethodCurve(method=method, curve=curve, curve_excluding=excl)
+        return [assemble_matrix(obs, me_reconstruct(rp, opts.me))], None
     if method == "me_on_sparsest_support":
         lm = lambda_max(
             g,
             rp,
             LambdaMaxOptions(
-                trials=opts.lambda_trials,
-                rng_seed=opts.rng_seed,
-                decimation=opts.decimation,
+                trials=opts.lambda_trials, rng_seed=opts.rng_seed, decimation=opts.decimation
             ),
         )
         note = None
         if lm.fallback:
             note = "no transport-feasible sampled support; using the thinned full support"
-        values = me_on_support(rp, lm.support, opts.me)
-        curve, excl = run(assemble_matrix(obs, values))
-        return MethodCurve(
-            method=method, curve=curve, curve_excluding=excl, note=note
-        )
+        return [assemble_matrix(obs, me_on_support(rp, lm.support, opts.me))], note
+    truth = Support(rp.ends, L_true.entries[rp.ends] > 0)
+    if method == "me_on_true_support":
+        return [assemble_matrix(obs, me_on_support(rp, truth, opts.me))], None
     # me_on_typical_support
     if g is None or rp.m == 0:
         raise ValueError("no unknown slots to sample supports over")
-    if opts.typical_z is not None:
-        z = opts.typical_z
-    else:
-        target = sparsity(Support(rp.ends, L_true.entries[rp.ends] > 0), rp.m)
-        z, _ = calibrate_fugacity(g, target, _TYPICAL_BP)
+    z = opts.typical_z
+    if z is None:
+        z, _ = calibrate_fugacity(g, sparsity(truth, rp.m), _TYPICAL_BP)
     samples = sample_supports(
-        g,
-        rp,
-        z,
-        opts.support_samples,
-        np.random.SeedSequence(opts.rng_seed),
-        opts.decimation,
+        g, rp, z, opts.support_samples, np.random.SeedSequence(opts.rng_seed), opts.decimation
     )
-    rows = []
-    rows_excl = []
-    skipped = 0
+    matrices = []
     for s in samples:
         if s.support is None or not s.certificate:
-            skipped += 1
             continue
         try:
-            values = me_on_support(rp, s.support, opts.me)
+            matrices.append(assemble_matrix(obs, me_on_support(rp, s.support, opts.me)))
         except (Infeasible, NotConverged):
-            skipped += 1
             continue
-        matrix = assemble_matrix(obs, values)
-        curve, excl = run(matrix)
-        rows.append(curve.mean_fraction)
-        if excl is not None:
-            rows_excl.append(excl.mean_fraction)
-    if not rows:
-        raise RuntimeError(
-            f"no usable typical supports out of {len(samples)} draws"
-        )
-    arr = np.array(rows)
-    if len(rows) > 1:
-        se = arr.std(axis=0, ddof=1) / math.sqrt(len(rows))
+    if not matrices:
+        raise RuntimeError(f"no usable typical supports out of {len(samples)} draws")
+    skipped = len(samples) - len(matrices)
+    return matrices, f"{skipped} of {len(samples)} support draws skipped" if skipped else None
+
+
+def _sample_curve(alphas, means: np.ndarray, excluded_bank: int | None) -> DefaultCurve:
+    """Mean over sampled supports of their mean fractions (one row each),
+    with the per-sample means in the per_trigger slot."""
+    per = means.T.copy()
+    per.setflags(write=False)
+    return DefaultCurve(
+        alphas=alphas,
+        mean_fraction=tuple(float(v) for v in means.mean(axis=0)),
+        per_trigger=per,
+        excluded_bank=excluded_bank,
+    )
+
+
+def _method_curve(method, matrices, note, cap, alphas, exclude_bank) -> MethodCurve:
+    """Stress-test a method's matrices, and again without exclude_bank when
+    one is set.  A deterministic method reports its one matrix's curve; the
+    sampled method averages its draws and adds the standard error."""
+    banks = (None,) if exclude_bank is None else (None, exclude_bank)
+    runs = [[default_curve(m, cap, alphas, bank) for m in matrices] for bank in banks]
+    if method == "me_on_typical_support":
+        means = [np.array([c.mean_fraction for c in run]) for run in runs]
+        curves = [_sample_curve(alphas, arr, bank) for arr, bank in zip(means, banks)]
+        se = np.zeros(len(alphas))
+        if len(matrices) > 1:
+            se = means[0].std(axis=0, ddof=1) / math.sqrt(len(matrices))
+        stderr = tuple(float(v) for v in se)
     else:
-        se = np.zeros(arr.shape[1])
-    curve = _sample_curve(alphas, rows)
-    excl_curve = _sample_curve(alphas, rows_excl, opts.exclude_bank) if rows_excl else None
-    note = f"{skipped} of {len(samples)} support draws skipped" if skipped else None
+        curves = [run[0] for run in runs]
+        stderr = None
     return MethodCurve(
-        method="me_on_typical_support",
-        curve=curve,
-        stderr=tuple(float(v) for v in se),
-        curve_excluding=excl_curve,
-        samples_used=len(rows),
+        method=method,
+        curve=curves[0],
+        stderr=stderr,
+        curve_excluding=curves[1] if exclude_bank is not None else None,
+        samples_used=len(matrices),
         note=note,
     )
 

@@ -266,15 +266,7 @@ class Support(_UnknownSlots):
 
 def support_of(L: LiabilityMatrix, unknown_set: Iterable[tuple[int, int]]) -> Support:
     """Binary support of L over the (i, j) pairs unknown_set; strict positivity marks a link."""
-    n = L.n
-    rows, cols = _pair_arrays(tuple(unknown_set))
-    bad = (rows == cols) | (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n)
-    if bad.any():
-        k = int(np.argmax(bad))
-        i, j = rows[k], cols[k]
-        if i == j:
-            raise ValueError(f"diagonal index ({i}, {j}) in unknown set")
-        raise IndexError(f"index ({i}, {j}) out of range for n={n}")
+    rows, cols = _checked_pairs(unknown_set, L.n, "unknown")
     return Support((rows, cols), (L.entries[rows, cols] > 0).astype(np.uint8))
 
 

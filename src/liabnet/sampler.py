@@ -469,25 +469,23 @@ class LambdaMaxResult:
 def _peel_support(g: FactorGraph, p: ReducedProblem, values: np.ndarray) -> np.ndarray:
     """Greedily delete links while degrees and the transport check hold.
 
-    Deterministic sweep order (ascending slot index), repeated until no
-    single deletion survives; the result is feasible and locally minimal.
+    One sweep in ascending slot order leaves the support feasible and
+    locally minimal.  A second sweep could delete nothing: later deletions
+    only lower degree counts and shrink what the support can carry, so a
+    link kept for its degrees or for transport stays needed.
     """
     vals = values.copy()
     counts = _degree_counts(g, vals)
-    improved = True
-    while improved:
-        improved = False
-        for e in np.flatnonzero(vals):
-            fr, fc = g.var_row_factor[e], g.var_col_factor[e]
-            if counts[fr] <= g.r[fr] or counts[fc] <= g.r[fc]:
-                continue
-            vals[e] = 0
-            if feasibility_check(p, Support(p.ends, vals)):
-                counts[fr] -= 1
-                counts[fc] -= 1
-                improved = True
-            else:
-                vals[e] = 1
+    for e in np.flatnonzero(vals):
+        fr, fc = g.var_row_factor[e], g.var_col_factor[e]
+        if counts[fr] <= g.r[fr] or counts[fc] <= g.r[fc]:
+            continue
+        vals[e] = 0
+        if feasibility_check(p, Support(p.ends, vals)):
+            counts[fr] -= 1
+            counts[fc] -= 1
+        else:
+            vals[e] = 1
     return vals
 
 
@@ -500,13 +498,14 @@ def lambda_max(
 
     Trials are split across opts.z_ladder; every completed draw is put
     through the transport check, feasible draws are peeled to local
-    minimality, and the sparsest certified support wins.  A
-    deterministic baseline candidate (the greedily thinned full support)
-    is always in play.  Every candidate is admissible, so the estimate
-    never exceeds the true maximum.  With no feasible sampled draw the
-    baseline is reported with fallback=True; when even the full support
-    fails the flow check, no trial runs and the full support is reported
-    with sparsity 0.
+    minimality in one sweep (removing links never restores a degree count
+    or transport, so a link kept once stays needed), and the sparsest
+    certified support wins.  A deterministic baseline candidate (the
+    greedily thinned full support) is always in play.  Every candidate is
+    admissible, so the estimate never exceeds the true maximum.  With no
+    feasible sampled draw the baseline is reported with fallback=True; when
+    even the full support fails the flow check, no trial runs and the full
+    support is reported with sparsity 0.
 
     With no unknown slots at all the empty support is vacuously maximal
     and lambda_max is reported as 1.0.

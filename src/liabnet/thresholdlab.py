@@ -83,7 +83,8 @@ class ThresholdOptions:
 
     z_grid drives the entropy curve and must be strictly positive and
     ascending, as sigma_curve requires; lambda_opts the maximal-sparsity
-    search.  rng_seed decorrelates the searches across thresholds.
+    search.  rng_seed seeds those searches, rng_seed + k at the k-th
+    threshold, so lambda_opts.rng_seed must stay 0.
     """
 
     z_grid: tuple[float, ...] = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
@@ -102,6 +103,11 @@ class ThresholdOptions:
 
     def __post_init__(self) -> None:
         _fugacity_grid(self.z_grid)
+        if self.lambda_opts.rng_seed != 0:
+            raise ValueError(
+                "lambda_opts.rng_seed is replaced at every threshold; "
+                "set ThresholdOptions.rng_seed instead"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Cascade semantics, curve aggregation, and cross-method comparisons."""
 
+import math
+
 import numpy as np
 import pytest
+
+from liabnet.bpcore import build_factor_graph
 
 from liabnet.contagion import (
     CapitalVector,
@@ -14,9 +18,21 @@ from liabnet.contagion import (
     write_default_curves_csv,
 )
 from liabnet.ensembles import EnsembleSpec, generate
-from liabnet.maxent import MEOptions
-from liabnet.netcore import LiabilityMatrix, absorb_known, make_observation, support_of
-from liabnet.sampler import DecimationOptions, feasibility_check
+from liabnet.maxent import Infeasible, MEOptions, NotConverged, me_on_support, me_reconstruct
+from liabnet.netcore import (
+    LiabilityMatrix,
+    absorb_known,
+    assemble_matrix,
+    make_observation,
+    support_of,
+)
+from liabnet.sampler import (
+    DecimationOptions,
+    LambdaMaxOptions,
+    feasibility_check,
+    lambda_max,
+    sample_supports,
+)
 
 from _instances import random_network
 from _oracles import naive_cascade
@@ -347,6 +363,105 @@ class TestCompareMethods:
         for mc in rep.curves:
             assert mc.error is None, f"{mc.method}: {mc.error}"
             assert len(mc.curve.mean_fraction) == 3
+
+    @pytest.mark.parametrize("exclude", [None, 1], ids=["all-banks", "exclude-1"])
+    @pytest.mark.parametrize("case", [(6, 14), (8, 10)], ids=["fallback", "no-fallback"])
+    def test_curves_match_their_reconstructions(self, case, exclude):
+        # Every curve is the stress test of what its method rebuilds, redone
+        # here from the public pieces: one matrix per method, except the
+        # typical method, whose curve averages one matrix per usable draw.
+        # Case (6, 14) skips 2 of 5 draws and falls back on the sparsest
+        # search; case (8, 10) skips 1 and finds a sparsest support.  On both,
+        # the draws' curves differ, and ME on all slots or on the true support
+        # gives different curves.
+        L, cap = random_case(*case)
+        grid = [0.2, 0.4, 0.6, 0.8, 1.0]
+        opts = CompareOptions(
+            theta=0.6,
+            support_samples=5,
+            typical_z=1.0,
+            rng_seed=5,
+            exclude_bank=exclude,
+            lambda_trials=4,
+        )
+        rep = compare_methods(L, cap, grid, METHOD_NAMES, opts)
+
+        obs = make_observation(L, opts.theta)
+        rp = absorb_known(obs)
+        g = build_factor_graph(rp, strict=False)
+        lm = lambda_max(
+            g,
+            rp,
+            LambdaMaxOptions(
+                trials=opts.lambda_trials, rng_seed=opts.rng_seed, decimation=opts.decimation
+            ),
+        )
+        draws = sample_supports(
+            g,
+            rp,
+            opts.typical_z,
+            opts.support_samples,
+            np.random.SeedSequence(opts.rng_seed),
+            opts.decimation,
+        )
+        typical = []
+        for s in draws:
+            if s.support is None or not s.certificate:
+                continue
+            try:
+                typical.append(assemble_matrix(obs, me_on_support(rp, s.support)))
+            except (Infeasible, NotConverged):
+                continue
+        skipped = len(draws) - len(typical)
+        rebuilt = {
+            "true": ([L], None),
+            "me_dense": ([assemble_matrix(obs, me_reconstruct(rp))], None),
+            "me_on_true_support": (
+                [assemble_matrix(obs, me_on_support(rp, support_of(L, rp.unknown)))],
+                None,
+            ),
+            "me_on_typical_support": (
+                typical,
+                f"{skipped} of {len(draws)} support draws skipped" if skipped else None,
+            ),
+            "me_on_sparsest_support": (
+                [assemble_matrix(obs, me_on_support(rp, lm.support))],
+                "no transport-feasible sampled support; using the thinned full support"
+                if lm.fallback
+                else None,
+            ),
+        }
+
+        banks = [None] if exclude is None else [None, exclude]
+        for method, (matrices, note) in rebuilt.items():
+            mc = rep.curve_for(method)
+            assert mc.error is None, f"{method}: {mc.error}"
+            assert mc.note == note
+            assert (mc.curve_excluding is None) == (exclude is None)
+            sampled = method == "me_on_typical_support"
+            for bank, got in zip(banks, (mc.curve, mc.curve_excluding)):
+                curves = [default_curve(m, cap, grid, bank) for m in matrices]
+                if sampled:
+                    means = np.array([c.mean_fraction for c in curves])
+                    want_mean, want_per = tuple(means.mean(axis=0).tolist()), means.T
+                else:
+                    want_mean, want_per = curves[0].mean_fraction, curves[0].per_trigger
+                assert got.mean_fraction == want_mean, (method, bank)
+                assert np.array_equal(got.per_trigger, want_per), (method, bank)
+                assert got.excluded_bank == bank
+            if sampled:
+                means = np.array([default_curve(m, cap, grid).mean_fraction for m in matrices])
+                se = means.std(axis=0, ddof=1) / math.sqrt(len(matrices))
+                assert mc.stderr == tuple(se.tolist()) and max(se) > 0
+                assert mc.samples_used == len(matrices)
+            else:
+                assert mc.stderr is None
+                assert mc.samples_used == 1
+        skipped_draws, fallback = {(6, 14): (2, True), (8, 10): (1, False)}[case]
+        assert len(draws) - len(typical) == skipped_draws
+        assert lm.fallback == fallback
+        dense, on_truth = (rep.curve_for(m).curve for m in ("me_dense", "me_on_true_support"))
+        assert dense.mean_fraction != on_truth.mean_fraction
 
     def test_typical_support_error_bars(self):
         L, cap = random_case(6, 15)

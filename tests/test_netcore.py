@@ -93,7 +93,7 @@ class TestSupport:
 
     def test_out_of_range_rejected(self):
         L = nc.LiabilityMatrix(np.zeros((3, 3)))
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=r"\(0, 3\)"):
             nc.support_of(L, [(0, 3)])
 
     def test_keeps_the_unknown_tuple(self):

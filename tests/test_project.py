@@ -1,12 +1,14 @@
-"""Packaging metadata and module exports point at code that exists, and
-the package imports nothing at run time beyond the standard library and
-numpy."""
+"""Packaging metadata, module exports and the benchmark tracer's keys point
+at code that exists, and the package imports nothing at run time beyond the
+standard library and numpy."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 import sys
+import types
 
 import pytest
 
@@ -14,6 +16,7 @@ import liabnet
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+TRACER = ROOT / "perfbench" / "tracing.py"
 RUNTIME_PACKAGES = sys.stdlib_module_names | {"numpy", "liabnet"}
 
 
@@ -109,3 +112,57 @@ def test_only_netcore_reads_the_pair_view():
         )
     )
     assert not readers, f"modules reading the .unknown pair view: {readers}"
+
+
+def _traced_names() -> tuple[set[str], set[str]]:
+    """The "layer.function" names perfbench/tracing.py keys on: the keys of
+    _OBSERVERS, and the span names layer_metrics reads (the keys of the dict
+    it returns are metric names, not functions)."""
+    modules = {m.name for m in pkgutil.iter_modules(liabnet.__path__)}
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+
+    def layer_names(nodes) -> set[str]:
+        return {
+            node.value
+            for node in nodes
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"\w+\.\w+", node.value)
+            and node.value.partition(".")[0] in modules
+        }
+
+    observed, read = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_OBSERVERS" for t in node.targets
+        ):
+            observed = layer_names(node.value.keys)
+        elif isinstance(node, ast.FunctionDef) and node.name == "layer_metrics":
+            metric_keys = {
+                id(key)
+                for ret in ast.walk(node)
+                if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Dict)
+                for key in ret.value.keys
+            }
+            read = layer_names(n for n in ast.walk(node) if id(n) not in metric_keys)
+    return observed, read
+
+
+def test_tracer_keys_name_public_functions():
+    # The tracer wraps only the functions a module defines and lists in its
+    # __all__; a key that names anything else never matches a span, and its
+    # per-layer metric silently reads 0.
+    observed, read = _traced_names()
+    assert observed and read, "found no keys in perfbench/tracing.py"
+    unresolved = []
+    for qualname in sorted(observed | read):
+        layer, _, name = qualname.partition(".")
+        module = importlib.import_module(f"liabnet.{layer}")
+        fn = getattr(module, name, None)
+        if not (
+            isinstance(fn, types.FunctionType)
+            and fn.__module__ == module.__name__
+            and name in getattr(module, "__all__", ())
+        ):
+            unresolved.append(qualname)
+    assert not unresolved, f"tracer keys naming no public function: {unresolved}"

@@ -11,6 +11,7 @@ from liabnet.sampler import (
     ExhaustedRestarts,
     LambdaMaxOptions,
     _fixing_order,
+    _peel_support,
     decimate,
     feasibility_check,
     lambda_max,
@@ -292,6 +293,27 @@ class TestLambdaMax:
         assert res.lambda_max == 0.0
         assert res.feasible_trials == 0
         assert res.completed_trials == 0
+
+    @pytest.mark.parametrize("n, seed", [(4, 0), (4, 1), (5, 2), (6, 3)])
+    def test_peeled_supports_are_locally_minimal(self, n, seed):
+        # Peeling sweeps once, so every link it keeps must be needed at the
+        # end: removing it breaks a degree requirement or, by the LP, transport.
+        _, _, p = random_problem(n, seed)
+        g = build_factor_graph(p)
+        rng = np.random.default_rng(seed)
+        starts = [np.ones(p.m, dtype=np.uint8)]
+        for _ in range(30):
+            pattern = (rng.random(p.m) < 0.85).astype(np.uint8)
+            if feasibility_check(p, Support(p.ends, pattern)):
+                starts.append(pattern)
+        assert len(starts) > 3
+        for start in starts:
+            peeled = _peel_support(g, p, start)
+            assert h_is_zero(p, peeled) and lp_feasible(p, peeled)
+            for e in np.flatnonzero(peeled):
+                fewer = peeled.copy()
+                fewer[e] = 0
+                assert not (h_is_zero(p, fewer) and lp_feasible(p, fewer)), e
 
     def test_empty_unknown_set(self):
         p = ReducedProblem(n=2, ends=ends_of(()), res_out=np.zeros(2), res_in=np.zeros(2))

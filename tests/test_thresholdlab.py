@@ -175,6 +175,13 @@ class TestErrorHandling:
         with pytest.raises(ValueError, match=message):
             ThresholdOptions(z_grid=z_grid)
 
+    def test_search_seed_set_in_the_wrong_place_rejected(self):
+        # Each threshold's search is seeded from ThresholdOptions.rng_seed, so
+        # a seed given to the search options would be silently dropped.
+        with pytest.raises(ValueError, match=r"ThresholdOptions\.rng_seed"):
+            ThresholdOptions(lambda_opts=LambdaMaxOptions(rng_seed=3))
+        assert ThresholdOptions(rng_seed=3).lambda_opts.rng_seed == 0
+
 
 class TestCsv:
     def test_roundtrip_and_determinism(self, tmp_path):
