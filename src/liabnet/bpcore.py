@@ -601,6 +601,8 @@ def calibrate_fugacity(
     """
     if not 0 <= target_lambda <= 1:
         raise ValueError("target sparsity must be in [0, 1]")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol {tol:g} must be finite and > 0")
 
     def density(z: float) -> float:
         return mean_density(link_marginals(bp_fixed_point(g, z, opts)))

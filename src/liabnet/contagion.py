@@ -397,7 +397,7 @@ def _reconstructions(
     )
     matrices = []
     for s in samples:
-        if s.support is None or not s.certificate:
+        if not s.certificate:
             continue
         try:
             matrices.append(assemble_matrix(obs, me_on_support(rp, s.support, opts.me)))

@@ -71,9 +71,12 @@ def _pair_arrays(pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarr
     return flat[0::2], flat[1::2]
 
 
-def _checked_pairs(pairs: Iterable[tuple[int, int]], n: int, kind: str):
-    """_pair_arrays of pairs; ValueError naming the first on the diagonal or out of range."""
-    rows, cols = _pair_arrays(tuple(pairs))
+def _checked_ends(rows: np.ndarray, cols: np.ndarray, n: int, kind: str):
+    """rows, cols; ValueError unless they are two equal-length integer index
+    arrays, naming the first pair on the diagonal or out of range."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if rows.ndim != 1 or rows.shape != cols.shape or {rows.dtype.kind, cols.dtype.kind} - set("iu"):
+        raise ValueError(f"{kind} ends must be two integer index arrays of equal length")
     bad = (rows == cols) | (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= n)
     if bad.any():
         k = int(np.argmax(bad))
@@ -81,10 +84,27 @@ def _checked_pairs(pairs: Iterable[tuple[int, int]], n: int, kind: str):
     return rows, cols
 
 
+def _checked_pairs(pairs: Iterable[tuple[int, int]], n: int, kind: str):
+    """_checked_ends of the _pair_arrays of pairs."""
+    return _checked_ends(*_pair_arrays(tuple(pairs)), n, kind)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _set_vector(obj, name: str, n: int, nonnegative: bool = False) -> None:
+    """Freeze obj.name; ValueError unless it holds n finite values, >= 0 if nonnegative."""
+    vec = _freeze(getattr(obj, name))
+    if vec.shape != (n,):
+        raise ValueError(f"{name} has shape {vec.shape}, expected ({n},)")
+    bad = ~np.isfinite(vec) | (nonnegative & (vec < 0))
+    if bad.any():
+        rule = " and >= 0" if nonnegative else ""
+        raise ValueError(f"{name}[{np.argmax(bad)}] is not finite{rule}")
+    object.__setattr__(obj, name, vec)
 
 
 class _UnknownSlots:
@@ -246,6 +266,8 @@ class Support(_UnknownSlots):
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.ends[0].shape != self.ends[1].shape:
+            raise ValueError("support ends must be two index arrays of equal length")
         vals = np.asarray(self.values)
         if vals.shape != (self.m,):
             raise ValueError("support values must align with the unknown slots")
@@ -288,9 +310,9 @@ class Observation(_UnknownSlots):
     known maps entry index (i, j) to the rescaled value; strength vectors
     are rescaled totals of the full matrix.  The unknown slots are derived
     once from known: every other off-diagonal index, in row-major order,
-    stored as ends.  ValueError names the first known pair on the
-    diagonal or out of range, known value not finite and >= 0, or strength
-    vector not of n finite values.
+    stored as ends.  ValueError names a theta not finite and > 0, the
+    first known pair on the diagonal or out of range, known value not
+    finite and >= 0, or strength vector not of n finite values.
     """
 
     n: int
@@ -300,6 +322,8 @@ class Observation(_UnknownSlots):
     in_strength: np.ndarray
 
     def __post_init__(self) -> None:
+        if not 0 < self.theta < np.inf:
+            raise ValueError(f"theta {self.theta:g} must be finite and > 0")
         known = MappingProxyType(dict(self.known))
         rows, cols = _checked_pairs(known, self.n, "known")
         values = np.fromiter(known.values(), dtype=float, count=len(known))
@@ -310,12 +334,7 @@ class Observation(_UnknownSlots):
                 f"known value {values[k]:g} at ({rows[k]}, {cols[k]}) must be finite and >= 0"
             )
         for name in ("out_strength", "in_strength"):
-            vec = _freeze(getattr(self, name))
-            if vec.shape != (self.n,):
-                raise ValueError(f"{name} has shape {vec.shape}, expected ({self.n},)")
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{name}[{int(np.argmin(np.isfinite(vec)))}] is not finite")
-            object.__setattr__(self, name, vec)
+            _set_vector(self, name, self.n)
         hidden = ~np.eye(self.n, dtype=bool)
         hidden[rows, cols] = False
         ends = np.nonzero(hidden)
@@ -339,32 +358,35 @@ def make_observation(
 
     Args:
         L_true: the full matrix.
-        theta: disclosure threshold, > 0, in the matrix units.
+        theta: disclosure threshold, finite and > 0, in the matrix units.
         disclosed: extra off-diagonal indices published by law.
 
     Returns:
         Observation whose known set holds exactly the seen entries.
     """
-    if not theta > 0:
-        raise ValueError("theta must be positive")
     n = L_true.n
     listed = np.zeros((n, n), dtype=bool)
     listed[_checked_pairs(disclosed, n, "disclosed")] = True
     seen = ((L_true.entries > theta) | listed) & ~np.eye(n, dtype=bool)
     ki, kj = np.nonzero(seen)
-    known = dict(zip(zip(ki.tolist(), kj.tolist()), (L_true.entries[ki, kj] / theta).tolist()))
-    return Observation(
-        n=n,
-        theta=theta,
-        known=known,
-        out_strength=L_true.out_strength / theta,
-        in_strength=L_true.in_strength / theta,
-    )
+    # Observation rejects a bad theta; theta = 0 must reach it without a warning.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        known = dict(zip(zip(ki.tolist(), kj.tolist()), (L_true.entries[ki, kj] / theta).tolist()))
+        return Observation(
+            n=n,
+            theta=theta,
+            known=known,
+            out_strength=L_true.out_strength / theta,
+            in_strength=L_true.in_strength / theta,
+        )
 
 
 @dataclass(frozen=True)
 class ReducedProblem(_UnknownSlots):
-    """Unknown slots, stored as ends, plus residual strengths after absorbing known values."""
+    """Unknown slots, stored as ends, plus residual strengths after absorbing known values.
+
+    ValueError names a bad slot or a residual not finite and >= 0; balance is not checked.
+    """
 
     n: int
     ends: tuple[np.ndarray, np.ndarray]
@@ -372,8 +394,9 @@ class ReducedProblem(_UnknownSlots):
     res_in: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "res_out", _freeze(self.res_out))
-        object.__setattr__(self, "res_in", _freeze(self.res_in))
+        _checked_ends(*self.ends, self.n, "unknown")
+        for name in ("res_out", "res_in"):
+            _set_vector(self, name, self.n, nonnegative=True)
 
     @property
     def bank_set(self) -> frozenset[int]:

@@ -10,9 +10,11 @@ returns either a realizing assignment or a deficient cut.
 decimate draws a support from the fugacity-z ensemble: run message
 passing, fix the most biased undecided link by a coin flip with its
 marginal probability, condition the remaining problem on that choice, and
-repeat, restarting on contradictions.  lambda_max runs decimation over a
-ladder of fugacities near the z -> 0 limit, greedily peels every draw
-that passes the flow check, and keeps the sparsest result.
+repeat, restarting on contradictions.  sample_supports is its one caller:
+it gives each draw its own stream, records failed draws and flow-checks
+the rest.  lambda_max draws through sample_supports over a ladder of
+fugacities near the z -> 0 limit, greedily peels every distinct draw that
+passes the flow check, and keeps the sparsest result.
 """
 
 from __future__ import annotations
@@ -314,14 +316,11 @@ def decimate(
     if g.infeasible_factors:
         raise ExhaustedRestarts(DecimationTrace(restarts=0, final_support=None))
     streams = _seed_sequence(rng_seed).spawn(_MAX_RESTARTS + 1)
-    m = g.m_total
-    rounds = 0
-    converged_rounds = 0
+    rounds = converged_rounds = 0
     for attempt, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         state = make_state(g, z)
-        values = np.zeros(m, dtype=np.uint8)
-        contradiction = False
+        values = np.zeros(g.m_total, dtype=np.uint8)
         while np.any(state.active):
             ok, _, _ = run_sweeps(state, opts.bp)
             rounds += 1
@@ -336,37 +335,33 @@ def decimate(
                 values[e] = value
                 _fix_variable(state, int(e), value)
             if np.any(state.r > state.k_eff):
-                contradiction = True
-                break
-        if contradiction:
-            continue
-        degrees_met = np.all(_degree_counts(g, values) >= g.r)
-        assert degrees_met, "decimation produced a degree-violating support"
-        return DecimationTrace(
-            restarts=attempt,
-            final_support=Support(p.ends, values),
-            converged_rounds=converged_rounds,
-            rounds=rounds,
-        )
+                break  # contradiction: restart on the next stream
+        else:
+            degrees_met = np.all(_degree_counts(g, values) >= g.r)
+            assert degrees_met, "decimation produced a degree-violating support"
+            return DecimationTrace(
+                restarts=attempt,
+                final_support=Support(p.ends, values),
+                converged_rounds=converged_rounds,
+                rounds=rounds,
+            )
     raise ExhaustedRestarts(
-        DecimationTrace(
-            restarts=len(streams) - 1,
-            final_support=None,
-            converged_rounds=converged_rounds,
-            rounds=rounds,
-        )
+        DecimationTrace(_MAX_RESTARTS, None, converged_rounds=converged_rounds, rounds=rounds)
     )
 
 
 @dataclass(frozen=True)
 class SampledSupport:
-    """One draw: the support (None if the run failed), its trace, and the
-    transport certificate of the support (None exactly when the draw
-    failed)."""
+    """One draw: its decimation trace and the transport certificate of the
+    drawn support (None exactly when the draw failed).  support is the
+    trace's final_support, None for a failed draw."""
 
-    support: Support | None
     trace: DecimationTrace
     certificate: FeasibilityCertificate | None
+
+    @property
+    def support(self) -> Support | None:
+        return self.trace.final_support
 
 
 def sample_supports(
@@ -380,9 +375,11 @@ def sample_supports(
     """Draw count independent supports at fugacity z, each with its flow
     certificate.
 
-    Each draw gets its own child stream of rng_seed, so results do not
-    depend on completion order.  Failed draws (ExhaustedRestarts) are
-    recorded rather than raised; sample_stats summarizes the batch.
+    Draw t runs on child t of count children spawned from rng_seed, so
+    results do not depend on completion order; a SeedSequence is spawned
+    from in place, so consecutive calls on one continue its children.
+    Failed draws (ExhaustedRestarts) are recorded rather than raised;
+    sample_stats summarizes the batch.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -392,10 +389,9 @@ def sample_supports(
             trace = decimate(g, p, z, child, opts)
         except ExhaustedRestarts as err:
             logger.warning("support draw failed: %s", err)
-            out.append(SampledSupport(None, err.trace, None))
+            out.append(SampledSupport(err.trace, None))
             continue
-        cert = feasibility_check(p, trace.final_support)
-        out.append(SampledSupport(trace.final_support, trace, cert))
+        out.append(SampledSupport(trace, feasibility_check(p, trace.final_support)))
     return out
 
 
@@ -408,16 +404,10 @@ def sample_stats(samples: list[SampledSupport]) -> dict[str, float]:
         "count": float(total),
         "completed_fraction": len(done) / total if total else 0.0,
         "feasible_fraction": (
-            sum(1 for s in done if s.certificate.feasible) / len(done)
-            if done
-            else float("nan")
+            sum(s.certificate.feasible for s in done) / len(done) if done else math.nan
         ),
-        "mean_links": (
-            float(np.mean([s.support.ones for s in done])) if done else float("nan")
-        ),
-        "mean_restarts": (
-            float(np.mean([s.trace.restarts for s in samples])) if samples else 0.0
-        ),
+        "mean_links": float(np.mean([s.support.ones for s in done])) if done else math.nan,
+        "mean_restarts": float(np.mean([s.trace.restarts for s in samples])) if samples else 0.0,
     }
 
 
@@ -451,19 +441,28 @@ class LambdaMaxOptions:
 class LambdaMaxResult:
     """Sparsest admissible support found over the unknown slots.
 
-    lambda_max = sparsity over the M unknown slots.  fallback is True when
-    no sampled trial produced a transport-feasible support; the result is
-    then the greedily thinned full support (or, if even the full support
-    cannot transport the residuals, the full support with sparsity 0).
+    links and lambda_max (sparsity over the M unknown slots, 1.0 when
+    M = 0) derive from support.  trials counts the draws asked for, rungs x
+    per-rung draws; completed_trials and feasible_trials those that finished
+    and the distinct finished ones that passed the flow check.  fallback is
+    True when no sampled trial produced a transport-feasible support; the
+    result is then the greedily thinned full support (or, if even the full
+    support cannot transport the residuals, the full support with sparsity 0).
     """
 
     support: Support
-    lambda_max: float
-    links: int
     trials: int
     completed_trials: int
     feasible_trials: int
     fallback: bool
+
+    @property
+    def links(self) -> int:
+        return self.support.ones
+
+    @property
+    def lambda_max(self) -> float:
+        return sparsity(self.support, self.support.m) if self.support.m else 1.0
 
 
 def _peel_support(g: FactorGraph, p: ReducedProblem, values: np.ndarray) -> np.ndarray:
@@ -496,35 +495,28 @@ def lambda_max(
 ) -> LambdaMaxResult:
     """Estimate the maximal sparsity by repeated near-sparse decimation.
 
-    Trials are split across opts.z_ladder; every completed draw is put
-    through the transport check, feasible draws are peeled to local
-    minimality in one sweep (removing links never restores a degree count
-    or transport, so a link kept once stays needed), and the sparsest
-    certified support wins.  A deterministic baseline candidate (the
-    greedily thinned full support) is always in play.  Every candidate is
-    admissible, so the estimate never exceeds the true maximum.  With no
-    feasible sampled draw the baseline is reported with fallback=True; when
-    even the full support fails the flow check, no trial runs and the full
-    support is reported with sparsity 0.
+    Trials are split evenly across opts.z_ladder, rounded up per rung; each
+    rung is one sample_supports batch on SeedSequence(opts.rng_seed), so
+    draw t of rung k runs on child k * per_rung + t.  Distinct completed
+    draws that pass the flow check are peeled to local minimality in one
+    sweep (removing links never restores a degree count or transport, so a
+    link kept once stays needed), and the sparsest certified support wins.
+    A deterministic baseline candidate (the greedily thinned full support)
+    is always in play.  Every candidate is admissible, so the estimate
+    never exceeds the true maximum.  With no feasible sampled draw the
+    baseline is reported with fallback=True; when even the full support
+    fails the flow check, no trial runs and the full support is reported
+    with sparsity 0.
 
     With no unknown slots at all the empty support is vacuously maximal
     and lambda_max is reported as 1.0.
     """
-    if g.m_total == 0:
-        empty = Support(p.ends, np.zeros(0, dtype=np.uint8))
-        return LambdaMaxResult(
-            support=empty,
-            lambda_max=1.0,
-            links=0,
-            trials=opts.trials,
-            completed_trials=opts.trials,
-            feasible_trials=opts.trials,
-            fallback=False,
-        )
-    ss = np.random.SeedSequence(opts.rng_seed)
     rungs = len(opts.z_ladder)
     per_rung = -(-opts.trials // rungs)  # ceil division
-    total_trials = rungs * per_rung
+    trials = rungs * per_rung
+    if g.m_total == 0:
+        empty = Support(p.ends, np.zeros(0, dtype=np.uint8))
+        return LambdaMaxResult(empty, trials, trials, trials, fallback=False)
     # Deterministic baseline: thin the full support greedily.  Removing
     # links never restores transport, so when the full support fails the
     # flow check no draw can pass it and the search is skipped.
@@ -534,37 +526,24 @@ def lambda_max(
             "the residuals cannot be transported on any support; reporting "
             "the full unknown support with sparsity 0"
         )
-        return LambdaMaxResult(
-            support=full,
-            lambda_max=0.0,
-            links=g.m_total,
-            trials=total_trials,
-            completed_trials=0,
-            feasible_trials=0,
-            fallback=True,
-        )
+        return LambdaMaxResult(full, trials, 0, 0, fallback=True)
     best = Support(p.ends, _peel_support(g, p, full.values))
-    children = ss.spawn(total_trials)
-    completed = 0
-    feasible = 0
+    ss = np.random.SeedSequence(opts.rng_seed)
+    completed = feasible = 0
     seen: set[bytes] = set()
-    for rung, z in enumerate(opts.z_ladder):
-        for t in range(per_rung):
-            child = children[rung * per_rung + t]
-            try:
-                trace = decimate(g, p, z, child, opts.decimation)
-            except ExhaustedRestarts:
+    for z in opts.z_ladder:
+        for s in sample_supports(g, p, z, per_rung, ss, opts.decimation):
+            if s.support is None:
                 continue
             completed += 1
-            support = trace.final_support
-            key = support.values.tobytes()
+            key = s.support.values.tobytes()
             if key in seen:
                 continue
             seen.add(key)
-            if not feasibility_check(p, support):
+            if not s.certificate:
                 continue
             feasible += 1
-            candidate = Support(p.ends, _peel_support(g, p, support.values))
+            candidate = Support(p.ends, _peel_support(g, p, s.support.values))
             if candidate.ones < best.ones:
                 best = candidate
     fallback = feasible == 0
@@ -572,14 +551,6 @@ def lambda_max(
         logger.warning(
             "no transport-feasible support among %d sampled trials; "
             "reporting the greedily thinned full support",
-            total_trials,
+            trials,
         )
-    return LambdaMaxResult(
-        support=best,
-        lambda_max=sparsity(best, g.m_total),
-        links=best.ones,
-        trials=total_trials,
-        completed_trials=completed,
-        feasible_trials=feasible,
-        fallback=fallback,
-    )
+    return LambdaMaxResult(best, trials, completed, feasible, fallback)

@@ -469,6 +469,13 @@ class TestCalibration:
         assert z_lo == pytest.approx(1e-4)
 
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        g = build_factor_graph(random_problem(6, 1)[2])
+        with pytest.raises(ValueError, match="tol"):
+            calibrate_fugacity(g, 0.5, tol=tol)
+
+
 class TestDegenerateInputs:
     def test_mean_density_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,6 @@ from liabnet.netcore import (
 from liabnet.sampler import (
     DecimationOptions,
     LambdaMaxOptions,
-    feasibility_check,
     lambda_max,
     sample_supports,
 )
@@ -339,12 +338,11 @@ class TestCompareMethods:
 
     def test_true_support_within_tolerance_of_transport(self):
         # The true support misses transport by 2.3e-9 under the flow check's
-        # own tolerance; the ME solve meets the sums within its tolerance, so
-        # the method still returns a curve.
+        # own tolerance (see test_sampler's xfail on this instance); the ME
+        # solve meets the sums within its tolerance, so the method still
+        # returns a curve.
         L, cap = generate(EnsembleSpec("uniform", 80, 0.3, seed=12))
         theta = float(L.entries[L.entries > 0].min())
-        rp = absorb_known(make_observation(L, theta))
-        assert not feasibility_check(rp, support_of(L, rp.unknown))
         rep = compare_methods(
             L, cap, [0.5], ["me_on_true_support"], CompareOptions(theta=theta)
         )

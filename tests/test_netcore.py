@@ -113,6 +113,10 @@ class TestSupport:
         assert nc.sparsity(empty, 6) == 1.0
         assert nc.sparsity(two, 6) == pytest.approx(2 / 3)
 
+    def test_unequal_ends_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            nc.Support((np.array([0, 1]), np.array([1])), np.array([1, 0]))
+
     def test_sparsity_zero_denominator(self):
         a = nc.Support(ends_of(()), np.zeros(0, dtype=np.uint8))
         with pytest.raises(ValueError):
@@ -157,6 +161,15 @@ class TestObservation:
         with pytest.raises(ValueError):
             nc.make_observation(L, theta=0.0)
 
+    @pytest.mark.parametrize("theta", [-2.0, 0.0, float("nan"), float("inf")])
+    def test_bad_theta_rejected_where_the_observation_is_built(self, theta):
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="theta .* must be finite and > 0"):
+            nc.Observation(n=3, theta=theta, known={}, out_strength=ones, in_strength=ones)
+        L = nc.LiabilityMatrix(np.ones((3, 3)) - np.eye(3))
+        with pytest.raises(ValueError, match="theta .* must be finite and > 0"):
+            nc.make_observation(L, theta)
+
     @pytest.mark.parametrize("theta", [1.0, 0.37, 0.05])
     def test_matches_per_entry_reference(self, theta):
         # The observation and the rebuilt matrix, bit for bit, against the
@@ -197,6 +210,51 @@ class TestObservation:
         truth = np.array([L.entries[i, j] / theta for i, j in obs.unknown])
         back = nc.assemble_matrix(obs, truth)
         assert np.max(np.abs(back.entries - L.entries)) < 1e-12
+
+
+class TestReducedProblem:
+    def make(self, ends=None, res_out=(0.5, 0.5, 0.5), res_in=(0.5, 0.5, 0.5)):
+        ends = ends_of(offdiag(3)) if ends is None else ends
+        return nc.ReducedProblem(
+            n=3, ends=ends, res_out=np.array(res_out), res_in=np.array(res_in)
+        )
+
+    def test_valid_problem_keeps_its_ends(self):
+        ends = ends_of(offdiag(3))
+        p = self.make(ends)
+        assert p.ends is ends and not p.res_out.flags.writeable
+
+    @pytest.mark.parametrize(
+        "residuals, message",
+        [
+            ({"res_out": (-1.0, 1.0, 0.0)}, r"res_out\[0\] is not finite and >= 0"),
+            ({"res_in": (0.5, float("nan"), 0.5)}, r"res_in\[1\] is not finite and >= 0"),
+            ({"res_in": (0.5, 0.5, float("inf"))}, r"res_in\[2\] is not finite and >= 0"),
+            ({"res_out": (0.5, 0.5)}, r"res_out has shape \(2,\), expected \(3,\)"),
+        ],
+        ids=["negative", "nan", "inf", "short"],
+    )
+    def test_bad_residuals_rejected(self, residuals, message):
+        with pytest.raises(ValueError, match=message):
+            self.make(**residuals)
+
+    def test_unbalanced_residuals_accepted(self):
+        assert self.make(res_out=(1.0, 0.0, 0.0)).total_residual() == 1.0
+
+    @pytest.mark.parametrize(
+        "ends, message",
+        [
+            (ends_of(((0, 1), (2, 3))), r"unknown index \(2, 3\) invalid for n=3"),
+            (ends_of(((0, 1), (-1, 2))), r"unknown index \(-1, 2\) invalid for n=3"),
+            (ends_of(((0, 1), (1, 1))), r"unknown index \(1, 1\) invalid for n=3"),
+            ((np.array([0, 1]), np.array([1])), "equal length"),
+            ((np.array([0.0]), np.array([1.0])), "integer"),
+        ],
+        ids=["column", "row", "diagonal", "unequal", "float"],
+    )
+    def test_bad_ends_rejected(self, ends, message):
+        with pytest.raises(ValueError, match=message):
+            self.make(ends)
 
 
 class TestAbsorbKnown:
@@ -290,8 +348,16 @@ class TestFileFormats:
             ({"known": [[0, 1, float("inf")]]}, r"known value inf at \(0, 1\)"),
             ({"out_strength": [1.0, 1.0]}, r"out_strength has shape \(2,\), expected \(3,\)"),
             ({"in_strength": [1.0, float("inf"), 1.0]}, r"in_strength\[1\] is not finite"),
+            # Loaded, theta = -2 would make assemble_matrix return negative liabilities.
+            ({"theta": -2.0}, r"theta -2 must be finite and > 0"),
+            ({"theta": 0.0}, r"theta 0 must be finite and > 0"),
+            ({"theta": float("nan")}, r"theta nan must be finite and > 0"),
+            ({"theta": float("inf")}, r"theta inf must be finite and > 0"),
         ],
-        ids=["diagonal", "negative", "column", "row", "nan", "inf", "short", "infinite"],
+        ids=[
+            "diagonal", "negative", "column", "row", "nan", "inf", "short", "infinite",
+            "theta-negative", "theta-zero", "theta-nan", "theta-inf",
+        ],
     )
     def test_invalid_observation_rejected(self, tmp_path, fields, message):
         doc = {"n": 3, "theta": 1.0, "known": [], "out_strength": [1.0] * 3, "in_strength": [1.0] * 3}

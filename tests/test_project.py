@@ -114,6 +114,28 @@ def test_only_netcore_reads_the_pair_view():
     assert not readers, f"modules reading the .unknown pair view: {readers}"
 
 
+def test_one_draw_loop():
+    # Every support draw, typical or near-sparse, goes through
+    # sampler.sample_supports, so conditioning the draws or changing how
+    # failed ones are handled happens in one place.
+    users = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == "decimate") or (
+                isinstance(child, ast.Attribute) and child.attr == "decimate"
+            ):
+                users.append(f"{module}.{scope}")
+            visit(child, module, scope)
+
+    for path in sorted((ROOT / "src" / "liabnet").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    assert users == ["sampler.sample_supports"], f"decimate is used in: {users}"
+
+
 def _traced_names() -> tuple[set[str], set[str]]:
     """The "layer.function" names perfbench/tracing.py keys on: the keys of
     _OBSERVERS, and the span names layer_metrics reads (the keys of the dict

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from liabnet.bpcore import build_factor_graph
-from liabnet.netcore import ReducedProblem, Support, support_of
+from liabnet.ensembles import EnsembleSpec, generate
+from liabnet.netcore import ReducedProblem, Support, absorb_known, make_observation, support_of
 from liabnet.sampler import (
     DecimationOptions,
     ExhaustedRestarts,
@@ -25,6 +26,28 @@ from _oracles import all_patterns, enumerate_ensemble, exact_lambda_max, h_is_ze
 
 def full_offdiag(n):
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
+
+
+def fallback_problem() -> ReducedProblem:
+    """Bank 0 owes 1.9 but its two counterparties can absorb only 1.3:
+    every degree-admissible support fails the flow check."""
+    return ReducedProblem(
+        n=3,
+        ends=ends_of(full_offdiag(3)),
+        res_out=np.array([1.9, 0.05, 0.05]),
+        res_in=np.array([0.7, 0.7, 0.6]),
+    )
+
+
+def every_draw_fails_problem() -> ReducedProblem:
+    """Bank 0 lends exactly 1.0 over its one slot: transport holds, but the
+    degree rule asks two links of it, so every decimation draw fails."""
+    return ReducedProblem(
+        n=2,
+        ends=ends_of(((0, 1), (1, 0))),
+        res_out=np.array([1.0, 0.5]),
+        res_in=np.array([0.5, 1.0]),
+    )
 
 
 class TestFeasibilityCheck:
@@ -279,14 +302,7 @@ class TestLambdaMax:
         assert np.array_equal(r1.support.values, r2.support.values)
 
     def test_fallback_when_degrees_cannot_transport(self):
-        # Bank 0 owes 1.9 but its two counterparties can absorb only 1.3:
-        # every degree-admissible support fails the flow check.
-        p = ReducedProblem(
-            n=3,
-            ends=ends_of(full_offdiag(3)),
-            res_out=np.array([1.9, 0.05, 0.05]),
-            res_in=np.array([0.7, 0.7, 0.6]),
-        )
+        p = fallback_problem()
         g = build_factor_graph(p)
         res = lambda_max(g, p, LambdaMaxOptions(trials=5, rng_seed=0))
         assert res.fallback
@@ -320,3 +336,76 @@ class TestLambdaMax:
         g = build_factor_graph(p)
         res = lambda_max(g, p)
         assert res.lambda_max == 1.0 and res.links == 0
+        # The default 50 trials over 4 rungs ask for 13 draws per rung.
+        assert res.trials == res.completed_trials == res.feasible_trials == 52
+
+    @pytest.mark.parametrize(
+        "case, opts",
+        [
+            (benchmark3, LambdaMaxOptions(trials=20, rng_seed=0)),
+            (benchmark3, LambdaMaxOptions(trials=7, rng_seed=4, z_ladder=(0.0, 0.2, 1.0))),
+            *[
+                (lambda s=s: random_problem(4, s)[2], LambdaMaxOptions(trials=24, rng_seed=s))
+                for s in range(4)
+            ],
+            (
+                lambda: random_problem(6, 3)[2],
+                LambdaMaxOptions(
+                    trials=9, rng_seed=2, decimation=DecimationOptions(fix_per_round=0.12)
+                ),
+            ),
+            (fallback_problem, LambdaMaxOptions(trials=5, rng_seed=0)),
+            (every_draw_fails_problem, LambdaMaxOptions(trials=4, rng_seed=1)),
+        ],
+        ids=["benchmark3", "benchmark3-3-rungs", "random-4-0", "random-4-1", "random-4-2",
+             "random-4-3", "random-6-batched", "fallback", "every-draw-fails"],
+    )
+    def test_rebuilt_from_its_pieces(self, case, opts):
+        # lambda_max is the flow check of the full support, one
+        # sample_supports batch per rung on one SeedSequence(rng_seed), and
+        # peeling of each distinct certified draw, sparsest first found kept.
+        p = case()
+        g = build_factor_graph(p, strict=False)
+        rungs = len(opts.z_ladder)
+        per_rung = -(-opts.trials // rungs)
+        full = np.ones(p.m, dtype=np.uint8)
+        if not feasibility_check(p, Support(p.ends, full)):
+            want = (full, p.m, rungs * per_rung, 0, 0, True)
+        else:
+            best = _peel_support(g, p, full)
+            ss = np.random.SeedSequence(opts.rng_seed)
+            draws = [
+                s
+                for z in opts.z_ladder
+                for s in sample_supports(g, p, z, per_rung, ss, opts.decimation)
+            ]
+            completed = [s for s in draws if s.certificate is not None]
+            distinct = {}
+            for s in completed:
+                distinct.setdefault(s.support.values.tobytes(), s)
+            certified = [s for s in distinct.values() if s.certificate]
+            for s in certified:
+                peeled = _peel_support(g, p, s.support.values)
+                if peeled.sum() < best.sum():
+                    best = peeled
+            trials = rungs * per_rung
+            want = (best, int(best.sum()), trials, len(completed), len(certified), not certified)
+        res = lambda_max(g, p, opts)
+        got = (res.support.values, res.links, res.trials)
+        got += (res.completed_trials, res.feasible_trials, res.fallback)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        assert res.lambda_max == 1.0 - want[1] / p.m
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the flow check's tolerance ignores the size of the strengths the residuals came from",
+)
+def test_true_support_certified_at_small_threshold():
+    # Rescaled by the smallest entry, the true support's single unknown link
+    # meets residuals 1.0000000001 and 1.0000000023, cut from strengths of
+    # about 7.5e6 and 9.0e6; the check rejects it by 2.3e-9.
+    L, _ = generate(EnsembleSpec("uniform", 80, 0.3, seed=12))
+    theta = float(L.entries[L.entries > 0].min())
+    rp = absorb_known(make_observation(L, theta))
+    assert feasibility_check(rp, support_of(L, rp.unknown))
