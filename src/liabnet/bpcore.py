@@ -209,6 +209,10 @@ class BPOptions:
     damping: float = 0.5
 
     def __post_init__(self) -> None:
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol {self.tol:g} must be finite and > 0")
+        if not self.max_sweeps >= 1:
+            raise ValueError(f"max_sweeps {self.max_sweeps} must be >= 1")
         if not 0 <= self.damping < 1:
             raise ValueError("damping must be in [0, 1)")
 
@@ -581,7 +585,10 @@ def sigma_curve(g: FactorGraph, z_grid: Sequence[float], opts: BPOptions = BPOpt
     return EntropyCurve(tuple(points))
 
 
-# Fugacity range and step cap of calibrate_fugacity's bisection.
+# Fugacity range and bisection step cap of calibrate_fugacity.  The search
+# walks whole decades out from z = 1, so the range ends are decades too; a
+# walk that reaches one without crossing the target returns that constant
+# exactly, which is how callers tell an unreachable target.
 _CALIBRATE_Z_LO = 1e-4
 _CALIBRATE_Z_HI = 1e4
 _CALIBRATE_MAX_ITER = 60
@@ -593,11 +600,17 @@ def calibrate_fugacity(
     opts: BPOptions = BPOptions(),
     tol: float = 5e-3,
 ) -> tuple[float, float]:
-    """Find z whose mean density matches a target sparsity, by bisection.
+    """Find z whose mean density matches a target sparsity.
 
-    lambda_hat(z) is non-increasing in z, so log-space bisection over the
-    fixed range z in [1e-4, 1e4] applies, for at most 60 steps.  Returns
-    the endpoint when the target is outside the reachable range.
+    lambda_hat(z) is non-increasing in z.  The search evaluates z = 1 and
+    returns it if its density lies within tol of the target.  Otherwise it
+    steps one decade at a time (z = 10^k) toward the target until the
+    density crosses it, then bisects that last decade in log z, starting
+    from the crossing point, for at most 60 steps, and returns the first z
+    within tol.  A walk that reaches an end of the range [1e-4, 1e4]
+    without crossing returns that endpoint exactly: the target is out of
+    reach, or within tol of the endpoint's density.  The end of the range
+    away from the target is never evaluated.
     """
     if not 0 <= target_lambda <= 1:
         raise ValueError("target sparsity must be in [0, 1]")
@@ -607,20 +620,27 @@ def calibrate_fugacity(
     def density(z: float) -> float:
         return mean_density(link_marginals(bp_fixed_point(g, z, opts)))
 
-    lam_lo = density(_CALIBRATE_Z_LO)
-    if lam_lo <= target_lambda + tol:
-        return _CALIBRATE_Z_LO, lam_lo
-    lam_hi = density(_CALIBRATE_Z_HI)
-    if lam_hi >= target_lambda - tol:
-        return _CALIBRATE_Z_HI, lam_hi
-    lo, hi = math.log(_CALIBRATE_Z_LO), math.log(_CALIBRATE_Z_HI)
-    z, lam = _CALIBRATE_Z_LO, lam_lo
+    z = 1.0
+    lam = density(z)
+    if abs(lam - target_lambda) <= tol:
+        return z, lam
+    up = lam > target_lambda  # too sparse: the target lies at larger z
+    end, clamp = (_CALIBRATE_Z_HI, min) if up else (_CALIBRATE_Z_LO, max)
+    decade = 0
+    while (lam > target_lambda) == up:
+        if z == end:
+            return z, lam
+        decade += 1 if up else -1
+        z_prev, z = z, clamp(10.0**decade, end)
+        lam = density(z)
+    # The density crossed the target between z_prev and z.
+    lo, hi = sorted((math.log(z_prev), math.log(z)))
     for _ in range(_CALIBRATE_MAX_ITER):
+        if abs(lam - target_lambda) <= tol:
+            break
         mid = 0.5 * (lo + hi)
         z = math.exp(mid)
         lam = density(z)
-        if abs(lam - target_lambda) <= tol:
-            return z, lam
         if lam > target_lambda:
             lo = mid
         else:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -116,9 +115,9 @@ class _UnknownSlots:
     def m(self) -> int:
         return self.ends[0].size
 
-    @cached_property
+    @property
     def unknown(self) -> tuple[tuple[int, int], ...]:
-        """The slots as (i, j) pairs, rebuilt from ends."""
+        """The slots as (i, j) pairs, rebuilt from ends on every access."""
         return tuple(zip(self.ends[0].tolist(), self.ends[1].tolist()))
 
 

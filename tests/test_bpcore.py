@@ -453,6 +453,32 @@ class TestEntropyCurve:
         assert abs(sigma - ref) < 0.1
 
 
+def _full_range_bisection(g, target, opts=BPOptions(), tol=5e-3):
+    """Reference calibration: evaluate both range ends, then bisect the
+    whole range in log z."""
+
+    def density(z):
+        return mean_density(link_marginals(bp_fixed_point(g, z, opts)))
+
+    lam_lo = density(bpcore._CALIBRATE_Z_LO)
+    if lam_lo <= target + tol:
+        return bpcore._CALIBRATE_Z_LO, lam_lo
+    lam_hi = density(bpcore._CALIBRATE_Z_HI)
+    if lam_hi >= target - tol:
+        return bpcore._CALIBRATE_Z_HI, lam_hi
+    lo, hi = math.log(bpcore._CALIBRATE_Z_LO), math.log(bpcore._CALIBRATE_Z_HI)
+    for _ in range(bpcore._CALIBRATE_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        z, lam = math.exp(mid), density(math.exp(mid))
+        if abs(lam - target) <= tol:
+            break
+        if lam > target:
+            lo = mid
+        else:
+            hi = mid
+    return z, lam
+
+
 class TestCalibration:
     def test_hits_interior_target(self):
         g = build_factor_graph(benchmark3())
@@ -462,18 +488,66 @@ class TestCalibration:
         assert direct == pytest.approx(lam, abs=1e-9)
 
     def test_out_of_range_targets_return_endpoints(self):
+        # exact: the benchmark accepts a missed target only at these two z
         g = build_factor_graph(benchmark3())
         z_hi, _ = calibrate_fugacity(g, 0.0)
-        assert z_hi == pytest.approx(1e4)
+        assert z_hi == 1e4
         z_lo, _ = calibrate_fugacity(g, 1.0)
-        assert z_lo == pytest.approx(1e-4)
+        assert z_lo == 1e-4
 
+    @pytest.mark.parametrize("target", [0.3, 0.45, 0.05])
+    def test_interior_target_starts_at_one_and_skips_the_endpoints(self, monkeypatch, target):
+        g = build_factor_graph(benchmark3())
+        seen = []
+        real = bpcore.bp_fixed_point
+
+        def spy(g, z, opts=BPOptions()):
+            seen.append(z)
+            return real(g, z, opts)
+
+        monkeypatch.setattr(bpcore, "bp_fixed_point", spy)
+        _, lam = calibrate_fugacity(g, target, tol=1e-3)
+        assert abs(lam - target) <= 1e-3
+        assert seen[0] == 1.0 and len(seen) > 1
+        assert not {bpcore._CALIBRATE_Z_LO, bpcore._CALIBRATE_Z_HI} & set(seen), seen
+
+    @pytest.mark.parametrize(
+        "p",
+        [benchmark3(), *(random_problem(n, seed)[2] for n in (5, 6) for seed in (0, 1))],
+        ids=["benchmark3", "rand5-0", "rand5-1", "rand6-0", "rand6-1"],
+    )
+    def test_agrees_with_full_range_bisection(self, p):
+        # Targets within tol of, or beyond, each endpoint's density, plus two
+        # interior ones: both searches meet the target, or both return the
+        # same endpoint.
+        g = build_factor_graph(p)
+        tol = 5e-3
+        lam_lo = mean_density(link_marginals(bp_fixed_point(g, bpcore._CALIBRATE_Z_LO)))
+        lam_hi = mean_density(link_marginals(bp_fixed_point(g, bpcore._CALIBRATE_Z_HI)))
+        edges = [lam + d * tol for lam in (lam_lo, lam_hi) for d in (-2.0, -0.5, 0.5, 2.0)]
+        interior = [lam_hi + f * (lam_lo - lam_hi) for f in (0.25, 0.6)]
+        for target in sorted({min(max(t, 0.0), 1.0) for t in edges + interior}):
+            z, lam = calibrate_fugacity(g, target, tol=tol)
+            z_ref, lam_ref = _full_range_bisection(g, target, tol=tol)
+            met = abs(lam - target) <= tol and abs(lam_ref - target) <= tol
+            same_end = z == z_ref and z in (bpcore._CALIBRATE_Z_LO, bpcore._CALIBRATE_Z_HI)
+            assert met or same_end, (target, z, lam, z_ref, lam_ref)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
     def test_bad_tol_rejected(self, tol):
         g = build_factor_graph(random_problem(6, 1)[2])
         with pytest.raises(ValueError, match="tol"):
             calibrate_fugacity(g, 0.5, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tol", float("nan")), ("tol", 0.0), ("tol", -1e-9), ("tol", float("inf")),
+     ("max_sweeps", 0), ("max_sweeps", -3)],
+)
+def test_bad_bp_options_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        BPOptions(**{field: value})
 
 
 class TestDegenerateInputs:

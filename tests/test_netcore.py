@@ -101,8 +101,10 @@ class TestSupport:
         a = nc.Support(rp.ends, np.ones(rp.m, dtype=np.uint8))
         assert a.ends is rp.ends
         rows, cols = rp.ends
+        before = set(vars(rp))
         assert list(zip(rows.tolist(), cols.tolist())) == list(rp.unknown) == list(a.unknown)
-        assert rp.unknown is rp.unknown and not rows.flags.writeable
+        # rebuilt on each access, not cached: a retained problem keeps no pair tuple
+        assert rp.unknown == rp.unknown and set(vars(rp)) == before and not rows.flags.writeable
 
     def test_sparsity_values(self):
         slots = ends_of(offdiag(3))

@@ -1,5 +1,6 @@
 """Packaging metadata, module exports and the benchmark tracer's keys point
-at code that exists, and the package imports nothing at run time beyond the
+at code that exists, the benchmark's calibration check shares the library's
+fugacity range, and the package imports nothing at run time beyond the
 standard library and numpy."""
 
 import ast
@@ -13,10 +14,12 @@ import types
 import pytest
 
 import liabnet
+from liabnet import bpcore
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 TRACER = ROOT / "perfbench" / "tracing.py"
+CHECKS = ROOT / "perfbench" / "checks.py"
 RUNTIME_PACKAGES = sys.stdlib_module_names | {"numpy", "liabnet"}
 
 
@@ -188,3 +191,17 @@ def test_tracer_keys_name_public_functions():
         ):
             unresolved.append(qualname)
     assert not unresolved, f"tracer keys naming no public function: {unresolved}"
+
+
+def test_calibration_range_matches_the_benchmark_check():
+    # perfbench/checks.calibration accepts a missed density target only when
+    # z is exactly one of its z_lo / z_hi defaults; if these drifted from
+    # calibrate_fugacity's range, a correctly clamped calibration would be
+    # reported as a miss.
+    tree = ast.parse(CHECKS.read_text(encoding="utf-8"))
+    fn = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "calibration"
+    )
+    args = fn.args.args[len(fn.args.args) - len(fn.args.defaults) :]
+    defaults = {a.arg: ast.literal_eval(d) for a, d in zip(args, fn.args.defaults)}
+    assert (defaults["z_lo"], defaults["z_hi"]) == (bpcore._CALIBRATE_Z_LO, bpcore._CALIBRATE_Z_HI)
