@@ -265,7 +265,7 @@ class BPState:
     msgs is the buffer [mu_row | mu_col | 0]; mu_row and mu_col are views
     into it.  The decimation driver pins variables by setting active to
     False and forcing both messages to 0 (an exact removal in the V
-    recursion), lowering r and k_eff as links are committed.
+    recursion), lowering r as links are committed.
     """
 
     g: FactorGraph
@@ -273,7 +273,6 @@ class BPState:
     msgs: np.ndarray
     active: np.ndarray
     r: np.ndarray
-    k_eff: np.ndarray
     degenerate: int = 0
 
     @property
@@ -311,13 +310,7 @@ def make_state(g: FactorGraph, z: float) -> BPState:
         msgs=np.append(np.full(2 * m, 0.5), 0.0),
         active=np.ones(m, dtype=bool),
         r=np.array(g.r),
-        k_eff=np.array(g.k),
     )
-
-
-def _incoming(state: BPState) -> np.ndarray:
-    """(F, K) matrix of messages arriving at each factor slot; 0 on pads."""
-    return state.msgs[state.g.slot_in[:, : state.g.n_factors].T]
 
 
 def _tilt(inc: np.ndarray, zeta: float) -> np.ndarray:
@@ -498,23 +491,23 @@ def mean_density(p_map: Sequence[float]) -> float:
     return float(1.0 - p.mean())
 
 
-def bethe_entropy(g: FactorGraph, m: MessageSet, z: float) -> float:
-    """Per-variable log of the fugacity-weighted admissible-support count.
+def bethe_entropy(g: FactorGraph, m: MessageSet) -> float:
+    """Per-variable log of the fugacity-weighted admissible-support count
+    at the messages' own fugacity m.z.
 
     Factor terms carry the zeta^m weights consistent with the message
     equations; at z = 1 this is the plain log-count, so a fully forced
     instance scores exactly 0 there.  Returns -inf (with a log record)
     when some variable's messages are contradictory.
     """
-    zeta = _zeta_of(z)
+    zeta = _zeta_of(m.z)
     if zeta == 0 or math.isinf(zeta):
         raise ValueError("entropy is defined for finite positive z only")
     if g.m_total == 0:
         return 0.0
-    state = make_state(g, z)
-    state.mu_row[:] = m.mu_row
-    state.mu_col[:] = m.mu_col
-    inc = _incoming(state)
+    # (F, K) messages arriving at each factor slot, read through the same
+    # gather as the sweeps; pads read the trailing 0.
+    inc = np.concatenate([m.mu_row, m.mu_col, [0.0]])[g.slot_in[:, : g.n_factors].T]
     cut = int(g.r.max()) + 2
     full = _prefix_weights(_tilt(inc, zeta).T, cut)[-1]
     at_least = np.where(np.arange(cut + 1)[:, None] >= g.r, full, 0.0).sum(axis=0)
@@ -579,7 +572,7 @@ def sigma_curve(g: FactorGraph, z_grid: Sequence[float], opts: BPOptions = BPOpt
             continue
         msgs = bp_fixed_point(g, z, opts)
         lam = mean_density(link_marginals(msgs))
-        s = bethe_entropy(g, msgs, z)
+        s = bethe_entropy(g, msgs)
         sigma = s - (1.0 - lam) * math.log(z)
         points.append(EntropyPoint(z, lam, s, sigma, msgs.converged))
     return EntropyCurve(tuple(points))

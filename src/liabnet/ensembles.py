@@ -101,52 +101,42 @@ def _close_economy(entries: np.ndarray) -> None:
     entries[borrowers, 0] = -net[borrowers]
 
 
-def _masked_matrix(spec: EnsembleSpec, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def generate(spec: EnsembleSpec) -> tuple[LiabilityMatrix, CapitalVector]:
+    """One network and its capitals, drawn in the order set out above.
+
+    Identical specs reproduce identical outputs bit for bit.  Uniform
+    entries are uniform in [0, 1].  Power-law entries come from the
+    inverse CDF x = b * (u^(-1/mu) - 1) with u uniform on (0, 1], so
+    F(x) = 1 - (b / (b + x))^mu.  No truncation is applied; arbitrarily
+    large entries are legitimate and are typically disclosed by the
+    observation threshold downstream.
+    """
+    rng = np.random.default_rng(spec.seed)
+    shape = (spec.n, spec.n)
+    mask = rng.random(shape) < spec.link_prob
+    if spec.kind == "uniform":
+        values = rng.random(shape)
+    else:
+        values = spec.b * ((1.0 - rng.random(shape)) ** (-1.0 / spec.mu) - 1.0)
     entries = np.where(mask, values, 0.0)
     np.fill_diagonal(entries, 0.0)
     if spec.closure:
         _close_economy(entries)
-    return entries
+    return LiabilityMatrix(entries), assign_capital(spec, rng)
 
 
 def gen_uniform(spec: EnsembleSpec) -> tuple[LiabilityMatrix, CapitalVector]:
-    """Entries uniform in [0, 1] on present links.
-
-    Returns the matrix and capitals from a single seeded stream; identical
-    specs reproduce identical outputs bit for bit.
-    """
+    """generate for a spec of kind "uniform"."""
     if spec.kind != "uniform":
         raise ValueError("spec.kind must be 'uniform'")
-    rng = np.random.default_rng(spec.seed)
-    mask = rng.random((spec.n, spec.n)) < spec.link_prob
-    values = rng.random((spec.n, spec.n))
-    entries = _masked_matrix(spec, values, mask)
-    return LiabilityMatrix(entries), assign_capital(spec, rng)
+    return generate(spec)
 
 
 def gen_powerlaw(spec: EnsembleSpec) -> tuple[LiabilityMatrix, CapitalVector]:
-    """Entries from the shifted-Pareto law on present links.
-
-    Values come from the inverse CDF x = b * (u^(-1/mu) - 1) with u uniform
-    on (0, 1], so F(x) = 1 - (b / (b + x))^mu.  No truncation is applied;
-    arbitrarily large entries are legitimate and are typically disclosed
-    by the observation threshold downstream.
-    """
+    """generate for a spec of kind "powerlaw"."""
     if spec.kind != "powerlaw":
         raise ValueError("spec.kind must be 'powerlaw'")
-    rng = np.random.default_rng(spec.seed)
-    mask = rng.random((spec.n, spec.n)) < spec.link_prob
-    u = 1.0 - rng.random((spec.n, spec.n))
-    values = spec.b * (u ** (-1.0 / spec.mu) - 1.0)
-    entries = _masked_matrix(spec, values, mask)
-    return LiabilityMatrix(entries), assign_capital(spec, rng)
-
-
-def generate(spec: EnsembleSpec) -> tuple[LiabilityMatrix, CapitalVector]:
-    """Dispatch on spec.kind."""
-    if spec.kind == "uniform":
-        return gen_uniform(spec)
-    return gen_powerlaw(spec)
+    return generate(spec)
 
 
 def spec_to_dict(spec: EnsembleSpec) -> dict:

@@ -199,27 +199,17 @@ def feasibility_check(p: ReducedProblem, a: Support | None = None) -> Feasibilit
 class DecimationOptions:
     """Controls for the fix-and-condition sampling loop.
 
-    fix_per_round is either an integer count of links fixed between
-    message-passing refreshes or a float fraction (0, 1) of the links
-    still undecided; 1 is the faithful one-at-a-time schedule.
+    fix_per_round is the share in [0, 1) of the still undecided links fixed
+    between message-passing refreshes, rounded, and at least one link; the
+    default 0 is the faithful one-at-a-time schedule.
     """
 
-    fix_per_round: int | float = 1
+    fix_per_round: float = 0.0
     bp: BPOptions = field(default_factory=lambda: BPOptions(tol=1e-8, max_sweeps=300))
 
     def __post_init__(self) -> None:
-        fp = self.fix_per_round
-        if isinstance(fp, float) and not fp.is_integer():
-            if not 0 < fp < 1:
-                raise ValueError("fractional fix_per_round must be in (0, 1)")
-        elif int(fp) < 1:
-            raise ValueError("integer fix_per_round must be >= 1")
-
-    def batch_size(self, remaining: int) -> int:
-        fp = self.fix_per_round
-        if isinstance(fp, float) and not fp.is_integer():
-            return max(1, min(remaining, round(fp * remaining)))
-        return max(1, min(remaining, int(fp)))
+        if not 0 <= self.fix_per_round < 1:
+            raise ValueError(f"fix_per_round {self.fix_per_round:g} must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -257,12 +247,8 @@ def _fix_variable(state: BPState, e: int, value: int) -> None:
     state.active[e] = False
     state.mu_row[e] = 0.0
     state.mu_col[e] = 0.0
-    fr = g.var_row_factor[e]
-    fc = g.var_col_factor[e]
-    state.k_eff[fr] -= 1
-    state.k_eff[fc] -= 1
     if value == 1:
-        for f in (fr, fc):
+        for f in (g.var_row_factor[e], g.var_col_factor[e]):
             state.r[f] = max(0, state.r[f] - 1)
 
 
@@ -329,12 +315,12 @@ def decimate(
             undecided = np.flatnonzero(state.active)
             bias = np.minimum(marg[undecided], 1.0 - marg[undecided])
             order = _fixing_order(bias)
-            batch = undecided[order[: opts.batch_size(undecided.size)]]
+            batch = undecided[order[: max(1, round(opts.fix_per_round * undecided.size))]]
             for e in batch:
                 value = 1 if rng.random() < marg[e] else 0
                 values[e] = value
                 _fix_variable(state, int(e), value)
-            if np.any(state.r > state.k_eff):
+            if np.any(state.r > _degree_counts(g, state.active)):
                 break  # contradiction: restart on the next stream
         else:
             degrees_met = np.all(_degree_counts(g, values) >= g.r)

@@ -32,7 +32,6 @@ from .bpcore import (
     sigma_curve,
 )
 from .netcore import (
-    ZERO_RESIDUAL_ATOL,
     LiabilityMatrix,
     _fmt,
     _read_table,
@@ -83,8 +82,8 @@ class ThresholdOptions:
 
     z_grid drives the entropy curve and must be strictly positive and
     ascending, as sigma_curve requires; lambda_opts the maximal-sparsity
-    search.  rng_seed seeds those searches, rng_seed + k at the k-th
-    threshold, so lambda_opts.rng_seed must stay 0.
+    search, which runs at the k-th threshold with seed
+    lambda_opts.rng_seed + k.
     """
 
     z_grid: tuple[float, ...] = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
@@ -98,16 +97,10 @@ class ThresholdOptions:
             ),
         )
     )
-    rng_seed: int = 0
     disclosed: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         _fugacity_grid(self.z_grid)
-        if self.lambda_opts.rng_seed != 0:
-            raise ValueError(
-                "lambda_opts.rng_seed is replaced at every threshold; "
-                "set ThresholdOptions.rng_seed instead"
-            )
 
 
 @dataclass(frozen=True)
@@ -116,9 +109,10 @@ class ThresholdRecord:
 
     m_raw counts every slot at or below the threshold; m counts the
     undetermined ones.  lambda_max is on the whole-matrix scale;
-    lambda_max_unknown on the undetermined-slot scale.  curve is the
-    entropy curve over the fugacity grid (None when fully determined or
-    failed).  error is set when this threshold's computation failed.
+    lambda_max_unknown is 1 - links / m_raw, on the scale of all m_raw
+    slots, not of the m undetermined ones.  curve is the entropy curve
+    over the fugacity grid (None when fully determined or failed).  error
+    is set when this threshold's computation failed.
     """
 
     theta: float
@@ -173,7 +167,7 @@ def _true_sparsity(L: LiabilityMatrix) -> float:
 
 
 def _sweep_one(
-    L_true: LiabilityMatrix, theta: float, opts: ThresholdOptions, seed: int
+    L_true: LiabilityMatrix, theta: float, opts: ThresholdOptions, index: int
 ) -> ThresholdRecord:
     n = L_true.n
     total_slots = n * (n - 1)
@@ -184,7 +178,8 @@ def _sweep_one(
     if float(L_true.entries.max()) <= theta:
         note = "threshold at or above the largest entry; nothing is disclosed"
     rows, cols = rp.ends
-    live = (rp.res_out[rows] > ZERO_RESIDUAL_ATOL) & (rp.res_in[cols] > ZERO_RESIDUAL_ATOL)
+    # absorb_known already zeroed every residual within its zero tolerance
+    live = (rp.res_out[rows] > 0) & (rp.res_in[cols] > 0)
     m_live = int(live.sum())
     if m_live == 0:
         # fully determined: every undisclosed slot is forced to zero
@@ -199,7 +194,7 @@ def _sweep_one(
             note=note,
         )
     g = build_factor_graph(rp, strict=True)
-    lm = lambda_max(g, rp, replace(opts.lambda_opts, rng_seed=seed))
+    lm = lambda_max(g, rp, replace(opts.lambda_opts, rng_seed=opts.lambda_opts.rng_seed + index))
     links_min = lm.links
     lam_whole = 1.0 - (known_links + links_min) / total_slots
     curve = sigma_curve(g, opts.z_grid, opts.bp)
@@ -281,7 +276,7 @@ def threshold_sweep(
     records: list[ThresholdRecord] = []
     for idx, theta in enumerate(thetas):
         try:
-            records.append(_sweep_one(L_true, theta, opts, opts.rng_seed + idx))
+            records.append(_sweep_one(L_true, theta, opts, idx))
         except (ValueError, RuntimeError) as err:
             logger.warning("threshold %g failed: %s", theta, err)
             records.append(

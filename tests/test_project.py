@@ -205,3 +205,38 @@ def test_calibration_range_matches_the_benchmark_check():
     args = fn.args.args[len(fn.args.args) - len(fn.args.defaults) :]
     defaults = {a.arg: ast.literal_eval(d) for a, d in zip(args, fn.args.defaults)}
     assert (defaults["z_lo"], defaults["z_hi"]) == (bpcore._CALIBRATE_Z_LO, bpcore._CALIBRATE_Z_HI)
+
+
+def test_every_option_is_read():
+    # A field of an *Options dataclass that no code outside its own class
+    # reads is a knob that does nothing; a caller setting it would be
+    # silently ignored.
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in (ROOT / "src" / "liabnet").glob("*.py")
+    ]
+    classes = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Options")
+    ]
+    assert {c.name for c in classes} >= {"BPOptions", "DecimationOptions", "ThresholdOptions"}
+    unread = []
+    for cls in classes:
+        inside = set(map(id, ast.walk(cls)))
+        read = {
+            node.attr
+            for tree in trees
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in inside
+        }
+        fields = [
+            n.target.id
+            for n in cls.body
+            if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+        ]
+        unread += [f"{cls.name}.{name}" for name in fields if name not in read]
+    assert not unread, f"option fields no code reads: {unread}"

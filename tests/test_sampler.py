@@ -1,6 +1,8 @@
 """Support sampling and transport feasibility: max-flow vs linear program,
 decimation distribution vs enumeration, and the sparsest-support search."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,15 @@ class TestDecimate:
             tr = decimate(g, p, 1.0, seed, opts)
             assert h_is_zero(p, tr.final_support.values)
 
+    @pytest.mark.parametrize("share, rounds", [(0.0, 20), (0.12, 16), (0.25, 9), (0.5, 5)])
+    def test_batch_is_a_rounded_share_of_the_undecided_links(self, share, rounds):
+        # 20 links; at 0.25 the batches are 5, 4, 3, 2, 2, 1, 1, 1, 1 (a
+        # floor instead of rounding would take 11 rounds).
+        _, _, p = random_problem(5, seed=2, density=1.0)
+        g = build_factor_graph(p)
+        tr = decimate(g, p, 1.0, 0, DecimationOptions(fix_per_round=share))
+        assert (g.m_total, tr.restarts, tr.rounds) == (20, 0, rounds)
+
     def test_fixing_order_ignores_rounding_noise(self):
         # Biases that differ only in the 12th decimal are a tie, which the
         # stable order breaks toward the lower index.
@@ -228,10 +239,12 @@ class TestDecimate:
         assert _fixing_order(np.array([0.3, 0.1, 0.2])).tolist() == [1, 2, 0]
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            DecimationOptions(fix_per_round=0)
-        with pytest.raises(ValueError):
-            DecimationOptions(fix_per_round=1.5)
+        # fix_per_round is a share of the undecided links; 0 fixes one link
+        # per round.
+        assert DecimationOptions(fix_per_round=0).fix_per_round == 0
+        for share in (1, 1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match="fix_per_round"):
+                DecimationOptions(fix_per_round=share)
 
 
 class TestSampleSupports:
