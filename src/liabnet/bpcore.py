@@ -217,6 +217,11 @@ class BPOptions:
             raise ValueError("damping must be in [0, 1)")
 
 
+# Message-passing budget of the support searches: decimation's refreshes,
+# the typical-support calibration and the threshold sweep's entropy curves.
+_SEARCH_BP = BPOptions(tol=1e-8, max_sweeps=300)
+
+
 @dataclass(frozen=True)
 class MessageSet:
     """Converged (or last) directed messages.

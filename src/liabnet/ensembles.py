@@ -24,8 +24,6 @@ from .netcore import CapitalVector, LiabilityMatrix
 
 __all__ = [
     "EnsembleSpec",
-    "gen_uniform",
-    "gen_powerlaw",
     "generate",
     "assign_capital",
     "spec_from_dict",
@@ -74,10 +72,6 @@ class EnsembleSpec:
         elif self.capital < 0:
             raise ValueError("capitals must be nonnegative")
 
-    @property
-    def sparsity(self) -> float:
-        return 1.0 - self.link_prob
-
 
 def assign_capital(spec: EnsembleSpec, rng: np.random.Generator) -> CapitalVector:
     """Constant or uniform-range capitals, independent of the matrix draw."""
@@ -123,20 +117,6 @@ def generate(spec: EnsembleSpec) -> tuple[LiabilityMatrix, CapitalVector]:
     if spec.closure:
         _close_economy(entries)
     return LiabilityMatrix(entries), assign_capital(spec, rng)
-
-
-def gen_uniform(spec: EnsembleSpec) -> tuple[LiabilityMatrix, CapitalVector]:
-    """generate for a spec of kind "uniform"."""
-    if spec.kind != "uniform":
-        raise ValueError("spec.kind must be 'uniform'")
-    return generate(spec)
-
-
-def gen_powerlaw(spec: EnsembleSpec) -> tuple[LiabilityMatrix, CapitalVector]:
-    """generate for a spec of kind "powerlaw"."""
-    if spec.kind != "powerlaw":
-        raise ValueError("spec.kind must be 'powerlaw'")
-    return generate(spec)
 
 
 def spec_to_dict(spec: EnsembleSpec) -> dict:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "Infeasible",
     "InfeasibleSupport",
     "NotConverged",
-    "kl_divergence",
     "me_reconstruct",
     "me_on_support",
 ]
@@ -101,24 +99,6 @@ class MEOptions:
             raise ValueError("max_iterations must be at least 1")
 
 
-def kl_divergence(L: Sequence[float], Q: Sequence[float]) -> float:
-    """Sum of L_a * log(L_a / Q_a), with 0 log 0 = 0.
-
-    Not a true divergence for a non-normalized prior; it is the
-    reconstruction objective taken as-is and may be negative.
-    """
-    L = np.asarray(L, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if L.shape != Q.shape:
-        raise ValueError("L and Q must have the same length")
-    if np.any(Q <= 0):
-        raise ValueError("prior values must be strictly positive")
-    if np.any(L < 0):
-        raise ValueError("values must be nonnegative")
-    pos = L > 0
-    return float(np.sum(L[pos] * np.log(L[pos] / Q[pos])))
-
-
 def _dual_change(t, x, t_new, x_new) -> float:
     """Sum over slots of h(t_new) - h(t), accurate to rounding of each change
     rather than of h itself, so the line search still sees the tiny
@@ -138,7 +118,7 @@ def _solve(p: ReducedProblem, slots: np.ndarray, opts: MEOptions):
     """
     rows, cols = (ends[slots] for ends in p.ends)
     r, c = p.res_out, p.res_in
-    live = (r[rows] > 0) & (c[cols] > 0)
+    live = p.live[slots]
     # Each slot carries at most 1, so no step can bring a bank's violation
     # below its target's excess over its live slot count.
     overfull = float(max(

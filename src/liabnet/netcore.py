@@ -182,28 +182,13 @@ class CapitalVector:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of validate_matrix: violation messages plus diagnostics.
-
-    constraint_rank is the rank R of the row/column sum constraint system
-    over the off-diagonal entries (R <= 2N - 1 for a balanced economy).
-    It is informational only.
-    """
+    """Outcome of validate_matrix: the violation messages, empty iff ok."""
 
     violations: tuple[str, ...]
-    constraint_rank: int
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _constraint_rank(n: int) -> int:
-    # The constraints' incidence on the slots is that of K_{N,N} minus a
-    # perfect matching, so its rank is 2N less the graph's component count:
-    # two disjoint edges at N = 2, connected for N >= 3.
-    if n < 2:
-        return 0
-    return 2 if n == 2 else 2 * n - 1
 
 
 def validate_matrix(
@@ -254,7 +239,7 @@ def validate_matrix(
         if abs(total_out - total_in) > tol:
             violations.append("closure imbalance: total credit differs from total debt")
 
-    return ValidationReport(tuple(violations), _constraint_rank(L.n))
+    return ValidationReport(tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -398,8 +383,12 @@ class ReducedProblem(_UnknownSlots):
             _set_vector(self, name, self.n, nonnegative=True)
 
     @property
-    def bank_set(self) -> frozenset[int]:
-        return frozenset(np.concatenate(self.ends).tolist())
+    def live(self) -> np.ndarray:
+        """Per slot, True when both its residual row and column sums are > 0:
+        the undetermined slots.  The others are forced to zero; absorb_known
+        has already zeroed every residual within its zero tolerance."""
+        rows, cols = self.ends
+        return (self.res_out[rows] > 0) & (self.res_in[cols] > 0)
 
     def total_residual(self) -> float:
         return float(self.res_out.sum())

@@ -28,6 +28,7 @@ import numpy as np
 
 from .netcore import ReducedProblem, Support, _check_same_slots, sparsity
 from .bpcore import (
+    _SEARCH_BP,
     BPOptions,
     BPState,
     FactorGraph,
@@ -205,7 +206,7 @@ class DecimationOptions:
     """
 
     fix_per_round: float = 0.0
-    bp: BPOptions = field(default_factory=lambda: BPOptions(tol=1e-8, max_sweeps=300))
+    bp: BPOptions = _SEARCH_BP
 
     def __post_init__(self) -> None:
         if not 0 <= self.fix_per_round < 1:

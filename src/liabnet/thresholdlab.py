@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bpcore import (
+    _SEARCH_BP,
     BPOptions,
     EntropyCurve,
     _fugacity_grid,
@@ -87,7 +88,7 @@ class ThresholdOptions:
     """
 
     z_grid: tuple[float, ...] = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
-    bp: BPOptions = field(default_factory=lambda: BPOptions(tol=1e-8, max_sweeps=300))
+    bp: BPOptions = _SEARCH_BP
     lambda_opts: LambdaMaxOptions = field(
         default_factory=lambda: LambdaMaxOptions(
             trials=6,
@@ -177,10 +178,7 @@ def _sweep_one(
     note = None
     if float(L_true.entries.max()) <= theta:
         note = "threshold at or above the largest entry; nothing is disclosed"
-    rows, cols = rp.ends
-    # absorb_known already zeroed every residual within its zero tolerance
-    live = (rp.res_out[rows] > 0) & (rp.res_in[cols] > 0)
-    m_live = int(live.sum())
+    m_live = int(rp.live.sum())
     if m_live == 0:
         # fully determined: every undisclosed slot is forced to zero
         lam_whole = 1.0 - known_links / total_slots

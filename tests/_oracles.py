@@ -184,6 +184,11 @@ def _lp_always_zero(p: ReducedProblem, slots: list[int]) -> np.ndarray:
     return forced
 
 
+def me_objective(values: np.ndarray) -> float:
+    """The ME objective sum x log x - x, with 0 log 0 = 0."""
+    return float((xlogy(values, values) - values).sum())
+
+
 def oracle_me(p: ReducedProblem, pattern: np.ndarray | None = None) -> np.ndarray:
     """Generic convex minimizer of sum x log x under the residual constraints.
 

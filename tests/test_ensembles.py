@@ -9,8 +9,6 @@ from scipy import stats
 from liabnet.ensembles import (
     EnsembleSpec,
     assign_capital,
-    gen_powerlaw,
-    gen_uniform,
     generate,
     spec_from_dict,
     spec_to_dict,
@@ -40,17 +38,6 @@ class TestSpecValidation:
             with pytest.raises(ValueError):
                 EnsembleSpec(**bad)
 
-    def test_sparsity_is_complement_of_link_prob(self):
-        assert EnsembleSpec(kind="uniform", n=5, link_prob=0.7).sparsity == pytest.approx(0.3)
-
-    def test_kind_dispatch_guards(self):
-        u = EnsembleSpec(kind="uniform", n=4, link_prob=0.5)
-        p = EnsembleSpec(kind="powerlaw", n=4, link_prob=0.5)
-        with pytest.raises(ValueError):
-            gen_powerlaw(u)
-        with pytest.raises(ValueError):
-            gen_uniform(p)
-
     def test_dict_roundtrip(self):
         spec = EnsembleSpec(
             kind="powerlaw", n=7, link_prob=0.4, b=0.02, mu=2.5,
@@ -69,12 +56,12 @@ class TestSpecValidation:
 
 class TestUniform:
     def test_zero_link_prob_gives_zero_matrix(self):
-        L, cap = gen_uniform(EnsembleSpec(kind="uniform", n=10, link_prob=0.0, seed=1))
+        L, cap = generate(EnsembleSpec(kind="uniform", n=10, link_prob=0.0, seed=1))
         assert np.all(L.entries == 0.0)
         assert cap.n == 10
 
     def test_full_link_prob_moments(self):
-        L, _ = gen_uniform(EnsembleSpec(kind="uniform", n=50, link_prob=1.0, seed=2))
+        L, _ = generate(EnsembleSpec(kind="uniform", n=50, link_prob=1.0, seed=2))
         vals = offdiag(L.entries)
         assert vals.size == 2450
         assert np.all(vals > 0.0)
@@ -83,28 +70,28 @@ class TestUniform:
 
     def test_sparsity_matches_binomial(self):
         spec = EnsembleSpec(kind="uniform", n=50, link_prob=0.7, seed=3)
-        L, _ = gen_uniform(spec)
+        L, _ = generate(spec)
         vals = offdiag(L.entries)
         lam = float(np.mean(vals == 0.0))
         se = math.sqrt(0.3 * 0.7 / vals.size)
         assert abs(lam - 0.3) < 3 * se
 
     def test_validates_and_zero_diagonal(self):
-        L, _ = gen_uniform(EnsembleSpec(kind="uniform", n=20, link_prob=0.6, seed=4))
+        L, _ = generate(EnsembleSpec(kind="uniform", n=20, link_prob=0.6, seed=4))
         assert validate_matrix(L).ok
         assert np.all(np.diag(L.entries) == 0.0)
 
     def test_bit_identical_for_same_seed(self):
         spec = EnsembleSpec(kind="uniform", n=30, link_prob=0.5, seed=5)
-        a, ca = gen_uniform(spec)
-        b, cb = gen_uniform(spec)
+        a, ca = generate(spec)
+        b, cb = generate(spec)
         assert np.array_equal(a.entries, b.entries)
         assert np.array_equal(ca.c, cb.c)
-        c, _ = gen_uniform(EnsembleSpec(kind="uniform", n=30, link_prob=0.5, seed=6))
+        c, _ = generate(EnsembleSpec(kind="uniform", n=30, link_prob=0.5, seed=6))
         assert not np.array_equal(a.entries, c.entries)
 
     def test_entry_independence(self):
-        L, _ = gen_uniform(EnsembleSpec(kind="uniform", n=100, link_prob=1.0, seed=7))
+        L, _ = generate(EnsembleSpec(kind="uniform", n=100, link_prob=1.0, seed=7))
         vals = offdiag(L.entries)
         bound = 3.0 / math.sqrt(vals.size)
         assert abs(np.corrcoef(vals[:-1], vals[1:])[0, 1]) < bound
@@ -117,14 +104,14 @@ class TestPowerlaw:
     def test_mean_matches_analytic(self):
         # mean of the shifted-Pareto law is b / (mu - 1)
         spec = EnsembleSpec(kind="powerlaw", n=150, link_prob=1.0, b=0.01, mu=3.0, seed=8)
-        L, _ = gen_powerlaw(spec)
+        L, _ = generate(spec)
         vals = offdiag(L.entries)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 0.01 / 2.0) < 3 * se
 
     def test_mean_at_heavy_tail(self):
         spec = EnsembleSpec(kind="powerlaw", n=150, link_prob=1.0, b=0.01, mu=2.0, seed=9)
-        L, _ = gen_powerlaw(spec)
+        L, _ = generate(spec)
         vals = offdiag(L.entries)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 0.01) < 3 * se
@@ -133,7 +120,7 @@ class TestPowerlaw:
         # ~1e5 draws against F(x) = 1 - (b / (b + x))^mu at the 1% level
         b, mu = 0.01, 2.0
         spec = EnsembleSpec(kind="powerlaw", n=317, link_prob=1.0, b=b, mu=mu, seed=10)
-        L, _ = gen_powerlaw(spec)
+        L, _ = generate(spec)
         vals = offdiag(L.entries)
         assert vals.size > 100_000
         res = stats.kstest(vals, lambda x: 1.0 - (b / (b + x)) ** mu)
@@ -141,13 +128,13 @@ class TestPowerlaw:
 
     def test_no_truncation(self):
         spec = EnsembleSpec(kind="powerlaw", n=317, link_prob=1.0, b=0.01, mu=2.0, seed=11)
-        L, _ = gen_powerlaw(spec)
+        L, _ = generate(spec)
         assert offdiag(L.entries).max() > 1.0
 
     def test_validates_and_reproducible(self):
         spec = EnsembleSpec(kind="powerlaw", n=25, link_prob=0.5, b=0.01, mu=2.0, seed=12)
-        a, _ = gen_powerlaw(spec)
-        b_, _ = gen_powerlaw(spec)
+        a, _ = generate(spec)
+        b_, _ = generate(spec)
         assert validate_matrix(a).ok
         assert np.array_equal(a.entries, b_.entries)
 
@@ -183,9 +170,9 @@ class TestClosure:
 
     def test_closure_bank_carries_only_imbalance(self):
         spec = EnsembleSpec(kind="uniform", n=20, link_prob=0.5, seed=15, closure=True)
-        L, _ = gen_uniform(spec)
+        L, _ = generate(spec)
         open_spec = EnsembleSpec(kind="uniform", n=20, link_prob=0.5, seed=15, closure=False)
-        M, _ = gen_uniform(open_spec)
+        M, _ = generate(open_spec)
         # interior block is untouched by closure
         assert np.array_equal(L.entries[1:, 1:], M.entries[1:, 1:])
         # each interior bank faces bank 0 on at most one side

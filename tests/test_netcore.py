@@ -46,19 +46,6 @@ class TestValidateMatrix:
         report = nc.validate_matrix(L, out_strength=L.out_strength, in_strength=L.in_strength)
         assert report.ok
 
-    def test_constraint_rank(self):
-        # The closed form against the rank of the incidence of the 2N
-        # strength constraints on the N(N-1) off-diagonal slots.
-        for n in range(1, 9):
-            slots = offdiag(n)
-            a = np.zeros((2 * n, len(slots)))
-            for e, (i, j) in enumerate(slots):
-                a[i, e] = 1.0
-                a[n + j, e] = 1.0
-            expected = int(np.linalg.matrix_rank(a))
-            L = nc.LiabilityMatrix(np.zeros((n, n)))
-            assert nc.validate_matrix(L).constraint_rank == expected
-
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             nc.LiabilityMatrix(np.zeros((2, 3)))
@@ -300,14 +287,16 @@ class TestAbsorbKnown:
         with pytest.raises(nc.InconsistentObservation):
             nc.absorb_known(obs)
 
-    def test_bank_set(self):
+    def test_live(self):
+        # A slot is undetermined only when both its residual row and column
+        # sums are positive; an exhausted residual at either end forces it to 0.
         rp = nc.ReducedProblem(
             n=4,
-            ends=ends_of(((0, 1), (2, 1))),
-            res_out=np.array([0.5, 0.0, 0.5, 0.0]),
-            res_in=np.array([0.0, 1.0, 0.0, 0.0]),
+            ends=ends_of(((0, 1), (2, 1), (1, 0), (3, 1))),
+            res_out=np.array([0.5, 0.7, 0.5, 0.0]),
+            res_in=np.array([0.0, 1.7, 0.0, 0.0]),
         )
-        assert rp.bank_set == {0, 1, 2}
+        assert rp.live.tolist() == [True, True, False, False]
 
 
 class TestFileFormats:

@@ -1,7 +1,8 @@
 """Packaging metadata, module exports and the benchmark tracer's keys point
-at code that exists, the benchmark's calibration check shares the library's
-fugacity range, and the package imports nothing at run time beyond the
-standard library and numpy."""
+at code that exists, every public function has a caller outside the tests,
+the benchmark's calibration check shares the library's fugacity range, and
+the package imports nothing at run time beyond the standard library and
+numpy."""
 
 import ast
 import importlib
@@ -240,3 +241,53 @@ def test_every_option_is_read():
         ]
         unread += [f"{cls.name}.{name}" for name in fields if name not in read]
     assert not unread, f"option fields no code reads: {unread}"
+
+
+# Public functions that no package or benchmark code calls but that stay:
+# the package's file formats (any read_* / write_*), the ensemble spec's JSON
+# form, the message-passing kernel's seam, the enumeration tests' sample
+# summary and the threshold grid offered to callers.
+UNCALLED_BY_DESIGN = {
+    "spec_to_dict",
+    "spec_from_dict",
+    "node_weights",
+    "sample_stats",
+    "default_theta_grid",
+}
+
+
+def test_public_functions_have_callers():
+    # A public function that only tests call is dead API.  A caller is a
+    # name or attribute reference outside the function's own definition, in
+    # the package or the benchmark (not its tests), or a "layer.function"
+    # key of the benchmark's tracer.
+    paths = sorted((ROOT / "src" / "liabnet").glob("*.py")) + [
+        path for path in sorted((ROOT / "perfbench").glob("*.py")) if not path.stem.startswith("test_")
+    ]
+    refs = set()  # (file stem, top-level definition or None, referenced name)
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    refs.add((path.stem, scope, node.id))
+                elif isinstance(node, ast.Attribute):
+                    refs.add((path.stem, scope, node.attr))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "." in node.value:
+                    refs.add((path.stem, scope, node.value))
+    uncalled = []
+    for info in pkgutil.iter_modules(liabnet.__path__):
+        module = importlib.import_module(f"liabnet.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            fn = getattr(module, name)
+            if (
+                not isinstance(fn, types.FunctionType)
+                or fn.__module__ != module.__name__
+                or name.startswith(("read_", "write_"))
+                or name in UNCALLED_BY_DESIGN
+            ):
+                continue
+            keys = {name, f"{info.name}.{name}"}
+            if not any(ref in keys and (stem, scope) != (info.name, name) for stem, scope, ref in refs):
+                uncalled.append(f"{info.name}.{name}")
+    assert not uncalled, f"public functions only tests call: {uncalled}"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from liabnet.bpcore import BPOptions, build_factor_graph, calibrate_fugacity, sigma_curve
-from liabnet.ensembles import EnsembleSpec, gen_powerlaw, gen_uniform, generate
+from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import LiabilityMatrix, absorb_known, make_observation
 from liabnet.sampler import DecimationOptions, LambdaMaxOptions, lambda_max
 from liabnet import thresholdlab
@@ -39,7 +39,7 @@ def powerlaw_net(n: int = 10, seed: int = 3) -> LiabilityMatrix:
     spec = EnsembleSpec(
         kind="powerlaw", n=n, link_prob=0.7, b=0.01, mu=2.0, seed=seed, capital=0.02
     )
-    return gen_powerlaw(spec)[0]
+    return generate(spec)[0]
 
 
 class TestGrid:
@@ -173,7 +173,7 @@ def test_records_match_their_pieces():
 
 class TestNestedCurves:
     def test_uniform_network_nests(self):
-        L, _ = gen_uniform(
+        L, _ = generate(
             EnsembleSpec(kind="uniform", n=10, link_prob=0.7, seed=2)
         )
         rep = threshold_sweep(L, [0.3, 0.6, 0.95], small_opts(seed=2))
