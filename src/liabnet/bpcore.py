@@ -32,12 +32,11 @@ the graph's slot_in gathers every slot's incoming message in one call
 The cavity gathers depend on r, so run_sweeps builds them once per call;
 decimation lowers r between calls, and a plan kept longer would be stale.
 
-The limits z -> 0 (sparsest admissible graphs) and z -> infinity (complete
-graph) are selected by passing z = 0.0 or z = math.inf and use exact
-closed forms, never extreme floats.  At z = 0, mu = V^{r-1} / (V^{r-1} +
-V^r); when both vanish because the cavity already holds more than r
-links, mu is 0 (the z -> 0 limit), and only a cavity that cannot reach
-r - 1 links is degenerate (0.5, counted in BPState.degenerate).
+The limit z -> 0 (sparsest admissible graphs) is selected by passing
+z = 0.0 and uses exact closed forms, never extreme floats: mu = V^{r-1} /
+(V^{r-1} + V^r); when both vanish because the cavity already holds more
+than r links, mu is 0 (the z -> 0 limit), and only a cavity that cannot
+reach r - 1 links is degenerate (0.5, counted in BPState.degenerate).
 """
 
 from __future__ import annotations
@@ -219,6 +218,8 @@ class BPOptions:
 
 # Message-passing budget of the support searches: decimation's refreshes,
 # the typical-support calibration and the threshold sweep's entropy curves.
+# Its damping applies to z = 0 refreshes; decimation runs finite-z
+# refreshes undamped.
 _SEARCH_BP = BPOptions(tol=1e-8, max_sweeps=300)
 
 
@@ -257,9 +258,9 @@ def node_weights(incoming: Sequence[float], m_max: int) -> np.ndarray:
 
 def _zeta_of(z: float) -> float:
     """Internal per-factor weight zeta = sqrt(z), so the two factor sides
-    of a link jointly charge z per link; 0 and inf select the limits."""
-    if not z >= 0:
-        raise ValueError("fugacity must be positive (or the 0 / inf sentinels)")
+    of a link jointly charge z per link; 0 selects the sparse limit."""
+    if not 0 <= z < math.inf:
+        raise ValueError(f"fugacity {z:g} must be finite and >= 0 (0 is the sparse limit)")
     return math.sqrt(z)
 
 
@@ -298,16 +299,15 @@ def make_state(g: FactorGraph, z: float) -> BPState:
     KernelTooLarge when the sweep kernel's arrays would exceed physical
     memory."""
     zeta = _zeta_of(z)
-    if not math.isinf(zeta):
-        # float64 arrays a sweep holds at once: the stacked prefix/suffix
-        # distributions, the suffix tails and one gathered operand.
-        f, k, cut = g.n_factors, g.max_degree, int(g.r.max(initial=0)) + 2
-        nbytes = 8 * (2 * f * (k + 1) * (cut + 1) + f * k * (2 * cut + 3))
-        if nbytes > _physical_memory():
-            raise KernelTooLarge(
-                f"message kernel for n={g.n}, K={k}, R={cut} needs {nbytes} bytes, "
-                "more than physical memory"
-            )
+    # float64 arrays a sweep holds at once: the stacked prefix/suffix
+    # distributions, the suffix tails and one gathered operand.
+    f, k, cut = g.n_factors, g.max_degree, int(g.r.max(initial=0)) + 2
+    nbytes = 8 * (2 * f * (k + 1) * (cut + 1) + f * k * (2 * cut + 3))
+    if nbytes > _physical_memory():
+        raise KernelTooLarge(
+            f"message kernel for n={g.n}, K={k}, R={cut} needs {nbytes} bytes, "
+            "more than physical memory"
+        )
     m = g.m_total
     return BPState(
         g=g,
@@ -414,10 +414,6 @@ def run_sweeps(state: BPState, opts: BPOptions) -> tuple[bool, int, float]:
     """Iterate synchronous sweeps until the max message change is below tol."""
     if state.g.m_total == 0 or not np.any(state.active):
         return True, 0, 0.0
-    if math.isinf(state.zeta):
-        state.mu_row[state.active] = 1.0
-        state.mu_col[state.active] = 1.0
-        return True, 1, 0.0
     plan = _gather_plan(state.g, state.r)
     delta = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
@@ -437,8 +433,8 @@ def bp_fixed_point(
 
     Args:
         g: factor graph (must be locally feasible).
-        z: fugacity; 0.0 selects the sparsest-graph limit equations and
-            math.inf the complete-graph limit.
+        z: finite fugacity; 0.0 selects the sparsest-graph limit
+            equations.
         opts: tolerance, sweep cap and damping.
 
     Returns:
@@ -506,8 +502,8 @@ def bethe_entropy(g: FactorGraph, m: MessageSet) -> float:
     when some variable's messages are contradictory.
     """
     zeta = _zeta_of(m.z)
-    if zeta == 0 or math.isinf(zeta):
-        raise ValueError("entropy is defined for finite positive z only")
+    if zeta == 0:
+        raise ValueError("entropy is defined for positive z only")
     if g.m_total == 0:
         return 0.0
     # (F, K) messages arriving at each factor slot, read through the same
@@ -554,27 +550,23 @@ class EntropyCurve:
 
 
 def _fugacity_grid(z_grid: Sequence[float]) -> list[float]:
-    """z_grid as a list; ValueError unless strictly positive and ascending."""
+    """z_grid as a list; ValueError unless finite, strictly positive and
+    ascending."""
     zs = list(z_grid)
-    if not all(z > 0 for z in zs):
-        raise ValueError("fugacity grid must be strictly positive")
+    if not all(0 < z < math.inf for z in zs):
+        raise ValueError("fugacity grid must be finite and strictly positive")
     if sorted(zs) != zs:
         raise ValueError("fugacity grid must be sorted ascending")
     return zs
 
 
 def sigma_curve(g: FactorGraph, z_grid: Sequence[float], opts: BPOptions = BPOptions()) -> EntropyCurve:
-    """Evaluate density and entropies over a sorted positive fugacity grid.
-
-    math.inf is allowed as an endpoint (complete graph: density 1, a single
-    configuration, Sigma = 0).  Non-converged points are flagged and the
-    curve continues.
+    """Evaluate density and entropies over a sorted, finite, positive
+    fugacity grid.  Non-converged points are flagged and the curve
+    continues.
     """
     points = []
     for z in _fugacity_grid(z_grid):
-        if math.isinf(z):
-            points.append(EntropyPoint(z, 0.0, math.inf, 0.0, True))
-            continue
         msgs = bp_fixed_point(g, z, opts)
         lam = mean_density(link_marginals(msgs))
         s = bethe_entropy(g, msgs)

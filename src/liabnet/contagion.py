@@ -258,8 +258,8 @@ class CompareOptions:
             raise ValueError("support_samples must be at least 1")
         if self.lambda_trials < 1:
             raise ValueError("lambda_trials must be at least 1")
-        if self.typical_z is not None and not self.typical_z > 0:
-            raise ValueError("typical_z must be positive")
+        if self.typical_z is not None and not 0 < self.typical_z < math.inf:
+            raise ValueError(f"typical_z {self.typical_z:g} must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -202,7 +202,8 @@ class DecimationOptions:
 
     fix_per_round is the share in [0, 1) of the still undecided links fixed
     between message-passing refreshes, rounded, and at least one link; the
-    default 0 is the faithful one-at-a-time schedule.
+    default 0 is the faithful one-at-a-time schedule.  bp.damping applies
+    to z = 0 refreshes; finite-z refreshes run undamped.
     """
 
     fix_per_round: float = 0.0
@@ -289,7 +290,10 @@ def decimate(
     Each round refreshes the message fixed point (warm-started), picks the
     most strongly biased undecided links (stable tie-break toward lower
     index), flips each on with its marginal probability, and conditions
-    the factors on the outcome.  A contradiction (some bank left needing
+    the factors on the outcome.  At finite z the refreshes run undamped:
+    damping changes the path to a fixed point, not the fixed point.  At
+    z = 0 they keep opts.bp.damping, because the sparse-limit equations
+    converge slowly without it.  A contradiction (some bank left needing
     more links than remain available) restarts the run with a fresh
     stream, up to 20 extra attempts.
 
@@ -303,13 +307,14 @@ def decimate(
     if g.infeasible_factors:
         raise ExhaustedRestarts(DecimationTrace(restarts=0, final_support=None))
     streams = _seed_sequence(rng_seed).spawn(_MAX_RESTARTS + 1)
+    bp = opts.bp if z == 0 else replace(opts.bp, damping=0.0)
     rounds = converged_rounds = 0
     for attempt, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         state = make_state(g, z)
         values = np.zeros(g.m_total, dtype=np.uint8)
         while np.any(state.active):
-            ok, _, _ = run_sweeps(state, opts.bp)
+            ok, _, _ = run_sweeps(state, bp)
             rounds += 1
             converged_rounds += int(ok)
             marg, _ = state_marginals(state.mu_row, state.mu_col)

@@ -286,6 +286,12 @@ class TestCompareMethods:
         with pytest.raises(ValueError, match=name):
             CompareOptions(**{name: 0})
 
+    def test_typical_z_must_be_finite_and_positive(self):
+        for z in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="typical_z"):
+                CompareOptions(typical_z=z)
+        assert CompareOptions(typical_z=1e6).typical_z == 1e6
+
     def test_sparsest_support_me_converges(self):
         # A peeled sparsest support on which alternating projections stalled
         # at a sum violation of 1.9e-4 after 10000 iterations.
@@ -368,17 +374,18 @@ class TestCompareMethods:
         # Every curve is the stress test of what its method rebuilds, redone
         # here from the public pieces: one matrix per method, except the
         # typical method, whose curve averages one matrix per usable draw.
-        # Case (6, 14) skips 2 of 5 draws and falls back on the sparsest
-        # search; case (8, 10) skips 1 and finds a sparsest support.  On both,
-        # the draws' curves differ, and ME on all slots or on the true support
-        # gives different curves.
+        # Case (6, 14) at rng_seed 20 skips 2 of 5 draws and falls back on
+        # the sparsest search; case (8, 10) at rng_seed 5 skips 1 and finds a
+        # sparsest support.  On both, the draws' curves differ, and ME on all
+        # slots or on the true support gives different curves.
+        rng_seed, skipped_draws, fallback = {(6, 14): (20, 2, True), (8, 10): (5, 1, False)}[case]
         L, cap = random_case(*case)
         grid = [0.2, 0.4, 0.6, 0.8, 1.0]
         opts = CompareOptions(
             theta=0.6,
             support_samples=5,
             typical_z=1.0,
-            rng_seed=5,
+            rng_seed=rng_seed,
             exclude_bank=exclude,
             lambda_trials=4,
         )
@@ -455,7 +462,6 @@ class TestCompareMethods:
             else:
                 assert mc.stderr is None
                 assert mc.samples_used == 1
-        skipped_draws, fallback = {(6, 14): (2, True), (8, 10): (1, False)}[case]
         assert len(draws) - len(typical) == skipped_draws
         assert lm.fallback == fallback
         dense, on_truth = (rep.curve_for(m).curve for m in ("me_dense", "me_on_true_support"))

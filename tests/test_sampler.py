@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from liabnet.bpcore import build_factor_graph
+from liabnet import sampler
+from liabnet.bpcore import BPOptions, build_factor_graph
 from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import ReducedProblem, Support, absorb_known, make_observation, support_of
 from liabnet.sampler import (
@@ -237,6 +238,24 @@ class TestDecimate:
         # stable order breaks toward the lower index.
         assert _fixing_order(np.array([0.3 + 1e-12, 0.3]))[0] == 0
         assert _fixing_order(np.array([0.3, 0.1, 0.2])).tolist() == [1, 2, 0]
+
+    @pytest.mark.parametrize("z, damping", [(0.0, 0.3), (0.2, 0.0), (1.0, 0.0)])
+    def test_refreshes_damp_only_at_the_sparse_limit(self, monkeypatch, z, damping):
+        # Finite-z refreshes run undamped; z = 0 refreshes keep bp.damping,
+        # and every other budget setting is passed through unchanged.
+        seen, real = [], sampler.run_sweeps
+
+        def spy(state, opts):
+            seen.append(opts)
+            return real(state, opts)
+
+        monkeypatch.setattr(sampler, "run_sweeps", spy)
+        p = benchmark3()
+        g = build_factor_graph(p)
+        bp = BPOptions(tol=1e-9, max_sweeps=250, damping=0.3)
+        tr = decimate(g, p, z, 3, DecimationOptions(bp=bp))
+        assert len(seen) == tr.rounds > 0
+        assert set(seen) == {BPOptions(tol=1e-9, max_sweeps=250, damping=damping)}
 
     def test_options_validation(self):
         # fix_per_round is a share of the undecided links; 0 fixes one link
