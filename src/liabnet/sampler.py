@@ -10,11 +10,15 @@ returns either a realizing assignment or a deficient cut.
 decimate draws a support from the fugacity-z ensemble: run message
 passing, fix the most biased undecided link by a coin flip with its
 marginal probability, condition the remaining problem on that choice, and
-repeat, restarting on contradictions.  sample_supports is its one caller:
-it gives each draw its own stream, records failed draws and flow-checks
-the rest.  lambda_max draws through sample_supports over a ladder of
-fugacities near the z -> 0 limit, greedily peels every distinct draw that
-passes the flow check, and keeps the sparsest result.
+repeat.  A bank side whose remaining requirement equals its undecided
+links has all of them fixed on at once, as every support of the
+conditioned ensemble has them; so no coin flip can leave a bank short,
+and one pass always completes.  sample_supports is its one caller: it
+gives each draw its own stream, records draws on a locally infeasible
+graph as failed and flow-checks the rest.  lambda_max draws through
+sample_supports over a ladder of fugacities near the z -> 0 limit,
+greedily peels every distinct draw that passes the flow check, and keeps
+the sparsest result.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .bpcore import (
     BPOptions,
     BPState,
     FactorGraph,
+    LocallyInfeasible,
     make_state,
     run_sweeps,
     state_marginals,
@@ -42,7 +47,6 @@ __all__ = [
     "feasibility_check",
     "DecimationOptions",
     "DecimationTrace",
-    "ExhaustedRestarts",
     "decimate",
     "SampledSupport",
     "sample_supports",
@@ -55,8 +59,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _EPS = 1e-12
-# Extra decimation attempts after a contradiction, each on a fresh stream.
-_MAX_RESTARTS = 20
 
 
 class _Dinic:
@@ -216,23 +218,20 @@ class DecimationOptions:
 
 @dataclass(frozen=True)
 class DecimationTrace:
-    """What one decimation run did: restarts, message-passing rounds, and
-    the drawn support (None when every attempt hit a contradiction)."""
+    """What one decimation run did: message-passing rounds, links fixed on
+    by propagation (forced), and the drawn support (None for a draw that
+    sample_supports recorded as failed).
+
+    restarts is always 0: propagation leaves no contradiction to restart
+    from.  It stays while perfbench's tracer reads it; its removal joins
+    the benchmark-only cleanup of ROADMAP item 8.
+    """
 
     restarts: int
     final_support: Support | None
     converged_rounds: int = 0
     rounds: int = 0
-
-
-class ExhaustedRestarts(RuntimeError):
-    """Every restart hit a contradiction; carries the last trace."""
-
-    def __init__(self, trace: DecimationTrace):
-        super().__init__(
-            f"decimation failed after {trace.restarts} restarts"
-        )
-        self.trace = trace
+    forced: int = 0
 
 
 def _fix_variable(state: BPState, e: int, value: int) -> None:
@@ -278,6 +277,25 @@ def _seed_sequence(rng_seed: int | np.random.SeedSequence) -> np.random.SeedSequ
     return np.random.SeedSequence(rng_seed)
 
 
+def _force_links(state: BPState, members: list[np.ndarray], factors, values: np.ndarray) -> int:
+    """Fix on every undecided link of each factor whose remaining
+    requirement equals their number; returns how many links that fixed.
+
+    Fixing a link on lowers its factors' requirements and undecided counts
+    together, so it never forces another factor: one pass over the factors
+    whose counts changed suffices.
+    """
+    forced = 0
+    for f in factors:
+        links = members[f][state.active[members[f]]]
+        if 0 < state.r[f] == links.size:
+            for e in links.tolist():
+                values[e] = 1
+                _fix_variable(state, e, 1)
+            forced += links.size
+    return forced
+
+
 def decimate(
     g: FactorGraph,
     p: ReducedProblem,
@@ -287,58 +305,66 @@ def decimate(
 ) -> DecimationTrace:
     """Draw one support from the fugacity-z ensemble by iterated fixing.
 
-    Each round refreshes the message fixed point (warm-started), picks the
-    most strongly biased undecided links (stable tie-break toward lower
-    index), flips each on with its marginal probability, and conditions
-    the factors on the outcome.  At finite z the refreshes run undamped:
-    damping changes the path to a fixed point, not the fixed point.  At
-    z = 0 they keep opts.bp.damping, because the sparse-limit equations
-    converge slowly without it.  A contradiction (some bank left needing
-    more links than remain available) restarts the run with a fresh
-    stream, up to 20 extra attempts.
+    Propagation first fixes on the links of every factor that needs all of
+    its undecided links.  Each round then refreshes the message fixed
+    point (warm-started), picks the most strongly biased undecided links
+    (stable tie-break toward lower index), flips each on with its marginal
+    probability, and conditions the factors on the outcome; a link that
+    propagation fixed earlier in the batch is skipped and draws no random
+    number.  After every link fixed off, propagation runs again on its two
+    factors.  Forced links belong to every support of the conditioned
+    ensemble, so this is exact conditioning, and it keeps each factor of
+    an undecided link either free of requirement or one link short of
+    needing all of them: no flip can leave a bank short.  At finite z the
+    refreshes run undamped: damping changes the path to a fixed point, not
+    the fixed point.  At z = 0 they keep opts.bp.damping, because the
+    sparse-limit equations converge slowly without it.
 
     Returns:
         DecimationTrace whose final_support satisfies every degree
         requirement of the original problem (asserted).
 
     Raises:
-        ExhaustedRestarts: if every attempt hit a contradiction.
+        LocallyInfeasible: if some factor needs more links than it has.
     """
     if g.infeasible_factors:
-        raise ExhaustedRestarts(DecimationTrace(restarts=0, final_support=None))
-    streams = _seed_sequence(rng_seed).spawn(_MAX_RESTARTS + 1)
+        raise LocallyInfeasible(g.infeasible_factors)
+    rng = np.random.default_rng(rng_seed)
     bp = opts.bp if z == 0 else replace(opts.bp, damping=0.0)
+    state = make_state(g, z)
+    values = np.zeros(g.m_total, dtype=np.uint8)
+    members = [
+        np.flatnonzero((g.var_row_factor == f) | (g.var_col_factor == f))
+        for f in range(g.n_factors)
+    ]
+    forced = _force_links(state, members, range(g.n_factors), values)
     rounds = converged_rounds = 0
-    for attempt, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        state = make_state(g, z)
-        values = np.zeros(g.m_total, dtype=np.uint8)
-        while np.any(state.active):
-            ok, _, _ = run_sweeps(state, bp)
-            rounds += 1
-            converged_rounds += int(ok)
-            marg, _ = state_marginals(state.mu_row, state.mu_col)
-            undecided = np.flatnonzero(state.active)
-            bias = np.minimum(marg[undecided], 1.0 - marg[undecided])
-            order = _fixing_order(bias)
-            batch = undecided[order[: max(1, round(opts.fix_per_round * undecided.size))]]
-            for e in batch:
-                value = 1 if rng.random() < marg[e] else 0
-                values[e] = value
-                _fix_variable(state, int(e), value)
-            if np.any(state.r > _degree_counts(g, state.active)):
-                break  # contradiction: restart on the next stream
-        else:
-            degrees_met = np.all(_degree_counts(g, values) >= g.r)
-            assert degrees_met, "decimation produced a degree-violating support"
-            return DecimationTrace(
-                restarts=attempt,
-                final_support=Support(p.ends, values),
-                converged_rounds=converged_rounds,
-                rounds=rounds,
-            )
-    raise ExhaustedRestarts(
-        DecimationTrace(_MAX_RESTARTS, None, converged_rounds=converged_rounds, rounds=rounds)
+    while np.any(state.active):
+        ok, _, _ = run_sweeps(state, bp)
+        rounds += 1
+        converged_rounds += int(ok)
+        marg, _ = state_marginals(state.mu_row, state.mu_col)
+        undecided = np.flatnonzero(state.active)
+        bias = np.minimum(marg[undecided], 1.0 - marg[undecided])
+        order = _fixing_order(bias)
+        batch = undecided[order[: max(1, round(opts.fix_per_round * undecided.size))]]
+        for e in batch.tolist():
+            if not state.active[e]:
+                continue  # forced on earlier in this batch
+            value = 1 if rng.random() < marg[e] else 0
+            values[e] = value
+            _fix_variable(state, e, value)
+            if value == 0:
+                ends = (g.var_row_factor[e], g.var_col_factor[e])
+                forced += _force_links(state, members, ends, values)
+    degrees_met = np.all(_degree_counts(g, values) >= g.r)
+    assert degrees_met, "decimation produced a degree-violating support"
+    return DecimationTrace(
+        restarts=0,
+        final_support=Support(p.ends, values),
+        converged_rounds=converged_rounds,
+        rounds=rounds,
+        forced=forced,
     )
 
 
@@ -370,8 +396,8 @@ def sample_supports(
     Draw t runs on child t of count children spawned from rng_seed, so
     results do not depend on completion order; a SeedSequence is spawned
     from in place, so consecutive calls on one continue its children.
-    Failed draws (ExhaustedRestarts) are recorded rather than raised;
-    sample_stats summarizes the batch.
+    Draws on a locally infeasible graph (LocallyInfeasible) are recorded
+    as failed rather than raised; sample_stats summarizes the batch.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -379,9 +405,9 @@ def sample_supports(
     for child in _seed_sequence(rng_seed).spawn(count):
         try:
             trace = decimate(g, p, z, child, opts)
-        except ExhaustedRestarts as err:
+        except LocallyInfeasible as err:
             logger.warning("support draw failed: %s", err)
-            out.append(SampledSupport(err.trace, None))
+            out.append(SampledSupport(DecimationTrace(restarts=0, final_support=None), None))
             continue
         out.append(SampledSupport(trace, feasibility_check(p, trace.final_support)))
     return out
@@ -399,7 +425,6 @@ def sample_stats(samples: list[SampledSupport]) -> dict[str, float]:
             sum(s.certificate.feasible for s in done) / len(done) if done else math.nan
         ),
         "mean_links": float(np.mean([s.support.ones for s in done])) if done else math.nan,
-        "mean_restarts": float(np.mean([s.trace.restarts for s in samples])) if samples else 0.0,
     }
 
 

@@ -374,11 +374,11 @@ class TestCompareMethods:
         # Every curve is the stress test of what its method rebuilds, redone
         # here from the public pieces: one matrix per method, except the
         # typical method, whose curve averages one matrix per usable draw.
-        # Case (6, 14) at rng_seed 20 skips 2 of 5 draws and falls back on
+        # Case (6, 14) at rng_seed 11 skips 2 of 5 draws and falls back on
         # the sparsest search; case (8, 10) at rng_seed 5 skips 1 and finds a
         # sparsest support.  On both, the draws' curves differ, and ME on all
         # slots or on the true support gives different curves.
-        rng_seed, skipped_draws, fallback = {(6, 14): (20, 2, True), (8, 10): (5, 1, False)}[case]
+        rng_seed, skipped_draws, fallback = {(6, 14): (11, 2, True), (8, 10): (5, 1, False)}[case]
         L, cap = random_case(*case)
         grid = [0.2, 0.4, 0.6, 0.8, 1.0]
         opts = CompareOptions(

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from liabnet import sampler
-from liabnet.bpcore import BPOptions, build_factor_graph
+from liabnet.bpcore import BPOptions, LocallyInfeasible, build_factor_graph
 from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import ReducedProblem, Support, absorb_known, make_observation, support_of
 from liabnet.sampler import (
     DecimationOptions,
-    ExhaustedRestarts,
     LambdaMaxOptions,
     _fixing_order,
     _peel_support,
@@ -150,10 +149,51 @@ class TestDecimate:
         assert seen == cycles
 
     def test_forced_instance_fills_support(self):
+        # Every bank needs both of its slots, so propagation fixes all six
+        # links before the first message-passing round.
         p = forced3()
         g = build_factor_graph(p)
-        tr = decimate(g, p, 1.0, 0)
-        assert tr.final_support.ones == 6
+        for z in (0.0, 1.0):
+            tr = decimate(g, p, z, 0)
+            assert tr.final_support.ones == 6
+            assert (tr.rounds, tr.forced, tr.restarts) == (0, 6, 0)
+
+    def test_one_state_per_draw(self, monkeypatch):
+        # A batch of flips cannot leave a bank short, so no draw starts
+        # over: one message-passing state per draw.
+        calls, real = [], sampler.make_state
+
+        def spy(g, z):
+            calls.append(z)
+            return real(g, z)
+
+        monkeypatch.setattr(sampler, "make_state", spy)
+        p = benchmark3()
+        g = build_factor_graph(p)
+        opts = DecimationOptions(fix_per_round=0.25)
+        for seed in range(50):
+            tr = decimate(g, p, 0.2, seed, opts)
+            assert h_is_zero(p, tr.final_support.values)
+            assert len(calls) == seed + 1
+        assert set(calls) == {0.2}
+
+    @pytest.mark.parametrize("z, share", [(0.2, 0.25), (0.0, 0.0), (1.0, 0.5)])
+    def test_no_factor_needs_more_than_its_undecided_links(self, monkeypatch, z, share):
+        # After every single fix, flipped or forced, each factor's remaining
+        # requirement is at most its undecided links.
+        fixes, real = [], sampler._fix_variable
+
+        def spy(state, e, value):
+            real(state, e, value)
+            left = sampler._degree_counts(state.g, state.active)
+            fixes.append(bool(np.all(state.r <= left)))
+
+        monkeypatch.setattr(sampler, "_fix_variable", spy)
+        for p in (benchmark3(), random_problem(5, seed=2, density=1.0)[2]):
+            g = build_factor_graph(p)
+            for seed in range(20):
+                decimate(g, p, z, seed, DecimationOptions(fix_per_round=share))
+        assert len(fixes) == 20 * (6 + 20) and all(fixes)
 
     def test_same_seed_reproduces(self):
         p = benchmark3()
@@ -204,7 +244,9 @@ class TestDecimate:
             tr = decimate(g, p, 1.0, seed)
             assert h_is_zero(p, tr.final_support.values)
 
-    def test_infeasible_graph_exhausts_immediately(self):
+    def test_infeasible_graph_raises_immediately(self):
+        # The error bp_fixed_point raises for the same graph; sample_supports
+        # records such a draw as failed, with no support.
         p = ReducedProblem(
             n=2,
             ends=ends_of(((0, 1),)),
@@ -212,9 +254,11 @@ class TestDecimate:
             res_in=np.array([0.0, 1.5]),
         )
         g = build_factor_graph(p, strict=False)
-        with pytest.raises(ExhaustedRestarts) as exc:
+        with pytest.raises(LocallyInfeasible) as exc:
             decimate(g, p, 1.0, 0)
-        assert exc.value.trace.final_support is None
+        assert exc.value.labels == ("out:0", "in:1")
+        [draw] = sample_supports(g, p, 1.0, 1, rng_seed=0)
+        assert draw.trace.final_support is None and draw.certificate is None
 
     def test_batch_fixing_matches_degree_validity(self):
         _, _, p = random_problem(5, seed=2, density=1.0)
@@ -226,12 +270,13 @@ class TestDecimate:
 
     @pytest.mark.parametrize("share, rounds", [(0.0, 20), (0.12, 16), (0.25, 9), (0.5, 5)])
     def test_batch_is_a_rounded_share_of_the_undecided_links(self, share, rounds):
-        # 20 links; at 0.25 the batches are 5, 4, 3, 2, 2, 1, 1, 1, 1 (a
-        # floor instead of rounding would take 11 rounds).
-        _, _, p = random_problem(5, seed=2, density=1.0)
+        # 20 links and no residual anywhere, so no link is ever forced and
+        # every round fixes one batch; at 0.25 the batches are 5, 4, 3, 2,
+        # 2, 1, 1, 1, 1 (a floor instead of rounding would take 11 rounds).
+        p = ReducedProblem(n=5, ends=ends_of(full_offdiag(5)), res_out=np.zeros(5), res_in=np.zeros(5))
         g = build_factor_graph(p)
         tr = decimate(g, p, 1.0, 0, DecimationOptions(fix_per_round=share))
-        assert (g.m_total, tr.restarts, tr.rounds) == (20, 0, rounds)
+        assert (g.m_total, tr.restarts, tr.forced, tr.rounds) == (20, 0, 0, rounds)
 
     def test_fixing_order_ignores_rounding_noise(self):
         # Biases that differ only in the 12th decimal are a tie, which the
