@@ -12,10 +12,13 @@ passing, fix the most biased undecided link by a coin flip with its
 marginal probability, condition the remaining problem on that choice, and
 repeat.  A bank side whose remaining requirement equals its undecided
 links has all of them fixed on at once, as every support of the
-conditioned ensemble has them; so no coin flip can leave a bank short,
-and one pass always completes.  sample_supports is its one caller: it
-gives each draw its own stream, records draws on a locally infeasible
-graph as failed and flow-checks the rest.  lambda_max draws through
+conditioned ensemble has them; so no coin flip can leave a bank short.
+decimate also keeps a flow witness for the links still possible (fixed on
+or undecided).  Max-flow is monotone in the link set, so once those links
+cannot carry the residuals no completion can, and the draw stops there
+with the deficient cut.  sample_supports is its one caller: it gives each
+draw its own stream, records draws on a locally infeasible graph as
+failed and flow-checks the completed ones.  lambda_max draws through
 sample_supports over a ladder of fugacities near the z -> 0 limit,
 greedily peels every distinct draw that passes the flow check, and keeps
 the sparsest result.
@@ -219,8 +222,15 @@ class DecimationOptions:
 @dataclass(frozen=True)
 class DecimationTrace:
     """What one decimation run did: message-passing rounds, links fixed on
-    by propagation (forced), and the drawn support (None for a draw that
+    by propagation (forced), and its support (None for a draw that
     sample_supports recorded as failed).
+
+    A draw that stopped early, because its possible links (fixed on or
+    undecided) could no longer carry the residuals, has cut set: the
+    deficient-cut certificate of final_support, which is then that
+    possible set.  It meets every degree requirement but is not a drawn
+    support.  A completed draw has cut None and final_support its drawn
+    support.
 
     restarts is always 0: propagation leaves no contradiction to restart
     from.  It stays while perfbench's tracer reads it; its removal joins
@@ -232,6 +242,7 @@ class DecimationTrace:
     converged_rounds: int = 0
     rounds: int = 0
     forced: int = 0
+    cut: FeasibilityCertificate | None = None
 
 
 def _fix_variable(state: BPState, e: int, value: int) -> None:
@@ -259,6 +270,15 @@ def _degree_counts(g: FactorGraph, values: np.ndarray) -> np.ndarray:
     np.add.at(counts, g.var_row_factor, values)
     np.add.at(counts, g.var_col_factor, values)
     return counts
+
+
+def _slot_flow(p: ReducedProblem, cert: FeasibilityCertificate) -> np.ndarray:
+    """Flow of a feasible certificate on each unknown slot, 0 off its support.
+
+    A link with zero flow can be deleted without a max-flow: the same flow
+    still realizes the residuals.
+    """
+    return np.array([cert.flow.get(ij, 0.0) for ij in zip(*(e.tolist() for e in p.ends))])
 
 
 def _fixing_order(bias: np.ndarray) -> np.ndarray:
@@ -320,8 +340,18 @@ def decimate(
     the fixed point.  At z = 0 they keep opts.bp.damping, because the
     sparse-limit equations converge slowly without it.
 
+    A flow witness rides along: the last feasible certificate of the
+    possible links (fixed on or undecided), first checked on all of them.
+    After a batch that fixed off a link carrying witness flow,
+    feasibility_check runs on the possible links again; links fixed off
+    without flow leave the witness valid.  When the check fails, no
+    completion can carry the flow, and the draw stops with cut set.  The
+    checks draw no random number, so a draw that completes is the one an
+    unchecked run gives, and it is flow-feasible.
+
     Returns:
-        DecimationTrace whose final_support satisfies every degree
+        DecimationTrace whose final_support, the drawn support or, for a
+        stopped draw, the possible links, satisfies every degree
         requirement of the original problem (asserted).
 
     Raises:
@@ -339,7 +369,9 @@ def decimate(
     ]
     forced = _force_links(state, members, range(g.n_factors), values)
     rounds = converged_rounds = 0
-    while np.any(state.active):
+    cert = feasibility_check(p, Support(p.ends, values | state.active))
+    witness = _slot_flow(p, cert) if cert else None
+    while cert and np.any(state.active):
         ok, _, _ = run_sweeps(state, bp)
         rounds += 1
         converged_rounds += int(ok)
@@ -348,6 +380,7 @@ def decimate(
         bias = np.minimum(marg[undecided], 1.0 - marg[undecided])
         order = _fixing_order(bias)
         batch = undecided[order[: max(1, round(opts.fix_per_round * undecided.size))]]
+        lost_flow = False
         for e in batch.tolist():
             if not state.active[e]:
                 continue  # forced on earlier in this batch
@@ -355,24 +388,33 @@ def decimate(
             values[e] = value
             _fix_variable(state, e, value)
             if value == 0:
+                lost_flow = lost_flow or witness[e] > 0
                 ends = (g.var_row_factor[e], g.var_col_factor[e])
                 forced += _force_links(state, members, ends, values)
-    degrees_met = np.all(_degree_counts(g, values) >= g.r)
+        if lost_flow:
+            cert = feasibility_check(p, Support(p.ends, values | state.active))
+            if cert:
+                witness = _slot_flow(p, cert)
+    final = values | state.active
+    degrees_met = np.all(_degree_counts(g, final) >= g.r)
     assert degrees_met, "decimation produced a degree-violating support"
     return DecimationTrace(
         restarts=0,
-        final_support=Support(p.ends, values),
+        final_support=Support(p.ends, final),
         converged_rounds=converged_rounds,
         rounds=rounds,
         forced=forced,
+        cut=None if cert else cert,
     )
 
 
 @dataclass(frozen=True)
 class SampledSupport:
-    """One draw: its decimation trace and the transport certificate of the
-    drawn support (None exactly when the draw failed).  support is the
-    trace's final_support, None for a failed draw."""
+    """One draw: its decimation trace and the transport certificate of its
+    support (None exactly when the draw failed).  support is the trace's
+    final_support, None for a failed draw.  For a draw that stopped early
+    the certificate is the trace's cut and support the possible links it
+    was cut on, not a drawn support."""
 
     trace: DecimationTrace
     certificate: FeasibilityCertificate | None
@@ -397,7 +439,9 @@ def sample_supports(
     results do not depend on completion order; a SeedSequence is spawned
     from in place, so consecutive calls on one continue its children.
     Draws on a locally infeasible graph (LocallyInfeasible) are recorded
-    as failed rather than raised; sample_stats summarizes the batch.
+    as failed rather than raised.  A draw that stopped early carries its
+    cut as the certificate; a completed draw is flow-checked.  sample_stats
+    summarizes the batch.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -409,22 +453,26 @@ def sample_supports(
             logger.warning("support draw failed: %s", err)
             out.append(SampledSupport(DecimationTrace(restarts=0, final_support=None), None))
             continue
-        out.append(SampledSupport(trace, feasibility_check(p, trace.final_support)))
+        cert = trace.cut if trace.cut is not None else feasibility_check(p, trace.final_support)
+        out.append(SampledSupport(trace, cert))
     return out
 
 
 def sample_stats(samples: list[SampledSupport]) -> dict[str, float]:
-    """Batch summary: completion, transport feasibility, and the mean link
-    count of completed draws (every completed draw meets its degrees)."""
+    """Batch summary: the share of draws that reached a flow verdict
+    (completed or stopped early; only failed draws did not), the feasible
+    share of those, and the mean link count of the drawn supports, which
+    leaves stopped draws out (their support is a possible set, not a draw)."""
     total = len(samples)
     done = [s for s in samples if s.support is not None]
+    drawn = [s.support.ones for s in done if s.trace.cut is None]
     return {
         "count": float(total),
         "completed_fraction": len(done) / total if total else 0.0,
         "feasible_fraction": (
             sum(s.certificate.feasible for s in done) / len(done) if done else math.nan
         ),
-        "mean_links": float(np.mean([s.support.ones for s in done])) if done else math.nan,
+        "mean_links": float(np.mean(drawn)) if drawn else math.nan,
     }
 
 
@@ -460,11 +508,13 @@ class LambdaMaxResult:
 
     links and lambda_max (sparsity over the M unknown slots, 1.0 when
     M = 0) derive from support.  trials counts the draws asked for, rungs x
-    per-rung draws; completed_trials and feasible_trials those that finished
-    and the distinct finished ones that passed the flow check.  fallback is
-    True when no sampled trial produced a transport-feasible support; the
-    result is then the greedily thinned full support (or, if even the full
-    support cannot transport the residuals, the full support with sparsity 0).
+    per-rung draws; completed_trials those that reached a flow verdict
+    (completed, or stopped early once their possible links could not carry
+    the flow) and feasible_trials the distinct ones that passed the flow
+    check.  fallback is True when no sampled trial produced a
+    transport-feasible support; the result is then the greedily thinned
+    full support (or, if even the full support cannot transport the
+    residuals, the full support with sparsity 0).
     """
 
     support: Support
@@ -482,9 +532,14 @@ class LambdaMaxResult:
         return sparsity(self.support, self.support.m) if self.support.m else 1.0
 
 
-def _peel_support(g: FactorGraph, p: ReducedProblem, values: np.ndarray) -> np.ndarray:
+def _peel_support(
+    g: FactorGraph, p: ReducedProblem, values: np.ndarray, cert: FeasibilityCertificate
+) -> np.ndarray:
     """Greedily delete links while degrees and the transport check hold.
 
+    cert is a feasible certificate of values and serves as the flow
+    witness: a link without witness flow is deleted without a max-flow, and
+    each deletion that needed one makes its certificate the new witness.
     One sweep in ascending slot order leaves the support feasible and
     locally minimal.  A second sweep could delete nothing: later deletions
     only lower degree counts and shrink what the support can carry, so a
@@ -492,16 +547,20 @@ def _peel_support(g: FactorGraph, p: ReducedProblem, values: np.ndarray) -> np.n
     """
     vals = values.copy()
     counts = _degree_counts(g, vals)
+    witness = _slot_flow(p, cert)
     for e in np.flatnonzero(vals):
         fr, fc = g.var_row_factor[e], g.var_col_factor[e]
         if counts[fr] <= g.r[fr] or counts[fc] <= g.r[fc]:
             continue
         vals[e] = 0
-        if feasibility_check(p, Support(p.ends, vals)):
-            counts[fr] -= 1
-            counts[fc] -= 1
-        else:
-            vals[e] = 1
+        if witness[e] > 0:
+            fewer = feasibility_check(p, Support(p.ends, vals))
+            if not fewer:
+                vals[e] = 1
+                continue
+            witness = _slot_flow(p, fewer)
+        counts[fr] -= 1
+        counts[fc] -= 1
     return vals
 
 
@@ -538,13 +597,14 @@ def lambda_max(
     # links never restores transport, so when the full support fails the
     # flow check no draw can pass it and the search is skipped.
     full = Support(p.ends, np.ones(g.m_total, dtype=np.uint8))
-    if not feasibility_check(p, full):
+    full_cert = feasibility_check(p, full)
+    if not full_cert:
         logger.warning(
             "the residuals cannot be transported on any support; reporting "
             "the full unknown support with sparsity 0"
         )
         return LambdaMaxResult(full, trials, 0, 0, fallback=True)
-    best = Support(p.ends, _peel_support(g, p, full.values))
+    best = Support(p.ends, _peel_support(g, p, full.values, full_cert))
     ss = np.random.SeedSequence(opts.rng_seed)
     completed = feasible = 0
     seen: set[bytes] = set()
@@ -560,7 +620,7 @@ def lambda_max(
             if not s.certificate:
                 continue
             feasible += 1
-            candidate = Support(p.ends, _peel_support(g, p, s.support.values))
+            candidate = Support(p.ends, _peel_support(g, p, s.support.values, s.certificate))
             if candidate.ones < best.ones:
                 best = candidate
     fallback = feasible == 0

@@ -12,6 +12,7 @@ from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import ReducedProblem, Support, absorb_known, make_observation, support_of
 from liabnet.sampler import (
     DecimationOptions,
+    FeasibilityCertificate,
     LambdaMaxOptions,
     _fixing_order,
     _peel_support,
@@ -311,6 +312,78 @@ class TestDecimate:
                 DecimationOptions(fix_per_round=share)
 
 
+class TestEarlyStop:
+    """A draw stops once its possible links (fixed on or undecided) fail the
+    flow check.  The reference runs decimate with a flow check that
+    certifies everything, so no draw stops; the real check then gives each
+    full run's verdict."""
+
+    @pytest.mark.parametrize(
+        "case, z, share",
+        [
+            (lambda: random_problem(6, 0)[2], 1.0, 0.0),
+            (lambda: random_problem(6, 1)[2], 1.0, 0.0),
+            (lambda: random_problem(6, 2)[2], 0.2, 0.12),
+            (lambda: random_problem(6, 4)[2], 0.0, 0.0),
+            (fallback_problem, 1.0, 0.0),
+        ],
+        ids=["random-6-0", "random-6-1", "random-6-2-batched", "random-6-4-sparse", "fallback"],
+    )
+    def test_stops_exactly_the_draws_that_fail(self, monkeypatch, case, z, share):
+        p = case()
+        g = build_factor_graph(p)
+        opts = DecimationOptions(fix_per_round=share)
+        seeds = range(20)
+        got = [decimate(g, p, z, seed, opts) for seed in seeds]
+        real = sampler.feasibility_check
+
+        def certify_all(p, a=None):
+            return FeasibilityCertificate(True, 0.0, 0.0, flow=dict.fromkeys(a.edges(), 1.0))
+
+        monkeypatch.setattr(sampler, "feasibility_check", certify_all)
+        ref = [decimate(g, p, z, seed, opts) for seed in seeds]
+        monkeypatch.undo()
+        stopped = 0
+        for tr, full in zip(got, ref):
+            assert full.cut is None
+            verdict = real(p, full.final_support)
+            assert (tr.cut is None) == verdict.feasible
+            if tr.cut is None:
+                assert np.array_equal(tr.final_support.values, full.final_support.values)
+                fields = ("rounds", "converged_rounds", "forced")
+                assert [getattr(tr, f) for f in fields] == [getattr(full, f) for f in fields]
+                assert real(p, tr.final_support)
+            else:
+                stopped += 1
+                possible = tr.final_support.values
+                assert h_is_zero(p, possible)
+                assert np.all(possible >= full.final_support.values)
+                assert tr.cut.deficit > 0 and not real(p, tr.final_support)
+                assert tr.rounds <= full.rounds
+        assert stopped > 0
+
+    def test_stopped_draw_keeps_its_cut(self, monkeypatch):
+        # sample_supports takes a stopped draw's cut as its certificate and
+        # flow-checks only the completed draws.
+        p = fallback_problem()
+        g = build_factor_graph(p)
+        checked, real = [], sampler.feasibility_check
+
+        def spy(p, a=None):
+            checked.append(a.values.tobytes())
+            return real(p, a)
+
+        monkeypatch.setattr(sampler, "feasibility_check", spy)
+        samples = sample_supports(g, p, 1.0, 5, rng_seed=0)
+        for s in samples:
+            assert s.certificate is s.trace.cut and s.support is s.trace.final_support
+        in_batch = list(checked)
+        checked.clear()
+        for child in np.random.SeedSequence(0).spawn(5):
+            decimate(g, p, 1.0, child)
+        assert in_batch == checked
+
+
 class TestSampleSupports:
     def test_reproducible_batches(self):
         p = benchmark3()
@@ -329,6 +402,22 @@ class TestSampleSupports:
         assert all(h_is_zero(p, s.support.values) for s in samples)
         assert 3 <= stats["mean_links"] <= 6
         assert 0.0 <= stats["feasible_fraction"] <= 1.0
+        # On random_problem(6, 1) most draws stop early: their possible sets
+        # reach a flow verdict but are not drawn supports, so mean_links
+        # leaves them out.
+        _, _, p = random_problem(6, 1)
+        g = build_factor_graph(p)
+        samples = sample_supports(g, p, 1.0, 30, rng_seed=1)
+        stats = sample_stats(samples)
+        drawn = [s for s in samples if s.trace.cut is None]
+        assert 0 < len(drawn) < len(samples)
+        assert stats["completed_fraction"] == 1.0
+        assert stats["feasible_fraction"] == len(drawn) / len(samples)
+        assert stats["mean_links"] == np.mean([s.support.ones for s in drawn])
+        p = fallback_problem()
+        everything_stops = sample_stats(sample_supports(build_factor_graph(p), p, 1.0, 5, rng_seed=0))
+        assert everything_stops["feasible_fraction"] == 0.0
+        assert math.isnan(everything_stops["mean_links"])
 
     def test_feasible_fraction_matches_enumeration(self):
         p = benchmark3()
@@ -401,7 +490,7 @@ class TestLambdaMax:
                 starts.append(pattern)
         assert len(starts) > 3
         for start in starts:
-            peeled = _peel_support(g, p, start)
+            peeled = _peel_support(g, p, start, feasibility_check(p, Support(p.ends, start)))
             assert h_is_zero(p, peeled) and lp_feasible(p, peeled)
             for e in np.flatnonzero(peeled):
                 fewer = peeled.copy()
@@ -446,10 +535,11 @@ class TestLambdaMax:
         rungs = len(opts.z_ladder)
         per_rung = -(-opts.trials // rungs)
         full = np.ones(p.m, dtype=np.uint8)
-        if not feasibility_check(p, Support(p.ends, full)):
+        full_cert = feasibility_check(p, Support(p.ends, full))
+        if not full_cert:
             want = (full, p.m, rungs * per_rung, 0, 0, True)
         else:
-            best = _peel_support(g, p, full)
+            best = _peel_support(g, p, full, full_cert)
             ss = np.random.SeedSequence(opts.rng_seed)
             draws = [
                 s
@@ -462,7 +552,7 @@ class TestLambdaMax:
                 distinct.setdefault(s.support.values.tobytes(), s)
             certified = [s for s in distinct.values() if s.certificate]
             for s in certified:
-                peeled = _peel_support(g, p, s.support.values)
+                peeled = _peel_support(g, p, s.support.values, s.certificate)
                 if peeled.sum() < best.sum():
                     best = peeled
             trials = rungs * per_rung
