@@ -13,15 +13,17 @@ marginal probability, condition the remaining problem on that choice, and
 repeat.  A bank side whose remaining requirement equals its undecided
 links has all of them fixed on at once, as every support of the
 conditioned ensemble has them; so no coin flip can leave a bank short.
-decimate also keeps a flow witness for the links still possible (fixed on
-or undecided).  Max-flow is monotone in the link set, so once those links
-cannot carry the residuals no completion can, and the draw stops there
-with the deficient cut.  sample_supports is its one caller: it gives each
-draw its own stream, records draws on a locally infeasible graph as
-failed and flow-checks the completed ones.  lambda_max draws through
-sample_supports over a ladder of fugacities near the z -> 0 limit,
-greedily peels every distinct draw that passes the flow check, and keeps
-the sparsest result.
+decimate also keeps a residual flow network of the links still possible
+(fixed on or undecided), built once per draw: a link fixed off cancels
+the flow it carried, and a re-route pushes only that flow again.
+Max-flow is monotone in the link set, so once those links cannot carry
+the residuals no completion can, and the draw stops there with the
+deficient cut.  sample_supports is its one caller: it gives each draw its
+own stream, records draws on a locally infeasible graph as failed and
+flow-checks the completed ones.  lambda_max draws through sample_supports
+over a ladder of fugacities near the z -> 0 limit, greedily peels every
+distinct draw that passes the flow check, each on one residual network,
+and keeps the sparsest result.
 """
 
 from __future__ import annotations
@@ -156,6 +158,73 @@ class FeasibilityCertificate:
         return max(0.0, self.required - self.max_flow)
 
 
+class _Transport:
+    """Residual flow network of one support's transport problem.
+
+    Row node i takes res_out[i] from the source, column node j sends
+    res_in[j] to the sink, and each link of the support is a unit edge
+    i -> j; the source and sink edges of banks 0..n-1 come first, then the
+    links in slot order.  The network keeps its flow between calls:
+    remove(e) deletes link e and cancels the flow it carried on its row's
+    source edge and its column's sink edge, which leaves a valid, smaller
+    flow, and reroute then runs max-flow on the residual graph, so it
+    pushes only what is missing.  A fresh network carries no flow, so its
+    first reroute is a from-scratch max-flow.  Max-flow is monotone in the
+    link set, so after any removals the verdict is the one a fresh network
+    on the remaining links gives.
+    """
+
+    def __init__(self, p: ReducedProblem, slots: np.ndarray):
+        n = p.n
+        self.target = max(float(np.sum(p.res_out)), float(np.sum(p.res_in)))
+        self.tol = 1e-9 * max(1.0, self.target)
+        self.src, self.snk = 2 * n, 2 * n + 1
+        self.net = _Dinic(2 * n + 2)
+        self.source_edge = [-1] * n
+        self.sink_edge = [-1] * n
+        for i in range(n):
+            if p.res_out[i] > 0:
+                self.source_edge[i] = self.net.add_edge(self.src, i, float(p.res_out[i]))
+            if p.res_in[i] > 0:
+                self.sink_edge[i] = self.net.add_edge(n + i, self.snk, float(p.res_in[i]))
+        self.rows, self.cols = (ends.tolist() for ends in p.ends)
+        self.link = [-1] * p.m
+        for e in slots.tolist():
+            self.link[e] = self.net.add_edge(self.rows[e], n + self.cols[e], 1.0)
+        self.moved = 0.0
+
+    @property
+    def feasible(self) -> bool:
+        return self.moved >= self.target - self.tol
+
+    def reroute(self) -> bool:
+        """Push the missing flow; True iff the links left carry the residuals."""
+        self.moved += self.net.max_flow(self.src, self.snk)
+        return self.feasible
+
+    def flow_on(self, e: int) -> float:
+        """Flow on link e, which must be in the network (0 once removed)."""
+        return self.net.flow_on(self.link[e])
+
+    def remove(self, e: int) -> float:
+        """Delete link e and cancel the flow it carried; returns that flow."""
+        cap, eid = self.net.cap, self.link[e]
+        flow = cap[eid ^ 1]
+        cap[eid] = cap[eid ^ 1] = 0.0
+        if flow > 0:
+            for end in (self.source_edge[self.rows[e]], self.sink_edge[self.cols[e]]):
+                cap[end] += flow
+                cap[end ^ 1] -= flow
+            self.moved -= flow
+        return flow
+
+    def save(self) -> tuple[list[float], float]:
+        return list(self.net.cap), self.moved
+
+    def restore(self, saved: tuple[list[float], float]) -> None:
+        self.net.cap[:], self.moved = saved
+
+
 def feasibility_check(p: ReducedProblem, a: Support | None = None) -> FeasibilityCertificate:
     """Certify whether a support can realize the residual strengths.
 
@@ -167,38 +236,23 @@ def feasibility_check(p: ReducedProblem, a: Support | None = None) -> Feasibilit
         FeasibilityCertificate; truthy iff feasible within the balance
         tolerance 1e-9 * max(1, total residual).
     """
-    n = p.n
     if a is None:
         slots = np.arange(p.m)
     else:
         _check_same_slots(p, a)
         slots = np.flatnonzero(a.values)
-    required = float(np.sum(p.res_out))
-    required_in = float(np.sum(p.res_in))
-    tol = 1e-9 * max(1.0, max(required, required_in))
-    src, snk = 2 * n, 2 * n + 1
-    net = _Dinic(2 * n + 2)
-    for i in range(n):
-        if p.res_out[i] > 0:
-            net.add_edge(src, i, float(p.res_out[i]))
-        if p.res_in[i] > 0:
-            net.add_edge(n + i, snk, float(p.res_in[i]))
-    rows, cols = (ends[slots].tolist() for ends in p.ends)
-    edge_ids = [net.add_edge(i, n + j, 1.0) for i, j in zip(rows, cols)]
-    moved = net.max_flow(src, snk)
-    target = max(required, required_in)
-    if moved >= target - tol:
+    net = _Transport(p, slots)
+    if net.reroute():
         flow = {
-            (i, j): min(1.0, max(0.0, net.flow_on(eid)))
-            for i, j, eid in zip(rows, cols, edge_ids)
+            (net.rows[e], net.cols[e]): min(1.0, max(0.0, net.flow_on(e)))
+            for e in slots.tolist()
         }
-        return FeasibilityCertificate(True, moved, target, flow=flow)
-    side = set(net.source_side())
+        return FeasibilityCertificate(True, net.moved, net.target, flow=flow)
+    n = p.n
+    side = set(net.net.source_side())
     cut_rows = frozenset(i for i in range(n) if i in side)
     cut_cols = frozenset(j for j in range(n) if (n + j) in side)
-    return FeasibilityCertificate(
-        False, moved, target, cut_rows=cut_rows, cut_cols=cut_cols
-    )
+    return FeasibilityCertificate(False, net.moved, net.target, cut_rows=cut_rows, cut_cols=cut_cols)
 
 
 @dataclass(frozen=True)
@@ -272,15 +326,6 @@ def _degree_counts(g: FactorGraph, values: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _slot_flow(p: ReducedProblem, cert: FeasibilityCertificate) -> np.ndarray:
-    """Flow of a feasible certificate on each unknown slot, 0 off its support.
-
-    A link with zero flow can be deleted without a max-flow: the same flow
-    still realizes the residuals.
-    """
-    return np.array([cert.flow.get(ij, 0.0) for ij in zip(*(e.tolist() for e in p.ends))])
-
-
 def _fixing_order(bias: np.ndarray) -> np.ndarray:
     """Most biased first (smallest min(p, 1 - p)), ties toward lower index.
 
@@ -340,14 +385,19 @@ def decimate(
     the fixed point.  At z = 0 they keep opts.bp.damping, because the
     sparse-limit equations converge slowly without it.
 
-    A flow witness rides along: the last feasible certificate of the
-    possible links (fixed on or undecided), first checked on all of them.
-    After a batch that fixed off a link carrying witness flow,
-    feasibility_check runs on the possible links again; links fixed off
-    without flow leave the witness valid.  When the check fails, no
-    completion can carry the flow, and the draw stops with cut set.  The
-    checks draw no random number, so a draw that completes is the one an
-    unchecked run gives, and it is flow-feasible.
+    A residual flow network of the possible links (fixed on or undecided)
+    rides along, built and max-flowed once on all of them.  Each link
+    fixed off is removed from it, cancelling the flow it carried; after a
+    batch in which a removed link carried flow the network re-routes that
+    flow, and links fixed off without flow leave the flow valid.  When the
+    re-route falls short, feasibility_check of the possible links confirms
+    it from scratch: its failing certificate is the cut the draw stops
+    with, since no completion can carry the flow.  (Should it pass, which
+    rounding at the tolerance alone could cause, the draw goes on with a
+    fresh network.)  The draw stops after the same batch whichever flow
+    the network holds, and the checks draw no random number, so a draw
+    that completes is the one an unchecked run gives, and it is
+    flow-feasible.
 
     Returns:
         DecimationTrace whose final_support, the drawn support or, for a
@@ -369,9 +419,20 @@ def decimate(
     ]
     forced = _force_links(state, members, range(g.n_factors), values)
     rounds = converged_rounds = 0
-    cert = feasibility_check(p, Support(p.ends, values | state.active))
-    witness = _slot_flow(p, cert) if cert else None
-    while cert and np.any(state.active):
+    net = _Transport(p, np.arange(g.m_total))
+    carries, cut = net.reroute(), None
+    while True:
+        if not carries:
+            possible = values | state.active
+            cut = feasibility_check(p, Support(p.ends, possible))
+            if not cut:
+                break
+            # The two max-flows differ only by rounding at the tolerance:
+            # go on with a fresh network, which gives the check's verdict.
+            net, cut = _Transport(p, np.flatnonzero(possible)), None
+            net.reroute()
+        if not np.any(state.active):
+            break
         ok, _, _ = run_sweeps(state, bp)
         rounds += 1
         converged_rounds += int(ok)
@@ -388,13 +449,10 @@ def decimate(
             values[e] = value
             _fix_variable(state, e, value)
             if value == 0:
-                lost_flow = lost_flow or witness[e] > 0
+                lost_flow = net.remove(e) > 0 or lost_flow
                 ends = (g.var_row_factor[e], g.var_col_factor[e])
                 forced += _force_links(state, members, ends, values)
-        if lost_flow:
-            cert = feasibility_check(p, Support(p.ends, values | state.active))
-            if cert:
-                witness = _slot_flow(p, cert)
+        carries = not lost_flow or net.reroute()
     final = values | state.active
     degrees_met = np.all(_degree_counts(g, final) >= g.r)
     assert degrees_met, "decimation produced a degree-violating support"
@@ -404,7 +462,7 @@ def decimate(
         converged_rounds=converged_rounds,
         rounds=rounds,
         forced=forced,
-        cut=None if cert else cert,
+        cut=cut,
     )
 
 
@@ -532,33 +590,34 @@ class LambdaMaxResult:
         return sparsity(self.support, self.support.m) if self.support.m else 1.0
 
 
-def _peel_support(
-    g: FactorGraph, p: ReducedProblem, values: np.ndarray, cert: FeasibilityCertificate
-) -> np.ndarray:
+def _peel_support(g: FactorGraph, p: ReducedProblem, values: np.ndarray) -> np.ndarray:
     """Greedily delete links while degrees and the transport check hold.
 
-    cert is a feasible certificate of values and serves as the flow
-    witness: a link without witness flow is deleted without a max-flow, and
-    each deletion that needed one makes its certificate the new witness.
-    One sweep in ascending slot order leaves the support feasible and
-    locally minimal.  A second sweep could delete nothing: later deletions
-    only lower degree counts and shrink what the support can carry, so a
-    link kept for its degrees or for transport stays needed.
+    values must be flow-feasible.  Peeling builds one residual network of
+    values and keeps its flow as links go: a link without flow is deleted
+    without a max-flow, and deleting one that carries flow re-routes only
+    what it carried, from capacities saved before the deletion and
+    restored if the residuals no longer fit.  One sweep in ascending slot
+    order leaves the support feasible and locally minimal.  A second sweep
+    could delete nothing: later deletions only lower degree counts and
+    shrink what the support can carry, so a link kept for its degrees or
+    for transport stays needed.
     """
     vals = values.copy()
     counts = _degree_counts(g, vals)
-    witness = _slot_flow(p, cert)
-    for e in np.flatnonzero(vals):
+    net = _Transport(p, np.flatnonzero(vals))
+    feasible = net.reroute()
+    assert feasible, "peeling needs a flow-feasible start"
+    for e in np.flatnonzero(vals).tolist():
         fr, fc = g.var_row_factor[e], g.var_col_factor[e]
         if counts[fr] <= g.r[fr] or counts[fc] <= g.r[fc]:
             continue
+        saved = net.save() if net.flow_on(e) > 0 else None
+        net.remove(e)
+        if saved is not None and not net.reroute():
+            net.restore(saved)
+            continue
         vals[e] = 0
-        if witness[e] > 0:
-            fewer = feasibility_check(p, Support(p.ends, vals))
-            if not fewer:
-                vals[e] = 1
-                continue
-            witness = _slot_flow(p, fewer)
         counts[fr] -= 1
         counts[fc] -= 1
     return vals
@@ -604,7 +663,7 @@ def lambda_max(
             "the full unknown support with sparsity 0"
         )
         return LambdaMaxResult(full, trials, 0, 0, fallback=True)
-    best = Support(p.ends, _peel_support(g, p, full.values, full_cert))
+    best = Support(p.ends, _peel_support(g, p, full.values))
     ss = np.random.SeedSequence(opts.rng_seed)
     completed = feasible = 0
     seen: set[bytes] = set()
@@ -620,7 +679,7 @@ def lambda_max(
             if not s.certificate:
                 continue
             feasible += 1
-            candidate = Support(p.ends, _peel_support(g, p, s.support.values, s.certificate))
+            candidate = Support(p.ends, _peel_support(g, p, s.support.values))
             if candidate.ones < best.ones:
                 best = candidate
     fallback = feasible == 0

@@ -395,6 +395,65 @@ class TestDeterminism:
         assert m1.sweeps == m2.sweeps
 
 
+class TestFixedPointMemo:
+    """A graph keeps its converged fixed points by (z, tol, damping)."""
+
+    @staticmethod
+    def spy_sweeps(monkeypatch) -> list[int]:
+        runs, real = [], bpcore.run_sweeps
+
+        def spy(state, opts):
+            out = real(state, opts)
+            runs.append(out[1])
+            return out
+
+        monkeypatch.setattr(bpcore, "run_sweeps", spy)
+        return runs
+
+    def test_repeat_runs_no_sweep(self, monkeypatch):
+        runs = self.spy_sweeps(monkeypatch)
+        p = random_problem(5, 1)[2]
+        g = build_factor_graph(p)
+        opts = BPOptions(tol=1e-9, max_sweeps=500)
+        first = bp_fixed_point(g, 0.7, opts)
+        assert first.converged and runs == [first.sweeps]
+        for cap in (first.sweeps, 500, 10_000):
+            assert bp_fixed_point(g, 0.7, BPOptions(tol=1e-9, max_sweeps=cap)) is first
+        assert len(runs) == 1
+        # the same run on a fresh graph gives the same arrays
+        fresh = bp_fixed_point(build_factor_graph(p), 0.7, opts)
+        assert np.array_equal(fresh.mu_row, first.mu_row)
+        assert np.array_equal(fresh.mu_col, first.mu_col)
+        assert (fresh.sweeps, fresh.residual) == (first.sweeps, first.residual)
+        # another z, tol or damping is another fixed point
+        bp_fixed_point(g, 0.8, opts)
+        bp_fixed_point(g, 0.7, BPOptions(tol=1e-8, max_sweeps=500))
+        bp_fixed_point(g, 0.7, BPOptions(tol=1e-9, max_sweeps=500, damping=0.3))
+        assert len(runs) == 5
+
+    def test_smaller_cap_recomputes(self, monkeypatch):
+        runs = self.spy_sweeps(monkeypatch)
+        g = build_factor_graph(random_problem(5, 1)[2])
+        first = bp_fixed_point(g, 0.7)
+        short = bp_fixed_point(g, 0.7, BPOptions(max_sweeps=first.sweeps - 1))
+        assert runs == [first.sweeps, first.sweeps - 1]
+        assert not short.converged
+        assert bp_fixed_point(g, 0.7) is first
+        assert len(runs) == 2
+
+    def test_unconverged_run_is_not_kept(self, monkeypatch, caplog):
+        runs = self.spy_sweeps(monkeypatch)
+        g = build_factor_graph(random_problem(5, 1)[2])
+        short = BPOptions(max_sweeps=3)
+        with caplog.at_level("WARNING", logger="liabnet.bpcore"):
+            a = bp_fixed_point(g, 0.7, short)
+            b = bp_fixed_point(g, 0.7, short)
+        assert not a.converged and b is not a and runs == [3, 3]
+        assert np.array_equal(a.mu_row, b.mu_row)
+        assert sum("not converged" in r.getMessage() for r in caplog.records) == 2
+        assert g._fixed_points == {}
+
+
 class TestEntropyCurve:
     def test_sigma_equals_entropy_at_unit_fugacity(self):
         g = build_factor_graph(benchmark3())

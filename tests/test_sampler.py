@@ -12,7 +12,6 @@ from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import ReducedProblem, Support, absorb_known, make_observation, support_of
 from liabnet.sampler import (
     DecimationOptions,
-    FeasibilityCertificate,
     LambdaMaxOptions,
     _fixing_order,
     _peel_support,
@@ -131,6 +130,58 @@ class TestFeasibilityCheck:
             grown = base.copy()
             grown[e] = 1
             assert feasibility_check(p, Support(p.ends, grown))
+
+
+def flow_sums(p, net, present):
+    """Row and column sums of the flow read off a residual network, after
+    checking each link's flow lies in [0, 1] and removed links carry none."""
+    rows, cols = np.zeros(p.n), np.zeros(p.n)
+    for e, (i, j) in enumerate(zip(*p.ends)):
+        f = net.flow_on(e) if net.link[e] >= 0 else 0.0
+        assert -1e-12 <= f <= 1 + 1e-12
+        assert present[e] or f == 0.0
+        rows[i] += f
+        cols[j] += f
+    return rows, cols
+
+
+class TestTransport:
+    """The residual network keeps its flow while links go and come back;
+    after every step its verdict is the from-scratch one."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [benchmark3, *[lambda n=n, s=s: random_problem(n, s)[2] for n, s in ((4, 0), (4, 1), (5, 2), (6, 3))]],
+        ids=["benchmark3", "random-4-0", "random-4-1", "random-5-2", "random-6-3"],
+    )
+    def test_removals_and_restores_match_from_scratch(self, case):
+        p = case()
+        rng = np.random.default_rng(7)
+        steps = 0
+        for _ in range(4):
+            present = np.ones(p.m, dtype=np.uint8)
+            net = sampler._Transport(p, np.arange(p.m))
+            assert net.reroute()
+            for e in rng.permutation(p.m).tolist():
+                saved = net.save()
+                carried = net.flow_on(e)
+                assert net.remove(e) == carried
+                present[e] = 0
+                verdict = net.reroute()
+                if rng.random() < 0.3:
+                    net.restore(saved)
+                    present[e] = 1
+                    verdict = net.feasible
+                steps += 1
+                cert = feasibility_check(p, Support(p.ends, present))
+                assert verdict == cert.feasible == lp_feasible(p, present)
+                rows, cols = flow_sums(p, net, present)
+                assert rows.sum() == pytest.approx(net.moved, abs=1e-9)
+                assert np.all(rows <= p.res_out + 1e-9) and np.all(cols <= p.res_in + 1e-9)
+                if verdict:
+                    assert rows == pytest.approx(p.res_out, abs=1e-9)
+                    assert cols == pytest.approx(p.res_in, abs=1e-9)
+        assert steps == 4 * p.m
 
 
 class TestDecimate:
@@ -314,9 +365,9 @@ class TestDecimate:
 
 class TestEarlyStop:
     """A draw stops once its possible links (fixed on or undecided) fail the
-    flow check.  The reference runs decimate with a flow check that
-    certifies everything, so no draw stops; the real check then gives each
-    full run's verdict."""
+    flow check.  The reference runs decimate with a residual network whose
+    re-route certifies everything, so no draw stops; feasibility_check then
+    gives each full run's verdict."""
 
     @pytest.mark.parametrize(
         "case, z, share",
@@ -336,11 +387,7 @@ class TestEarlyStop:
         seeds = range(20)
         got = [decimate(g, p, z, seed, opts) for seed in seeds]
         real = sampler.feasibility_check
-
-        def certify_all(p, a=None):
-            return FeasibilityCertificate(True, 0.0, 0.0, flow=dict.fromkeys(a.edges(), 1.0))
-
-        monkeypatch.setattr(sampler, "feasibility_check", certify_all)
+        monkeypatch.setattr(sampler._Transport, "reroute", lambda net: True)
         ref = [decimate(g, p, z, seed, opts) for seed in seeds]
         monkeypatch.undo()
         stopped = 0
@@ -361,6 +408,32 @@ class TestEarlyStop:
                 assert tr.cut.deficit > 0 and not real(p, tr.final_support)
                 assert tr.rounds <= full.rounds
         assert stopped > 0
+
+    def test_failed_reroute_is_confirmed_from_scratch(self, monkeypatch):
+        # The network's verdict triggers a from-scratch check; if that check
+        # passes, the draw goes on with a fresh network, as if the re-route
+        # had passed.  Here every draw's first re-route after the opening
+        # max-flow is reported failed.
+        p = random_problem(6, 1)[2]
+        g = build_factor_graph(p)
+        want = [decimate(g, p, 1.0, seed) for seed in range(10)]
+        real = sampler._Transport.reroute
+        seen, overruled = [], []
+
+        def first_reroute_fails(net):
+            seen.append(net)
+            ok = real(net)
+            if ok and seen.count(net) == 2:
+                overruled.append(net)
+                return False
+            return ok
+
+        monkeypatch.setattr(sampler._Transport, "reroute", first_reroute_fails)
+        got = [decimate(g, p, 1.0, seed) for seed in range(10)]
+        for tr, ref in zip(got, want):
+            assert np.array_equal(tr.final_support.values, ref.final_support.values)
+            assert (tr.rounds, tr.forced, tr.cut) == (ref.rounds, ref.forced, ref.cut)
+        assert len(overruled) >= 5
 
     def test_stopped_draw_keeps_its_cut(self, monkeypatch):
         # sample_supports takes a stopped draw's cut as its certificate and
@@ -490,12 +563,33 @@ class TestLambdaMax:
                 starts.append(pattern)
         assert len(starts) > 3
         for start in starts:
-            peeled = _peel_support(g, p, start, feasibility_check(p, Support(p.ends, start)))
+            peeled = _peel_support(g, p, start)
             assert h_is_zero(p, peeled) and lp_feasible(p, peeled)
             for e in np.flatnonzero(peeled):
                 fewer = peeled.copy()
                 fewer[e] = 0
                 assert not (h_is_zero(p, fewer) and lp_feasible(p, fewer)), e
+
+    @pytest.mark.parametrize("n, seed", [(4, 0), (5, 2), (6, 3)])
+    def test_peeling_runs_no_flow_check(self, monkeypatch, n, seed):
+        # Peeling keeps one residual network; its deletions are those of a
+        # from-scratch check of every deletion the degrees allow.
+        _, _, p = random_problem(n, seed)
+        g = build_factor_graph(p)
+        want = np.ones(p.m, dtype=np.uint8)
+        counts = sampler._degree_counts(g, want)
+        for e in range(p.m):
+            fr, fc = g.var_row_factor[e], g.var_col_factor[e]
+            fewer = want.copy()
+            fewer[e] = 0
+            if counts[fr] > g.r[fr] and counts[fc] > g.r[fc] and feasibility_check(p, Support(p.ends, fewer)):
+                want = fewer
+                counts[fr] -= 1
+                counts[fc] -= 1
+        calls = []
+        monkeypatch.setattr(sampler, "feasibility_check", lambda *args: calls.append(args))
+        assert np.array_equal(_peel_support(g, p, np.ones(p.m, dtype=np.uint8)), want)
+        assert calls == []
 
     def test_empty_unknown_set(self):
         p = ReducedProblem(n=2, ends=ends_of(()), res_out=np.zeros(2), res_in=np.zeros(2))
@@ -539,7 +633,7 @@ class TestLambdaMax:
         if not full_cert:
             want = (full, p.m, rungs * per_rung, 0, 0, True)
         else:
-            best = _peel_support(g, p, full, full_cert)
+            best = _peel_support(g, p, full)
             ss = np.random.SeedSequence(opts.rng_seed)
             draws = [
                 s
@@ -552,7 +646,7 @@ class TestLambdaMax:
                 distinct.setdefault(s.support.values.tobytes(), s)
             certified = [s for s in distinct.values() if s.certificate]
             for s in certified:
-                peeled = _peel_support(g, p, s.support.values, s.certificate)
+                peeled = _peel_support(g, p, s.support.values)
                 if peeled.sum() < best.sum():
                     best = peeled
             trials = rungs * per_rung

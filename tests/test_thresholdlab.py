@@ -10,7 +10,7 @@ from liabnet.bpcore import BPOptions, build_factor_graph, calibrate_fugacity, si
 from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import LiabilityMatrix, absorb_known, make_observation
 from liabnet.sampler import DecimationOptions, LambdaMaxOptions, lambda_max
-from liabnet import thresholdlab
+from liabnet import bpcore, thresholdlab
 from liabnet.thresholdlab import (
     ThresholdOptions,
     default_theta_grid,
@@ -169,6 +169,28 @@ def test_records_match_their_pieces():
         assert rec.lambda_max == pytest.approx(whole, abs=1e-12)
     assert all(rec.m > 0 for rec in rep.records)
     assert any(rec.m < rec.m_raw for rec in rep.records)
+
+
+def test_a_record_runs_no_fixed_point_twice(monkeypatch):
+    # The curve, the calibration and the edge point share fixed points (here
+    # z = 1 and 0.1, and the edge point repeats the calibration's last one);
+    # each runs its sweeps once per graph.
+    runs, graphs, calls, real = [], [], [], bpcore.run_sweeps
+
+    def spy(state, opts):
+        graphs.append(state.g)  # held, so no two graphs share an id
+        runs.append((id(state.g), state.zeta, opts.tol, opts.damping))
+        return real(state, opts)
+
+    monkeypatch.setattr(bpcore, "run_sweeps", spy)
+    real_fixed_point = bpcore.bp_fixed_point
+    monkeypatch.setattr(
+        bpcore, "bp_fixed_point", lambda *args: calls.append(args) or real_fixed_point(*args)
+    )
+    rep = threshold_sweep(powerlaw_net(n=8, seed=8), (0.0021, 0.0181), small_opts(seed=1))
+    assert all(rec.error is None and rec.curve is not None for rec in rep.records)
+    assert len(set(runs)) == len(runs)
+    assert len(calls) == len(runs) + 3 * len(rep.records)
 
 
 class TestNestedCurves:
