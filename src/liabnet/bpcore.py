@@ -22,15 +22,18 @@ factor's other slots) and only near the requirement r.  Each sweep builds
 every factor's link-count distributions over the slots before and after
 each slot, cut at R = max(r) + 2 (bin R holds "R or more", so updates add
 only non-negative terms), and reads messages from sums of their products:
-no division recursion, no logs, O(F K R) time and memory.  At finite z the
+no division recursion, no logs, O(F K R) time.  At finite z the
 messages are tilted to q = zeta mu / (1 - mu + zeta mu); sum_m zeta^m V^m
 is prod(1 - mu + zeta mu) times the tilted distribution, the product
 cancels, and mu = zeta T(>= r-1) / (zeta T(>= r-1) + T(>= r)) with T the
 tilted cavity tail.  Messages live in one buffer [mu_row | mu_col | 0]:
 the graph's slot_in gathers every slot's incoming message in one call
 (pads read the trailing 0) and msg_slot picks the fresh ones back out.
-The cavity gathers depend on r, so run_sweeps builds them once per call;
-decimation lowers r between calls, and a plan kept longer would be stale.
+The O(F K R) cavity arrays live in one workspace per state, sized by
+make_state for the graph's r, so a sweep allocates only O(F K) arrays.
+The cavity gathers depend on r, so run_sweeps builds them, and carves the
+workspace views for their cut, once per call; decimation lowers r between
+calls, so a plan kept longer would be stale, and the cut only shrinks.
 
 The limit z -> 0 (sparsest admissible graphs) is selected by passing
 z = 0.0 and uses exact closed forms, never extreme floats: mu = V^{r-1} /
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import logging
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -88,7 +92,8 @@ class LocallyInfeasible(ValueError):
 
 
 class KernelTooLarge(ValueError):
-    """The message kernel's arrays would not fit in physical memory."""
+    """The message kernel's workspace would not fit in physical memory;
+    make_state raises it before allocating anything."""
 
 
 def required_degrees(residuals: np.ndarray) -> np.ndarray:
@@ -275,7 +280,9 @@ class BPState:
     msgs is the buffer [mu_row | mu_col | 0]; mu_row and mu_col are views
     into it.  The decimation driver pins variables by setting active to
     False and forcing both messages to 0 (an exact removal in the V
-    recursion), lowering r as links are committed.
+    recursion), lowering r as links are committed.  work is the sweep
+    kernel's float64 workspace, sized by make_state for g.r; every sweep
+    writes its cavity arrays there instead of allocating them.
     """
 
     g: FactorGraph
@@ -283,6 +290,7 @@ class BPState:
     msgs: np.ndarray
     active: np.ndarray
     r: np.ndarray
+    work: np.ndarray
     degenerate: int = 0
 
     @property
@@ -299,26 +307,31 @@ def _physical_memory() -> int:
 
 
 def make_state(g: FactorGraph, z: float) -> BPState:
-    """Fresh state at fugacity z with every message at 0.5; raises
-    KernelTooLarge when the sweep kernel's arrays would exceed physical
-    memory."""
+    """Fresh state at fugacity z with every message at 0.5 and the sweep
+    kernel's workspace; raises KernelTooLarge, before allocating it, when
+    that workspace would exceed physical memory."""
     zeta = _zeta_of(z)
-    # float64 arrays a sweep holds at once: the stacked prefix/suffix
-    # distributions, the suffix tails and one gathered operand.
+    # The workspace holds the float64 arrays a sweep needs: the stacked
+    # prefix/suffix distributions over 0..K-1 slots and one gathered operand.
     f, k, cut = g.n_factors, g.max_degree, int(g.r.max(initial=0)) + 2
-    nbytes = 8 * (2 * f * (k + 1) * (cut + 1) + f * k * (2 * cut + 3))
+    nbytes = 8 * (2 * f * k * (cut + 1) + f * k * (cut + 2))
     if nbytes > _physical_memory():
         raise KernelTooLarge(
             f"message kernel for n={g.n}, K={k}, R={cut} needs {nbytes} bytes, "
             "more than physical memory"
         )
     m = g.m_total
+    # An anonymous mapping (of positive length), not the allocator's heap:
+    # its pages go back to the system with the state instead of staying
+    # resident as free heap.
+    work = np.frombuffer(mmap.mmap(-1, max(nbytes, 8)), dtype=float)
     return BPState(
         g=g,
         zeta=zeta,
         msgs=np.append(np.full(2 * m, 0.5), 0.0),
         active=np.ones(m, dtype=bool),
         r=np.array(g.r),
+        work=work,
     )
 
 
@@ -328,72 +341,86 @@ def _tilt(inc: np.ndarray, zeta: float) -> np.ndarray:
     return on / (1.0 - inc + on)
 
 
-def _prefix_weights(on: np.ndarray, cut: int) -> np.ndarray:
-    """(K+1, cut+1, C) link-count distributions of each column's first t slots.
+def _prefix_weights(on: np.ndarray, cut: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(S+1, cut+1, C) link-count distributions of each column's first t of
+    its S = len(on) slots.
 
     [t, :, c] is the distribution of the number of links among slots
     0..t-1 of column c when slot s is on with probability on[s, c].  Bins
-    0..cut-1 are exact; bin cut holds "cut or more".
+    0..cut-1 are exact; bin cut holds "cut or more".  out, when given, is
+    the (S+1, cut+1, C) array to fill instead of a fresh one.
     """
     kmax, cols = on.shape
-    out = np.zeros((kmax + 1, cut + 1, cols))
+    if out is None:
+        out = np.empty((kmax + 1, cut + 1, cols))
+    out[0] = 0.0
     out[0, 0] = 1.0
     off = 1.0 - on
     carry = np.empty((cut, cols))
-    for prev, lo, hi, top, on_t, off_t in zip(
-        out[:-1], out[1:, :cut], out[1:, 1:], out[1:, cut], on, off
+    for head, last, lo, hi, top, on_t, off_t in zip(
+        out[:-1, :cut], out[:-1, cut], out[1:, :cut], out[1:, 1:], out[1:, cut], on, off
     ):
-        np.multiply(prev[:cut], on_t, out=carry)
-        np.multiply(prev[:cut], off_t, out=lo)
-        top[:] = prev[cut]
+        np.multiply(head, on_t, out=carry)
+        np.multiply(head, off_t, out=lo)
+        top[:] = last
         np.add(hi, carry, out=hi)
     return out
 
 
-def _gather_plan(g: FactorGraph, r: np.ndarray):
-    """Cut and (cut+2, F) cavity gathers for requirements r.
+def _gather_plan(state: BPState):
+    """Cut, (cut+2, F) cavity gathers and workspace views for state.r.
 
-    Row j pairs prefix bin j with suffix bin max(r - j, 0): tail_at indexes
-    the bin-reversed suffix tails, coef_at the suffix distributions inside
-    the stacked prefix array, and reachable marks r - j >= 0.  r changes
-    between run_sweeps calls, so a plan serves one call only.
+    Row j pairs prefix bin j with suffix bin max(r - j, 0): at_bin indexes
+    that bin of the suffix half inside the stacked prefix array, and
+    reachable marks r - j >= 0.  The stacked distributions and the
+    gathered operand follow, carved for this cut from the front of
+    state.work.  r changes between run_sweeps calls, so a plan serves one
+    call only; r only falls, so the views fit the workspace make_state
+    sized for g.r.
     """
-    fcount = g.n_factors
+    g, r = state.g, state.r
+    fcount, kmax = g.n_factors, g.max_degree
     cut = int(r.max()) + 2
     idx = r - np.arange(cut + 2)[:, None]
-    bins = np.maximum(idx, 0)
-    cols = np.arange(fcount)
-    return cut, (cut - bins) * fcount + cols, bins * (2 * fcount) + fcount + cols, idx >= 0
+    at_bin = np.maximum(idx, 0) * (2 * fcount) + fcount + np.arange(fcount)
+    stacked = kmax * (cut + 1) * 2 * fcount
+    both = state.work[:stacked].reshape(kmax, cut + 1, 2 * fcount)
+    picked = state.work[stacked : stacked + kmax * (cut + 2) * fcount].reshape(kmax, cut + 2, fcount)
+    return cut, at_bin, idx >= 0, both, picked
 
 
 def _slot_messages(state: BPState, plan) -> np.ndarray:
     """(K, F) fresh outgoing messages at finite z or z = 0."""
     g = state.g
     fcount, kmax = g.n_factors, g.max_degree
-    cut, tail_at, coef_at, reachable = plan
+    cut, at_bin, reachable, both, picked = plan
     finite = state.zeta > 0
     q = _tilt(state.msgs, state.zeta) if finite else state.msgs
-    both = _prefix_weights(q[g.slot_in], cut)
-    pre = both[:kmax, :, :fcount]  # slots before s
-    # Suffix tails T(>= b) with bins reversed (bin b at cut - b); row t of
-    # both holds the last t slots, so slot s reads row K-1-s.
-    tails = np.cumsum(both[:kmax, ::-1, fcount:], axis=1).reshape(kmax, -1)
-    picked = np.take(tails, tail_at, axis=1)[::-1]
-    del tails
-    # sums over j of pre[s, j] * T(>= max(r - 1 - j, 0)), resp. r - j
-    reach = np.einsum("tjf,tjf->tf", pre, picked[:, 1:])
-    at_least = np.einsum("tjf,tjf->tf", pre, picked[:, :-1])
-    del picked  # before the z = 0 gather, so the two never coexist
-    if finite:
-        num = state.zeta * reach
-        den = num + at_least
-    else:
+    # A cavity leaves one slot out, so rows 0..K-1 of the distributions,
+    # from the first K-1 slots, are all a sweep reads.
+    _prefix_weights(q[g.slot_in[:-1]], cut, out=both)
+    pre = both[:, :, :fcount]  # slots before s
+    # Row t of both holds the last t slots, so slot s reads row K-1-s.
+    # mode="clip" gathers straight into picked; the default buffers out.
+    suffix_bins = both.reshape(kmax, -1)
+    if not finite:
         # mu = V^{r-1} / (V^{r-1} + V^r); V^{-1} = 0, so unneeded links
         # vanish in the sparsest limit.
-        picked = np.take(both.reshape(kmax + 1, -1)[:kmax], coef_at, axis=1)[::-1]
+        np.take(suffix_bins, at_bin, axis=1, out=picked, mode="clip")
         picked *= reachable
-        num = np.einsum("tjf,tjf->tf", pre, picked[:, 1:])
-        den = num + np.einsum("tjf,tjf->tf", pre, picked[:, :-1])
+        num = np.einsum("tjf,tjf->tf", pre, picked[::-1, 1:])
+        den = num + np.einsum("tjf,tjf->tf", pre, picked[::-1, :-1])
+    # The suffix distributions become their tails T(>= b) in place, summed
+    # bin by bin from the top (cumsum along the strided bin axis is slower).
+    suf = both[:, ::-1, fcount:].swapaxes(0, 1)
+    for prev, dst in zip(suf[:-1], suf[1:]):
+        np.add(prev, dst, out=dst)
+    np.take(suffix_bins, at_bin, axis=1, out=picked, mode="clip")
+    # sums over j of pre[s, j] * T(>= max(r - 1 - j, 0)), resp. r - j
+    reach = np.einsum("tjf,tjf->tf", pre, picked[::-1, 1:])
+    if finite:
+        num = state.zeta * reach
+        den = num + np.einsum("tjf,tjf->tf", pre, picked[::-1, :-1])
     # den = 0 with a reachable r - 1: the cavity already holds more than r
     # links, and the z -> 0 limit of the message is 0.
     dead = reach <= 0
@@ -407,7 +434,8 @@ def _sweep(state: BPState, damping: float, plan) -> float:
     m = state.g.m_total
     fresh = np.take(_slot_messages(state, plan), state.g.msg_slot)
     old = state.msgs[: 2 * m]
-    new = damping * old + (1.0 - damping) * fresh
+    # undamped, 0 * old + 1 * fresh would be fresh exactly
+    new = damping * old + (1.0 - damping) * fresh if damping else fresh
     old, new = old.reshape(2, m), new.reshape(2, m)
     delta = float(np.max(np.abs(new - old), where=state.active, initial=0.0))
     np.copyto(old, new, where=state.active)
@@ -418,7 +446,7 @@ def run_sweeps(state: BPState, opts: BPOptions) -> tuple[bool, int, float]:
     """Iterate synchronous sweeps until the max message change is below tol."""
     if state.g.m_total == 0 or not np.any(state.active):
         return True, 0, 0.0
-    plan = _gather_plan(state.g, state.r)
+    plan = _gather_plan(state)
     delta = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
         delta = _sweep(state, opts.damping, plan)

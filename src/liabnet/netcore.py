@@ -54,6 +54,21 @@ BALANCE_RTOL = 1e-9
 ZERO_RESIDUAL_ATOL = 1e-9
 
 
+def _noise_floor(strength: np.ndarray) -> np.ndarray:
+    """Per bank, the float noise a residual cut from the given rescaled
+    strength can carry: max(ZERO_RESIDUAL_ATOL, 1e-12 * strength)."""
+    return np.maximum(ZERO_RESIDUAL_ATOL, 1e-12 * np.asarray(strength, dtype=float))
+
+
+def _transport_tol(res_out, res_in, out_strength, in_strength) -> float:
+    """Noise floors of the banks with a residual left, summed per side; the
+    larger side's sum."""
+    return max(
+        float(_noise_floor(out_strength)[np.asarray(res_out) > 0].sum()),
+        float(_noise_floor(in_strength)[np.asarray(res_in) > 0].sum()),
+    )
+
+
 class InconsistentObservation(ValueError):
     """Known entries or strengths contradict each other."""
 
@@ -369,18 +384,32 @@ def make_observation(
 class ReducedProblem(_UnknownSlots):
     """Unknown slots, stored as ends, plus residual strengths after absorbing known values.
 
-    ValueError names a bad slot or a residual not finite and >= 0; balance is not checked.
+    tol is the transport tolerance: a flow short of the residual total by
+    at most tol carries the residuals.  It is the larger, over the two
+    sides, of the summed noise floors max(ZERO_RESIDUAL_ATOL, 1e-12 *
+    strength) of the banks with a residual left.  absorb_known uses the
+    strengths the residuals were cut from, so tol follows their scale with
+    the floors its cleanup applies; None takes each residual as its bank's
+    strength.
+
+    ValueError names a bad slot, a residual not finite and >= 0, or a tol
+    not finite and >= 0; balance is not checked.
     """
 
     n: int
     ends: tuple[np.ndarray, np.ndarray]
     res_out: np.ndarray
     res_in: np.ndarray
+    tol: float | None = None
 
     def __post_init__(self) -> None:
         _checked_ends(*self.ends, self.n, "unknown")
         for name in ("res_out", "res_in"):
             _set_vector(self, name, self.n, nonnegative=True)
+        if self.tol is None:
+            object.__setattr__(self, "tol", _transport_tol(self.res_out, self.res_in, self.res_out, self.res_in))
+        elif not 0 <= self.tol < np.inf:
+            raise ValueError(f"tol {self.tol:g} must be finite and >= 0")
 
     @property
     def live(self) -> np.ndarray:
@@ -402,7 +431,8 @@ def absorb_known(obs: Observation) -> ReducedProblem:
     amplifies the float error of the strength-minus-knowns subtractions to
     around 1e-14 of the rescaled strength, which can exceed the absolute
     tolerance and fabricate unknowns; a genuine hidden liability twelve
-    orders of magnitude below its bank's total is negligible.
+    orders of magnitude below its bank's total is negligible.  The same
+    floors set the reduced problem's transport tolerance tol.
 
     Raises:
         InconsistentObservation: a residual is negative beyond tolerance, or
@@ -423,9 +453,10 @@ def absorb_known(obs: Observation) -> ReducedProblem:
     np.clip(res_in, 0.0, None, out=res_in)
     if abs(res_out.sum() - res_in.sum()) > tol:
         raise InconsistentObservation("total residual credit and debt disagree")
-    res_out[res_out <= np.maximum(ZERO_RESIDUAL_ATOL, 1e-12 * obs.out_strength)] = 0.0
-    res_in[res_in <= np.maximum(ZERO_RESIDUAL_ATOL, 1e-12 * obs.in_strength)] = 0.0
-    return ReducedProblem(n=obs.n, ends=obs.ends, res_out=res_out, res_in=res_in)
+    res_out[res_out <= _noise_floor(obs.out_strength)] = 0.0
+    res_in[res_in <= _noise_floor(obs.in_strength)] = 0.0
+    tol = _transport_tol(res_out, res_in, obs.out_strength, obs.in_strength)
+    return ReducedProblem(n=obs.n, ends=obs.ends, res_out=res_out, res_in=res_in, tol=tol)
 
 
 def assemble_matrix(obs: Observation, values: Sequence[float]) -> LiabilityMatrix:

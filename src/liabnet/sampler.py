@@ -177,7 +177,7 @@ class _Transport:
     def __init__(self, p: ReducedProblem, slots: np.ndarray):
         n = p.n
         self.target = max(float(np.sum(p.res_out)), float(np.sum(p.res_in)))
-        self.tol = 1e-9 * max(1.0, self.target)
+        self.tol = p.tol
         self.src, self.snk = 2 * n, 2 * n + 1
         self.net = _Dinic(2 * n + 2)
         self.source_edge = [-1] * n
@@ -233,8 +233,9 @@ def feasibility_check(p: ReducedProblem, a: Support | None = None) -> Feasibilit
         a: candidate support over p's unknown slots; None allows every one.
 
     Returns:
-        FeasibilityCertificate; truthy iff feasible within the balance
-        tolerance 1e-9 * max(1, total residual).
+        FeasibilityCertificate; truthy iff the max-flow falls short of the
+        residual total by at most p.tol, which follows the strengths the
+        residuals were cut from.
     """
     if a is None:
         slots = np.arange(p.m)

@@ -257,6 +257,19 @@ class TestMessagesAgainstExactArithmetic:
         assert len(errors) > g.m_total
         assert max(errors) < 1e-12
 
+    @pytest.mark.parametrize("z", [0.0, 1e-3, 1.0])
+    def test_long_cavity_matches_rational_cavity(self, z):
+        # K = 15 slots and a cut of 11 bins: the suffix tails run long.
+        rng = np.random.default_rng(7)
+        _, _, p = random_problem(16, 0)
+        g = build_factor_graph(p)
+        assert g.max_degree >= 15 and int(g.r.max()) + 2 >= 7
+        m = g.m_total
+        mu_row, mu_col = (rng.random(m) ** rng.choice((0.05, 1.0, 20.0), m) for _ in range(2))
+        errors = oracle_errors(fresh_messages(g, z, mu_row, mu_col), mu_row, mu_col)
+        assert len(errors) == 2 * m
+        assert max(errors) < 1e-12
+
     def test_sparse_limit_over_satisfied_cavity_gives_zero(self):
         # Bank 0 needs one outgoing link; with its other two slots already
         # on, the z -> 0 message to the third slot is 0, not undetermined.
@@ -275,6 +288,13 @@ class TestMessagesAgainstExactArithmetic:
         assert exact_cavity_message([1.0, 1.0], 1, 0) == 0
 
 
+def powerlaw_graph(n, quantile, seed=0):
+    """Factor graph of a seeded powerlaw network observed at a quantile of its entries."""
+    L, _ = generate(EnsembleSpec("powerlaw", n, 0.3, seed=seed))
+    theta = float(np.quantile(L.entries[L.entries > 0], quantile))
+    return build_factor_graph(absorb_known(make_observation(L, theta)), strict=False)
+
+
 class TestKernelSize:
     def test_guard_names_the_size(self, monkeypatch):
         g = build_factor_graph(benchmark3())
@@ -282,15 +302,34 @@ class TestKernelSize:
         with pytest.raises(KernelTooLarge) as exc:
             bp_fixed_point(g, 1.0)
         # n = 3, K = 2 slots per factor, R = max(r) + 2 = 3
-        assert "n=3, K=2, R=3 needs 2016 bytes" in str(exc.value)
+        assert "n=3, K=2, R=3 needs 1248 bytes" in str(exc.value)
         assert isinstance(exc.value, ValueError)
+
+    def test_guard_counts_the_workspace(self, monkeypatch):
+        g = powerlaw_graph(60, 0.9)
+        nbytes = make_state(g, 1.0).work.nbytes
+        monkeypatch.setattr(bpcore, "_physical_memory", lambda: nbytes)
+        assert make_state(g, 1.0).work.nbytes == nbytes
+        monkeypatch.setattr(bpcore, "_physical_memory", lambda: nbytes - 1)
+        monkeypatch.setattr(bpcore.mmap, "mmap", lambda *args: pytest.fail("workspace allocated"))
+        with pytest.raises(KernelTooLarge, match=f"needs {nbytes} bytes"):
+            make_state(g, 1.0)
+
+    @pytest.mark.parametrize("z", [0.0, 1.0])
+    def test_sweeps_write_into_the_workspace(self, z):
+        g = powerlaw_graph(60, 0.9)
+        state = make_state(g, z)
+        tracemalloc.start()
+        try:
+            run_sweeps(state, BPOptions(max_sweeps=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.work.nbytes / 4
 
     @pytest.mark.parametrize("z", [0.0, 1.0])
     def test_sweep_memory_at_n200(self, z):
-        L, _ = generate(EnsembleSpec("powerlaw", 200, 0.3, seed=0))
-        theta = float(np.quantile(L.entries[L.entries > 0], 0.8))
-        g = build_factor_graph(absorb_known(make_observation(L, theta)), strict=False)
-        state = make_state(g, z)
+        state = make_state(powerlaw_graph(200, 0.8), z)
         tracemalloc.start()
         try:
             run_sweeps(state, BPOptions(max_sweeps=1))

@@ -230,6 +230,16 @@ class TestReducedProblem:
     def test_unbalanced_residuals_accepted(self):
         assert self.make(res_out=(1.0, 0.0, 0.0)).total_residual() == 1.0
 
+    def test_default_tol_takes_residuals_as_strengths(self):
+        # three banks per side with a residual left, each at the 1e-9 floor
+        assert self.make().tol == pytest.approx(3e-9)
+        assert self.make(res_out=(2e6, 0.0, 0.0)).tol == pytest.approx(2e-6)
+
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            nc.ReducedProblem(n=3, ends=ends_of(offdiag(3)), res_out=np.ones(3), res_in=np.ones(3), tol=tol)
+
     @pytest.mark.parametrize(
         "ends, message",
         [
@@ -275,6 +285,20 @@ class TestAbsorbKnown:
         rp = nc.absorb_known(obs)
         total = rp.res_out.sum()
         assert abs(total - rp.res_in.sum()) <= 1e-9 * max(1.0, total)
+
+    def test_tol_follows_the_strengths(self):
+        # Residuals of 0.5 left from strengths of 4e6: the transport
+        # tolerance sums the floors 1e-12 * 4e6 and 1e-9 on each side.
+        obs = nc.Observation(
+            n=2,
+            theta=1.0,
+            known={(0, 1): 4e6},
+            out_strength=np.array([4e6 + 0.5, 0.5]),
+            in_strength=np.array([0.5, 4e6 + 0.5]),
+        )
+        rp = nc.absorb_known(obs)
+        assert rp.res_out == pytest.approx([0.5, 0.5]) and rp.res_in == pytest.approx([0.5, 0.5])
+        assert rp.tol == pytest.approx(4e-6 + 1e-9)
 
     def test_inconsistent_known_raises(self):
         obs = nc.Observation(

@@ -108,6 +108,17 @@ class TestFeasibilityCheck:
         )
         assert feasibility_check(p0, Support(p0.ends, np.zeros(2, dtype=np.uint8)))
 
+    @pytest.mark.parametrize(
+        "excess, tol, feasible",
+        [(5e-10, None, True), (2e-9, None, False), (2e-9, 1e-8, True), (2e-8, 1e-8, False)],
+    )
+    def test_shortfall_within_the_problem_tol(self, excess, tol, feasible):
+        # One unit link against residuals of 1 + excess: by default the
+        # tolerance is one bank's 1e-9 floor per side.
+        res = np.array([1.0 + excess, 0.0])
+        p = ReducedProblem(n=2, ends=ends_of(((0, 1),)), res_out=res, res_in=res[::-1], tol=tol)
+        assert bool(feasibility_check(p, None)) is feasible
+
     def test_wrong_unknown_set_rejected(self):
         p = benchmark3()
         one_slot = Support(ends_of(((0, 1),)), np.array([1], dtype=np.uint8))
@@ -658,14 +669,10 @@ class TestLambdaMax:
         assert res.lambda_max == 1.0 - want[1] / p.m
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the flow check's tolerance ignores the size of the strengths the residuals came from",
-)
 def test_true_support_certified_at_small_threshold():
     # Rescaled by the smallest entry, the true support's single unknown link
     # meets residuals 1.0000000001 and 1.0000000023, cut from strengths of
-    # about 7.5e6 and 9.0e6; the check rejects it by 2.3e-9.
+    # about 7.5e6 and 9.0e6: a 2.3e-9 shortfall, float noise at that scale.
     L, _ = generate(EnsembleSpec("uniform", 80, 0.3, seed=12))
     theta = float(L.entries[L.entries > 0].min())
     rp = absorb_known(make_observation(L, theta))
