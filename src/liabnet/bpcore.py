@@ -40,6 +40,15 @@ z = 0.0 and uses exact closed forms, never extreme floats: mu = V^{r-1} /
 (V^{r-1} + V^r); when both vanish because the cavity already holds more
 than r links, mu is 0 (the z -> 0 limit), and only a cavity that cannot
 reach r - 1 links is degenerate (0.5, counted in BPState.degenerate).
+
+Stopping.  run_sweeps stops at the first sweep whose largest change is
+below tol, and there are two changes it can test.  bp_fixed_point, and
+through it sigma_curve and calibrate_fugacity, test the messages:
+bethe_entropy reads the messages themselves, and the graph's memo hands
+one fixed point to all three.  Decimation's refreshes (sampler) test the
+link marginals instead, because their coin flips read nothing else.  At
+z = 0, damped messages can keep creeping toward 0 or 1 for hundreds of
+sweeps after the marginals stopped moving.
 """
 
 from __future__ import annotations
@@ -429,27 +438,75 @@ def _slot_messages(state: BPState, plan) -> np.ndarray:
     return mu
 
 
-def _sweep(state: BPState, damping: float, plan) -> float:
-    """One synchronous update of every message; returns the max change."""
+class _MarginalMoves:
+    """The link marginals of a state's messages, with the values
+    state_marginals gives (0.5 where degenerate; messages stay in [0, 1],
+    so its clip never acts), and the largest move of any since the last
+    look.  A fixed link's messages are pinned at 0, so its marginal reads 0
+    on every look and never moves.  Buffers are allocated once per
+    run_sweeps call."""
+
+    def __init__(self, state: BPState):
+        m = state.g.m_total
+        self.mu = state.msgs[: 2 * m].reshape(2, m)
+        self.off = np.empty((2, m))
+        # Row views are kept: making one costs as much as a small ufunc call.
+        self.row, self.col = self.mu
+        self.row_off, self.col_off = self.off
+        self.num, self.den, self.seen, self.now = (np.empty(m) for _ in range(4))
+        self.valid = np.empty(m, dtype=bool)
+        self._read(self.seen)
+
+    def _read(self, out: np.ndarray) -> None:
+        num, den = self.num, self.den
+        np.multiply(self.row, self.col, out=num)
+        np.subtract(1.0, self.mu, out=self.off)
+        np.multiply(self.row_off, self.col_off, out=den)
+        den += num
+        out.fill(0.5)
+        np.divide(num, den, out=out, where=np.greater(den, 0.0, out=self.valid))
+
+    def move(self) -> float:
+        now, seen = self.now, self.seen
+        self._read(now)
+        np.subtract(now, seen, out=seen)
+        self.seen, self.now = now, seen
+        return float(np.abs(seen, out=seen).max())
+
+
+def _sweep(state: BPState, damping: float, plan, marginals: _MarginalMoves | None = None) -> float:
+    """One synchronous update of every message.  Returns the max change of
+    an undecided link's messages or, given marginals, of the link marginals."""
     m = state.g.m_total
     fresh = np.take(_slot_messages(state, plan), state.g.msg_slot)
     old = state.msgs[: 2 * m]
     # undamped, 0 * old + 1 * fresh would be fresh exactly
     new = damping * old + (1.0 - damping) * fresh if damping else fresh
     old, new = old.reshape(2, m), new.reshape(2, m)
-    delta = float(np.max(np.abs(new - old), where=state.active, initial=0.0))
+    if marginals is None:
+        delta = float(np.max(np.abs(new - old), where=state.active, initial=0.0))
     np.copyto(old, new, where=state.active)
-    return delta
+    return delta if marginals is None else marginals.move()
 
 
-def run_sweeps(state: BPState, opts: BPOptions) -> tuple[bool, int, float]:
-    """Iterate synchronous sweeps until the max message change is below tol."""
+def run_sweeps(state: BPState, opts: BPOptions, *, marginals: bool = False) -> tuple[bool, int, float]:
+    """Iterate synchronous sweeps until a sweep's largest change is below
+    opts.tol; returns (converged, sweeps, that last change).
+
+    The change is the largest move of an undecided link's messages.  With
+    marginals=True it is the largest move of a link marginal, as
+    state_marginals reads it, instead; the message change is then not
+    computed.  Only decimation's refreshes ask for that, as their coin
+    flips read only the marginals.  bp_fixed_point keeps the message test,
+    because bethe_entropy reads the messages themselves.
+    """
     if state.g.m_total == 0 or not np.any(state.active):
         return True, 0, 0.0
     plan = _gather_plan(state)
+    moves = _MarginalMoves(state) if marginals else None
     delta = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
-        delta = _sweep(state, opts.damping, plan)
+        delta = _sweep(state, opts.damping, plan, moves)
         assert state.msgs.min() >= -1e-12 and state.msgs.max() <= 1 + 1e-12, "message left [0, 1]"
         if delta < opts.tol:
             return True, sweep, delta

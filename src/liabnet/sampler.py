@@ -8,11 +8,12 @@ the columns.  feasibility_check solves it exactly with a max-flow and
 returns either a realizing assignment or a deficient cut.
 
 decimate draws a support from the fugacity-z ensemble: run message
-passing, fix the most biased undecided link by a coin flip with its
-marginal probability, condition the remaining problem on that choice, and
-repeat.  A bank side whose remaining requirement equals its undecided
-links has all of them fixed on at once, as every support of the
-conditioned ensemble has them; so no coin flip can leave a bank short.
+passing until the link marginals settle, fix the most biased undecided
+link by a coin flip with its marginal probability, condition the
+remaining problem on that choice, and repeat.  A bank side whose
+remaining requirement equals its undecided links has all of them fixed on
+at once, as every support of the conditioned ensemble has them; so no
+coin flip can leave a bank short.
 decimate also keeps a residual flow network of the links still possible
 (fixed on or undecided), built once per draw: a link fixed off cancels
 the flow it carried, and a re-route pushes only that flow again.
@@ -263,7 +264,9 @@ class DecimationOptions:
     fix_per_round is the share in [0, 1) of the still undecided links fixed
     between message-passing refreshes, rounded, and at least one link; the
     default 0 is the faithful one-at-a-time schedule.  bp.damping applies
-    to z = 0 refreshes; finite-z refreshes run undamped.
+    to z = 0 refreshes; finite-z refreshes run undamped.  bp.tol bounds
+    how far any link marginal may move in a refresh's last sweep, and
+    bp.max_sweeps caps a refresh.
     """
 
     fix_per_round: float = 0.0
@@ -278,7 +281,9 @@ class DecimationOptions:
 class DecimationTrace:
     """What one decimation run did: message-passing rounds, links fixed on
     by propagation (forced), and its support (None for a draw that
-    sample_supports recorded as failed).
+    sample_supports recorded as failed).  converged_rounds counts the
+    rounds whose refresh stopped because no link marginal moved by bp.tol
+    in a sweep, not at bp.max_sweeps.
 
     A draw that stopped early, because its possible links (fixed on or
     undecided) could no longer carry the residuals, has cut set: the
@@ -372,19 +377,21 @@ def decimate(
     """Draw one support from the fugacity-z ensemble by iterated fixing.
 
     Propagation first fixes on the links of every factor that needs all of
-    its undecided links.  Each round then refreshes the message fixed
-    point (warm-started), picks the most strongly biased undecided links
-    (stable tie-break toward lower index), flips each on with its marginal
-    probability, and conditions the factors on the outcome; a link that
-    propagation fixed earlier in the batch is skipped and draws no random
-    number.  After every link fixed off, propagation runs again on its two
-    factors.  Forced links belong to every support of the conditioned
-    ensemble, so this is exact conditioning, and it keeps each factor of
-    an undecided link either free of requirement or one link short of
-    needing all of them: no flip can leave a bank short.  At finite z the
-    refreshes run undamped: damping changes the path to a fixed point, not
-    the fixed point.  At z = 0 they keep opts.bp.damping, because the
-    sparse-limit equations converge slowly without it.
+    its undecided links.  Each round then refreshes the messages
+    (warm-started) until no link marginal, which is all the coin flips
+    read, moves by opts.bp.tol in a sweep.  It picks the most strongly
+    biased undecided links (stable tie-break toward lower index), flips
+    each on with its marginal probability, and conditions the factors on
+    the outcome; a link that propagation fixed earlier in the batch is
+    skipped and draws no random number.  After every link fixed off,
+    propagation runs again on its two factors.  Forced links belong to
+    every support of the conditioned ensemble, so this is exact
+    conditioning, and it keeps each factor of an undecided link either
+    free of requirement or one link short of needing all of them: no flip
+    can leave a bank short.  At finite z the refreshes run undamped:
+    damping changes the path to a fixed point, not the fixed point.  At
+    z = 0 they keep opts.bp.damping, because the sparse-limit equations
+    converge slowly without it.
 
     A residual flow network of the possible links (fixed on or undecided)
     rides along, built and max-flowed once on all of them.  Each link
@@ -434,7 +441,7 @@ def decimate(
             net.reroute()
         if not np.any(state.active):
             break
-        ok, _, _ = run_sweeps(state, bp)
+        ok, _, _ = run_sweeps(state, bp, marginals=True)
         rounds += 1
         converged_rounds += int(ok)
         marg, _ = state_marginals(state.mu_row, state.mu_col)

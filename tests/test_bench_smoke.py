@@ -44,3 +44,8 @@ def test_traced_round_counts_the_sampler(workload):
     metrics = run_one_round(workload, trace=1)["metrics"]
     for name in ("sampler.decimate_calls", "bpcore.sweeps", "sampler.feasible_fraction"):
         assert metrics[name]["value"] > 0, name
+    # Decimation's refreshes reach the tracer through bpcore.run_sweeps, and
+    # stopped on the link marginals every one of them converges (19 of the
+    # disclosure-sweep round's refreshes hit the sweep cap when they were
+    # stopped on the messages).
+    assert metrics["bpcore.unconverged"]["value"] == 0

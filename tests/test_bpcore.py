@@ -30,6 +30,7 @@ from liabnet.bpcore import (
     required_degrees,
     run_sweeps,
     sigma_curve,
+    state_marginals,
     write_entropy_csv,
 )
 from liabnet.ensembles import EnsembleSpec, generate
@@ -432,6 +433,27 @@ class TestDeterminism:
         assert np.array_equal(m1.mu_row, m2.mu_row)
         assert np.array_equal(m1.mu_col, m2.mu_col)
         assert m1.sweeps == m2.sweeps
+
+
+class TestMarginalStop:
+    @pytest.mark.parametrize("z, damping", [(0.0, 0.5), (0.2, 0.0), (1.0, 0.0)])
+    def test_change_is_the_last_move_of_a_marginal(self, z, damping):
+        # With marginals=True the sweeps are those of the message test, bit
+        # for bit, and the change reported is the largest move of a
+        # state_marginals value in the last sweep.
+        _, _, p = random_problem(6, 2, density=0.7)
+        g = build_factor_graph(p, strict=False)
+        mine, ref = make_state(g, z), make_state(g, z)
+        for state in (mine, ref):
+            for e, value in ((0, 1), (7, 0), (13, 1)):
+                _fix_variable(state, e, value)
+        done, sweeps, change = run_sweeps(mine, BPOptions(1e-300, 4, damping), marginals=True)
+        run_sweeps(ref, BPOptions(1e-300, 3, damping))
+        before = state_marginals(ref.mu_row, ref.mu_col)[0]
+        run_sweeps(ref, BPOptions(1e-300, 1, damping))
+        assert np.array_equal(mine.msgs, ref.msgs)
+        assert (done, sweeps) == (False, 4)
+        assert change == np.abs(state_marginals(ref.mu_row, ref.mu_col)[0] - before).max() > 0
 
 
 class TestFixedPointMemo:
