@@ -4,8 +4,12 @@ A support (a set of allowed links) is admissible when every bank's degree
 constraint holds (H = 0) and when nonnegative entries capped at 1 can
 actually realize the residual strengths on it.  The latter is a transport
 problem: send each row's residual through unit-capacity support edges into
-the columns.  feasibility_check solves it exactly with a max-flow and
-returns either a realizing assignment or a deficient cut.
+the columns.  One class solves it: _Transport, a residual flow network
+whose edges are stored in pairs (edge eid's reverse is eid ^ 1).  It keeps
+its flow while links are removed and restored, re-routes only what is
+missing, and its certificate() describes the last re-route: a realizing
+assignment or a deficient cut.  feasibility_check is that certificate for
+a fresh network of one support.
 
 decimate draws a support from the fugacity-z ensemble: run message
 passing until the link marginals settle, fix the most biased undecided
@@ -19,12 +23,12 @@ decimate also keeps a residual flow network of the links still possible
 the flow it carried, and a re-route pushes only that flow again.
 Max-flow is monotone in the link set, so once those links cannot carry
 the residuals no completion can, and the draw stops there with the
-deficient cut.  sample_supports is its one caller: it gives each draw its
-own stream, records draws on a locally infeasible graph as failed and
-flow-checks the completed ones.  lambda_max draws through sample_supports
-over a ladder of fugacities near the z -> 0 limit, greedily peels every
-distinct draw that passes the flow check, each on one residual network,
-and keeps the sparsest result.
+network's deficient cut.  sample_supports is its one caller: it gives
+each draw its own stream, records draws on a locally infeasible graph as
+failed and flow-checks the completed ones.  lambda_max draws through
+sample_supports over a ladder of fugacities near the z -> 0 limit,
+greedily peels every distinct draw that passes the flow check, each on
+one residual network, and keeps the sparsest result.
 """
 
 from __future__ import annotations
@@ -67,73 +71,6 @@ logger = logging.getLogger(__name__)
 _EPS = 1e-12
 
 
-class _Dinic:
-    """Max-flow on a small graph with float capacities."""
-
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes
-        self.head: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
-
-    def add_edge(self, u: int, v: int, c: float) -> int:
-        eid = len(self.to)
-        self.head[u].append(eid)
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0.0)
-        return eid
-
-    def flow_on(self, eid: int) -> float:
-        """Flow pushed through forward edge eid (the reverse edge's cap)."""
-        return self.cap[eid ^ 1]
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > _EPS and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    q.append(v)
-        return self.level[t] >= 0
-
-    def _dfs(self, u: int, t: int, pushed: float) -> float:
-        if u == t:
-            return pushed
-        while self.it[u] < len(self.head[u]):
-            eid = self.head[u][self.it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > _EPS and self.level[v] == self.level[u] + 1:
-                got = self._dfs(v, t, min(pushed, self.cap[eid]))
-                if got > _EPS:
-                    self.cap[eid] -= got
-                    self.cap[eid ^ 1] += got
-                    return got
-            self.it[u] += 1
-        return 0.0
-
-    def max_flow(self, s: int, t: int) -> float:
-        total = 0.0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                got = self._dfs(s, t, math.inf)
-                if got <= _EPS:
-                    break
-                total += got
-        return total
-
-    def source_side(self) -> list[int]:
-        """Nodes reachable from the source in the final residual graph."""
-        return [v for v in range(self.n) if self.level[v] >= 0]
-
-
 @dataclass(frozen=True)
 class FeasibilityCertificate:
     """Outcome of the transport check for one support.
@@ -162,37 +99,84 @@ class FeasibilityCertificate:
 class _Transport:
     """Residual flow network of one support's transport problem.
 
-    Row node i takes res_out[i] from the source, column node j sends
-    res_in[j] to the sink, and each link of the support is a unit edge
-    i -> j; the source and sink edges of banks 0..n-1 come first, then the
-    links in slot order.  The network keeps its flow between calls:
-    remove(e) deletes link e and cancels the flow it carried on its row's
-    source edge and its column's sink edge, which leaves a valid, smaller
-    flow, and reroute then runs max-flow on the residual graph, so it
-    pushes only what is missing.  A fresh network carries no flow, so its
-    first reroute is a from-scratch max-flow.  Max-flow is monotone in the
-    link set, so after any removals the verdict is the one a fresh network
-    on the remaining links gives.
+    Row node i takes res_out[i] from the source, column node n + j sends
+    res_in[j] to the sink, and each link i -> j of the support is a unit
+    edge; the source (2n) and sink (2n + 1) edges of banks 0..n-1 come
+    first, then the links in slot order.  Edges are stored in pairs: edge
+    eid's reverse is eid ^ 1, whose residual capacity is the flow eid
+    carries.  The network keeps its flow between calls: remove(e) deletes
+    link e (both its capacities read 0, its edge ids stay, so restore can
+    bring it back) and cancels the flow it carried on its row's source
+    edge and its column's sink edge, which leaves a valid, smaller flow;
+    reroute then runs Dinic's max-flow on the residual graph, so it pushes
+    only what is missing.  A fresh network carries no flow, so its first
+    reroute is a from-scratch max-flow.  Max-flow is monotone in the link
+    set, so after any removals the verdict is the one a fresh network on
+    the remaining links gives.  certificate() describes the last reroute.
     """
 
     def __init__(self, p: ReducedProblem, slots: np.ndarray):
         n = p.n
+        self.n = n
         self.target = max(float(np.sum(p.res_out)), float(np.sum(p.res_in)))
         self.tol = p.tol
         self.src, self.snk = 2 * n, 2 * n + 1
-        self.net = _Dinic(2 * n + 2)
+        self.head: list[list[int]] = [[] for _ in range(2 * n + 2)]
+        self.to: list[int] = []
+        self.cap: list[float] = []
         self.source_edge = [-1] * n
         self.sink_edge = [-1] * n
         for i in range(n):
             if p.res_out[i] > 0:
-                self.source_edge[i] = self.net.add_edge(self.src, i, float(p.res_out[i]))
+                self.source_edge[i] = self._add_edge(self.src, i, float(p.res_out[i]))
             if p.res_in[i] > 0:
-                self.sink_edge[i] = self.net.add_edge(n + i, self.snk, float(p.res_in[i]))
+                self.sink_edge[i] = self._add_edge(n + i, self.snk, float(p.res_in[i]))
         self.rows, self.cols = (ends.tolist() for ends in p.ends)
+        self.slots = slots.tolist()
         self.link = [-1] * p.m
-        for e in slots.tolist():
-            self.link[e] = self.net.add_edge(self.rows[e], n + self.cols[e], 1.0)
+        for e in self.slots:
+            self.link[e] = self._add_edge(self.rows[e], n + self.cols[e], 1.0)
         self.moved = 0.0
+
+    def _add_edge(self, u: int, v: int, c: float) -> int:
+        eid = len(self.to)
+        self.head[u].append(eid)
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(eid + 1)
+        self.to.append(u)
+        self.cap.append(0.0)
+        return eid
+
+    def _bfs(self) -> bool:
+        """Level the nodes the source reaches in the residual graph; True
+        iff that reaches the sink."""
+        self.level = [-1] * len(self.head)
+        self.level[self.src] = 0
+        q = deque([self.src])
+        while q:
+            u = q.popleft()
+            for eid in self.head[u]:
+                v = self.to[eid]
+                if self.cap[eid] > _EPS and self.level[v] < 0:
+                    self.level[v] = self.level[u] + 1
+                    q.append(v)
+        return self.level[self.snk] >= 0
+
+    def _dfs(self, u: int, pushed: float) -> float:
+        if u == self.snk:
+            return pushed
+        while self.it[u] < len(self.head[u]):
+            eid = self.head[u][self.it[u]]
+            v = self.to[eid]
+            if self.cap[eid] > _EPS and self.level[v] == self.level[u] + 1:
+                got = self._dfs(v, min(pushed, self.cap[eid]))
+                if got > _EPS:
+                    self.cap[eid] -= got
+                    self.cap[eid ^ 1] += got
+                    return got
+            self.it[u] += 1
+        return 0.0
 
     @property
     def feasible(self) -> bool:
@@ -200,16 +184,24 @@ class _Transport:
 
     def reroute(self) -> bool:
         """Push the missing flow; True iff the links left carry the residuals."""
-        self.moved += self.net.max_flow(self.src, self.snk)
+        pushed = 0.0
+        while self._bfs():
+            self.it = [0] * len(self.head)
+            while True:
+                got = self._dfs(self.src, math.inf)
+                if got <= _EPS:
+                    break
+                pushed += got
+        self.moved += pushed
         return self.feasible
 
     def flow_on(self, e: int) -> float:
         """Flow on link e, which must be in the network (0 once removed)."""
-        return self.net.flow_on(self.link[e])
+        return self.cap[self.link[e] ^ 1]
 
     def remove(self, e: int) -> float:
         """Delete link e and cancel the flow it carried; returns that flow."""
-        cap, eid = self.net.cap, self.link[e]
+        cap, eid = self.cap, self.link[e]
         flow = cap[eid ^ 1]
         cap[eid] = cap[eid ^ 1] = 0.0
         if flow > 0:
@@ -220,10 +212,28 @@ class _Transport:
         return flow
 
     def save(self) -> tuple[list[float], float]:
-        return list(self.net.cap), self.moved
+        return list(self.cap), self.moved
 
     def restore(self, saved: tuple[list[float], float]) -> None:
-        self.net.cap[:], self.moved = saved
+        self.cap[:], self.moved = saved
+
+    def certificate(self) -> FeasibilityCertificate:
+        """The certificate of the last reroute, or of the state restored
+        since.  Feasible: the flow on each link still present.  Otherwise
+        the rows and columns the source reaches in the residual graph,
+        which then form a deficient cut."""
+        n, cap = self.n, self.cap
+        if self.feasible:
+            flow = {}
+            for e in self.slots:
+                eid = self.link[e]
+                if cap[eid] + cap[eid ^ 1] > 0:  # a removed link reads 0 both ways
+                    flow[self.rows[e], self.cols[e]] = min(1.0, max(0.0, cap[eid ^ 1]))
+            return FeasibilityCertificate(True, self.moved, self.target, flow=flow)
+        self._bfs()
+        cut_rows = frozenset(i for i in range(n) if self.level[i] >= 0)
+        cut_cols = frozenset(j for j in range(n) if self.level[n + j] >= 0)
+        return FeasibilityCertificate(False, self.moved, self.target, cut_rows=cut_rows, cut_cols=cut_cols)
 
 
 def feasibility_check(p: ReducedProblem, a: Support | None = None) -> FeasibilityCertificate:
@@ -244,17 +254,8 @@ def feasibility_check(p: ReducedProblem, a: Support | None = None) -> Feasibilit
         _check_same_slots(p, a)
         slots = np.flatnonzero(a.values)
     net = _Transport(p, slots)
-    if net.reroute():
-        flow = {
-            (net.rows[e], net.cols[e]): min(1.0, max(0.0, net.flow_on(e)))
-            for e in slots.tolist()
-        }
-        return FeasibilityCertificate(True, net.moved, net.target, flow=flow)
-    n = p.n
-    side = set(net.net.source_side())
-    cut_rows = frozenset(i for i in range(n) if i in side)
-    cut_cols = frozenset(j for j in range(n) if (n + j) in side)
-    return FeasibilityCertificate(False, net.moved, net.target, cut_rows=cut_rows, cut_cols=cut_cols)
+    net.reroute()
+    return net.certificate()
 
 
 @dataclass(frozen=True)
@@ -398,14 +399,10 @@ def decimate(
     fixed off is removed from it, cancelling the flow it carried; after a
     batch in which a removed link carried flow the network re-routes that
     flow, and links fixed off without flow leave the flow valid.  When the
-    re-route falls short, feasibility_check of the possible links confirms
-    it from scratch: its failing certificate is the cut the draw stops
-    with, since no completion can carry the flow.  (Should it pass, which
-    rounding at the tolerance alone could cause, the draw goes on with a
-    fresh network.)  The draw stops after the same batch whichever flow
-    the network holds, and the checks draw no random number, so a draw
-    that completes is the one an unchecked run gives, and it is
-    flow-feasible.
+    re-route falls short, no completion can carry the flow, and the draw
+    stops with the network's certificate, the deficient cut of the
+    possible links.  The network draws no random number, so a draw that
+    completes is the one an unchecked run gives, and it is flow-feasible.
 
     Returns:
         DecimationTrace whose final_support, the drawn support or, for a
@@ -428,19 +425,8 @@ def decimate(
     forced = _force_links(state, members, range(g.n_factors), values)
     rounds = converged_rounds = 0
     net = _Transport(p, np.arange(g.m_total))
-    carries, cut = net.reroute(), None
-    while True:
-        if not carries:
-            possible = values | state.active
-            cut = feasibility_check(p, Support(p.ends, possible))
-            if not cut:
-                break
-            # The two max-flows differ only by rounding at the tolerance:
-            # go on with a fresh network, which gives the check's verdict.
-            net, cut = _Transport(p, np.flatnonzero(possible)), None
-            net.reroute()
-        if not np.any(state.active):
-            break
+    carries = net.reroute()
+    while carries and np.any(state.active):
         ok, _, _ = run_sweeps(state, bp, marginals=True)
         rounds += 1
         converged_rounds += int(ok)
@@ -461,6 +447,7 @@ def decimate(
                 ends = (g.var_row_factor[e], g.var_col_factor[e])
                 forced += _force_links(state, members, ends, values)
         carries = not lost_flow or net.reroute()
+    cut = None if carries else net.certificate()
     final = values | state.active
     degrees_met = np.all(_degree_counts(g, final) >= g.r)
     assert degrees_met, "decimation produced a degree-violating support"
@@ -519,6 +506,9 @@ def sample_supports(
             logger.warning("support draw failed: %s", err)
             out.append(SampledSupport(DecimationTrace(restarts=0, final_support=None), None))
             continue
+        # A completed draw's network already carries the flow; the check
+        # stays because perfbench's tracer pairs each draw with a
+        # feasibility_check verdict (ROADMAP item 7 replaces that pairing).
         cert = trace.cut if trace.cut is not None else feasibility_check(p, trace.final_support)
         out.append(SampledSupport(trace, cert))
     return out

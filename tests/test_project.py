@@ -118,10 +118,10 @@ def test_only_netcore_reads_the_pair_view():
     assert not readers, f"modules reading the .unknown pair view: {readers}"
 
 
-def test_one_draw_loop():
-    # Every support draw, typical or near-sparse, goes through
-    # sampler.sample_supports, so conditioning the draws or changing how
-    # failed ones are handled happens in one place.
+def _scopes_using(match) -> list[str]:
+    """"module.scope" of each node of the package's source that match
+    accepts; scope is the dotted path of its enclosing classes and
+    functions."""
     users = []
 
     def visit(node, module, scope):
@@ -129,15 +129,38 @@ def test_one_draw_loop():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (isinstance(child, ast.Name) and child.id == "decimate") or (
-                isinstance(child, ast.Attribute) and child.attr == "decimate"
-            ):
+            if match(child):
                 users.append(f"{module}.{scope}")
             visit(child, module, scope)
 
     for path in sorted((ROOT / "src" / "liabnet").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return users
+
+
+def _names(node, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_one_draw_loop():
+    # Every support draw, typical or near-sparse, goes through
+    # sampler.sample_supports, so conditioning the draws or changing how
+    # failed ones are handled happens in one place.
+    users = _scopes_using(lambda node: _names(node, "decimate"))
     assert users == ["sampler.sample_supports"], f"decimate is used in: {users}"
+
+
+def test_one_certificate_builder():
+    # Every flow certificate, from a fresh network or from one a draw has
+    # been removing links from, is read off the residual network in
+    # _Transport.certificate, so a verdict and its flow or cut cannot
+    # drift apart between callers.
+    builders = set(
+        _scopes_using(lambda node: isinstance(node, ast.Call) and _names(node.func, "FeasibilityCertificate"))
+    )
+    assert builders == {"sampler._Transport.certificate"}, f"FeasibilityCertificate built in: {builders}"
 
 
 def _traced_names() -> tuple[set[str], set[str]]:

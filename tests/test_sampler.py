@@ -52,6 +52,18 @@ def every_draw_fails_problem() -> ReducedProblem:
     )
 
 
+def assert_realizes(p, flow):
+    """A certificate's flow map has entries in [0, 1] whose row and column
+    sums reproduce the residuals."""
+    rows, cols = np.zeros(p.n), np.zeros(p.n)
+    for (i, j), v in flow.items():
+        assert 0.0 <= v <= 1.0
+        rows[i] += v
+        cols[j] += v
+    assert rows == pytest.approx(p.res_out, abs=1e-9)
+    assert cols == pytest.approx(p.res_in, abs=1e-9)
+
+
 class TestFeasibilityCheck:
     def test_agrees_with_lp_on_benchmark(self):
         p = benchmark3()
@@ -78,14 +90,7 @@ class TestFeasibilityCheck:
         p = benchmark3()
         cert = feasibility_check(p, None)
         assert cert.feasible and cert.flow is not None
-        rows = np.zeros(3)
-        cols = np.zeros(3)
-        for (i, j), v in cert.flow.items():
-            assert 0.0 <= v <= 1.0
-            rows[i] += v
-            cols[j] += v
-        assert rows == pytest.approx(p.res_out, abs=1e-9)
-        assert cols == pytest.approx(p.res_in, abs=1e-9)
+        assert_realizes(p, cert.flow)
 
     def test_infeasible_certificate_exposes_cut(self):
         p = benchmark3()
@@ -158,7 +163,8 @@ def flow_sums(p, net, present):
 
 class TestTransport:
     """The residual network keeps its flow while links go and come back;
-    after every step its verdict is the from-scratch one."""
+    after every step its verdict is the from-scratch one, and so is its
+    certificate's cut, or its flow map covers exactly the links present."""
 
     @pytest.mark.parametrize(
         "case",
@@ -186,6 +192,14 @@ class TestTransport:
                 steps += 1
                 cert = feasibility_check(p, Support(p.ends, present))
                 assert verdict == cert.feasible == lp_feasible(p, present)
+                mine = net.certificate()
+                assert mine.feasible == verdict
+                if verdict:
+                    links = {(i, j) for e, (i, j) in enumerate(zip(*p.ends)) if present[e]}
+                    assert set(mine.flow) == links
+                    assert_realizes(p, mine.flow)
+                else:
+                    assert (mine.cut_rows, mine.cut_cols) == (cert.cut_rows, cert.cut_cols)
                 rows, cols = flow_sums(p, net, present)
                 assert rows.sum() == pytest.approx(net.moved, abs=1e-9)
                 assert np.all(rows <= p.res_out + 1e-9) and np.all(cols <= p.res_in + 1e-9)
@@ -441,17 +455,15 @@ class TestEarlyStop:
     re-route certifies everything, so no draw stops; feasibility_check then
     gives each full run's verdict."""
 
-    @pytest.mark.parametrize(
-        "case, z, share",
-        [
-            (lambda: random_problem(6, 0)[2], 1.0, 0.0),
-            (lambda: random_problem(6, 1)[2], 1.0, 0.0),
-            (lambda: random_problem(6, 2)[2], 0.2, 0.12),
-            (lambda: random_problem(6, 4)[2], 0.0, 0.0),
-            (fallback_problem, 1.0, 0.0),
-        ],
-        ids=["random-6-0", "random-6-1", "random-6-2-batched", "random-6-4-sparse", "fallback"],
-    )
+    CASES = {
+        "random-6-0": (lambda: random_problem(6, 0)[2], 1.0, 0.0),
+        "random-6-1": (lambda: random_problem(6, 1)[2], 1.0, 0.0),
+        "random-6-2-batched": (lambda: random_problem(6, 2)[2], 0.2, 0.12),
+        "random-6-4-sparse": (lambda: random_problem(6, 4)[2], 0.0, 0.0),
+        "fallback": (fallback_problem, 1.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("case, z, share", CASES.values(), ids=CASES.keys())
     def test_stops_exactly_the_draws_that_fail(self, monkeypatch, case, z, share):
         p = case()
         g = build_factor_graph(p)
@@ -481,37 +493,30 @@ class TestEarlyStop:
                 assert tr.rounds <= full.rounds
         assert stopped > 0
 
-    def test_failed_reroute_is_confirmed_from_scratch(self, monkeypatch):
-        # The network's verdict triggers a from-scratch check; if that check
-        # passes, the draw goes on with a fresh network, as if the re-route
-        # had passed.  Here every draw's first re-route after the opening
-        # max-flow is reported failed.
-        p = random_problem(6, 1)[2]
-        g = build_factor_graph(p)
-        want = [decimate(g, p, 1.0, seed) for seed in range(10)]
-        real = sampler._Transport.reroute
-        seen, overruled = [], []
-
-        def first_reroute_fails(net):
-            seen.append(net)
-            ok = real(net)
-            if ok and seen.count(net) == 2:
-                overruled.append(net)
-                return False
-            return ok
-
-        monkeypatch.setattr(sampler._Transport, "reroute", first_reroute_fails)
-        got = [decimate(g, p, 1.0, seed) for seed in range(10)]
-        for tr, ref in zip(got, want):
-            assert np.array_equal(tr.final_support.values, ref.final_support.values)
-            assert (tr.rounds, tr.forced, tr.cut) == (ref.rounds, ref.forced, ref.cut)
-        assert len(overruled) >= 5
+    def test_stopped_draw_cut_matches_from_scratch(self):
+        # A stopped draw's cut is its own network's certificate; a
+        # from-scratch max-flow of the possible links finds the same cut,
+        # and a flow within p.tol of the network's.
+        stopped = 0
+        for case, z, share in self.CASES.values():
+            p = case()
+            g = build_factor_graph(p)
+            for seed in range(20):
+                tr = decimate(g, p, z, seed, DecimationOptions(fix_per_round=share))
+                if tr.cut is None:
+                    continue
+                stopped += 1
+                ref = feasibility_check(p, tr.final_support)
+                assert not ref
+                got = (tr.cut.cut_rows, tr.cut.cut_cols, tr.cut.required)
+                assert got == (ref.cut_rows, ref.cut_cols, ref.required)
+                assert abs(tr.cut.max_flow - ref.max_flow) <= p.tol
+        assert stopped > 0
 
     def test_stopped_draw_keeps_its_cut(self, monkeypatch):
-        # sample_supports takes a stopped draw's cut as its certificate and
-        # flow-checks only the completed draws.
-        p = fallback_problem()
-        g = build_factor_graph(p)
+        # decimate runs no from-scratch check; sample_supports takes a
+        # stopped draw's cut as its certificate and flow-checks each
+        # completed draw once.
         checked, real = [], sampler.feasibility_check
 
         def spy(p, a=None):
@@ -519,14 +524,24 @@ class TestEarlyStop:
             return real(p, a)
 
         monkeypatch.setattr(sampler, "feasibility_check", spy)
-        samples = sample_supports(g, p, 1.0, 5, rng_seed=0)
-        for s in samples:
-            assert s.certificate is s.trace.cut and s.support is s.trace.final_support
-        in_batch = list(checked)
-        checked.clear()
-        for child in np.random.SeedSequence(0).spawn(5):
-            decimate(g, p, 1.0, child)
-        assert in_batch == checked
+        kinds = set()
+        for p in (fallback_problem(), random_problem(6, 1)[2]):
+            g = build_factor_graph(p)
+            checked.clear()
+            for child in np.random.SeedSequence(1).spawn(10):
+                decimate(g, p, 1.0, child)
+            assert checked == []
+            samples = sample_supports(g, p, 1.0, 10, rng_seed=1)
+            completed = []
+            for s in samples:
+                assert s.support is s.trace.final_support
+                if s.trace.cut is None:
+                    completed.append(s.support.values.tobytes())
+                else:
+                    assert s.certificate is s.trace.cut
+                kinds.add(s.trace.cut is None)
+            assert checked == completed
+        assert kinds == {True, False}
 
 
 class TestSampleSupports:
