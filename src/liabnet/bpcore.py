@@ -18,22 +18,33 @@ ensemble; running the same equations with z in place of zeta would charge
 z^2 per link (checked against exhaustive enumeration in the tests).
 
 Kernel.  A message needs only its cavity (the link count over the
-factor's other slots) and only near the requirement r.  Each sweep builds
-every factor's link-count distributions over the slots before and after
-each slot, cut at R = max(r) + 2 (bin R holds "R or more", so updates add
-only non-negative terms), and reads messages from sums of their products:
-no division recursion, no logs, O(F K R) time.  At finite z the
-messages are tilted to q = zeta mu / (1 - mu + zeta mu); sum_m zeta^m V^m
-is prod(1 - mu + zeta mu) times the tilted distribution, the product
+factor's other slots) and only near the requirement r.  Each sweep runs one
+shift-and-mix recurrence per slot, v[t+1][i] = (1 - on_t) v[t][i] +
+on_t v[t][i-1], over the column groups [prefix masses | suffix tails |
+suffix masses, at z = 0 only] and the bins up to max(r), below which a
+ghost bin holds 0 for masses and 1 for tails.  A bin reads only the bins
+below it, so the bins kept change no bit of the others.  The prefix tails
+P(X >= k), for k = r - 1 and r, are running sums of on_s P(X_s = k - 1),
+and messages read P(X + Y >= k) = sum_{j<k} P(X = j) P(Y >= k - j) +
+P(X >= k): nothing is subtracted or divided, O(F K R) time.  At finite z
+the messages are tilted to q = zeta mu / (1 - mu + zeta mu); sum_m zeta^m
+V^m is prod(1 - mu + zeta mu) times the tilted distribution, the product
 cancels, and mu = zeta T(>= r-1) / (zeta T(>= r-1) + T(>= r)) with T the
 tilted cavity tail.  Messages live in one buffer [mu_row | mu_col | 0]:
 the graph's slot_in gathers every slot's incoming message in one call
 (pads read the trailing 0) and msg_slot picks the fresh ones back out.
-The O(F K R) cavity arrays live in one workspace per state, sized by
+The O(F K R) count arrays live in one workspace per state, sized by
 make_state for the graph's r, so a sweep allocates only O(F K) arrays.
-The cavity gathers depend on r, so run_sweeps builds them, and carves the
-workspace views for their cut, once per call; decimation lowers r between
-calls, so a plan kept longer would be stale, and the cut only shrinks.
+The gathers depend on r, so run_sweeps builds them, and carves the
+workspace views for their bins, once per call; decimation lowers r
+between calls, so a plan kept longer would be stale, and r only falls.
+
+Batches.  bp_fixed_points runs several (graph, z) copies as one state
+over the disjoint union of their graphs, with one zeta per factor.  The
+copies share no factor, and a pad slot or a bin above a copy's own r
+changes none of its bits, so each copy's messages are its solo run's bit
+for bit.  A batch takes copies while its workspace stays within
+_BATCH_BYTES; a larger graph runs alone.
 
 The limit z -> 0 (sparsest admissible graphs) is selected by passing
 z = 0.0 and uses exact closed forms, never extreme floats: mu = V^{r-1} /
@@ -41,14 +52,18 @@ z = 0.0 and uses exact closed forms, never extreme floats: mu = V^{r-1} /
 than r links, mu is 0 (the z -> 0 limit), and only a cavity that cannot
 reach r - 1 links is degenerate (0.5, counted in BPState.degenerate).
 
-Stopping.  run_sweeps stops at the first sweep whose largest change is
-below tol, and there are two changes it can test.  bp_fixed_point, and
-through it sigma_curve and calibrate_fugacity, test the messages:
-bethe_entropy reads the messages themselves, and the graph's memo hands
-one fixed point to all three.  Decimation's refreshes (sampler) test the
-link marginals instead, because their coin flips read nothing else.  At
-z = 0, damped messages can keep creeping toward 0 or 1 for hundreds of
-sweeps after the marginals stopped moving.
+Stopping.  run_sweeps stops at the first sweep in which some copy's
+largest change is below tol, and there are two changes it can test.  In a
+batch, that copy leaves with its own sweep count, or every copy does at
+the sweep cap, and the others go on in a state rebuilt without it.
+bp_fixed_points, and through it bp_fixed_point, sigma_curve and the
+calibrations, test the messages: bethe_entropy reads the messages
+themselves, and the graph's memo, which keeps every converged run
+whatever batch ran it, hands one fixed point to all of them.
+Decimation's refreshes (sampler) test the link marginals instead, because
+their coin flips read nothing else.  At z = 0, damped messages can keep
+creeping toward 0 or 1 for hundreds of sweeps after the marginals stopped
+moving.
 """
 
 from __future__ import annotations
@@ -57,7 +72,7 @@ import logging
 import math
 import mmap
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -75,11 +90,14 @@ __all__ = [
     "build_factor_graph",
     "node_weights",
     "bp_fixed_point",
+    "bp_fixed_points",
     "link_marginals",
     "mean_density",
     "bethe_entropy",
+    "entropy_points",
     "sigma_curve",
     "calibrate_fugacity",
+    "calibrate_fugacities",
     "write_entropy_csv",
     "read_entropy_csv",
     "BPState",
@@ -137,7 +155,7 @@ class FactorGraph:
     each directed message sent from slot s of factor f.
 
     The graph also keeps, out of comparisons, the converged fixed points
-    bp_fixed_point has found on it, keyed by (z, tol, damping).
+    bp_fixed_points has found on it, keyed by (z, tol, damping).
     """
 
     n: int
@@ -179,11 +197,18 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
     Raises:
         LocallyInfeasible: in strict mode, naming the offending banks.
     """
-    n = p.n
-    m = p.m
-    r = required_degrees(np.concatenate([p.res_out, p.res_in]))
     rows, cols = p.ends
-    var_row_factor = rows.astype(int)
+    g = _layout(p.n, rows.astype(int), cols, required_degrees(np.concatenate([p.res_out, p.res_in])))
+    if g.infeasible_factors and strict:
+        raise LocallyInfeasible(g.infeasible_factors)
+    return g
+
+
+def _layout(n: int, rows: np.ndarray, cols: np.ndarray, r: np.ndarray) -> FactorGraph:
+    """The factor graph of n banks whose variable e links row rows[e] to
+    column cols[e], with requirements r."""
+    m = rows.size
+    var_row_factor = rows
     var_col_factor = cols + n
     # Each variable sits in its row factor, then in its column factor; a
     # stable sort by factor lists every factor's variables in index order.
@@ -198,8 +223,6 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
     slot_var[factor, slot] = np.tile(np.arange(m), 2)
     slot_valid = slot_var >= 0
     bad = tuple(_factor_label(n, f) for f in np.flatnonzero(r > k).tolist())
-    if bad and strict:
-        raise LocallyInfeasible(bad)
     # a row factor hears mu_col (offset m), a column factor mu_row
     heard = np.where(slot_var < 0, 2 * m, slot_var + np.where(np.arange(2 * n) < n, m, 0)[:, None])
     slot_in = np.ascontiguousarray(np.concatenate([heard, heard[:, ::-1]]).T)
@@ -217,6 +240,16 @@ def build_factor_graph(p: ReducedProblem, strict: bool = True) -> FactorGraph:
         msg_slot=msg_slot,
         infeasible_factors=bad,
     )
+
+
+def _union(graphs: Sequence[FactorGraph]) -> FactorGraph:
+    """The disjoint union of graphs: their banks and variables in order.
+    Each factor keeps its slots, so its messages are its graph's."""
+    banks = np.cumsum([0] + [g.n for g in graphs])
+    rows = np.concatenate([g.var_row_factor + b for g, b in zip(graphs, banks)])
+    cols = np.concatenate([g.var_col_factor - g.n + b for g, b in zip(graphs, banks)])
+    r = np.concatenate([g.r[: g.n] for g in graphs] + [g.r[g.n :] for g in graphs])
+    return _layout(int(banks[-1]), rows, cols, r)
 
 
 @dataclass(frozen=True)
@@ -267,7 +300,9 @@ def node_weights(incoming: Sequence[float], m_max: int) -> np.ndarray:
     mus = np.asarray(incoming, dtype=float)
     if np.any((mus < 0) | (mus > 1)):
         raise ValueError("messages must lie in [0, 1]")
-    return _prefix_weights(mus.reshape(-1, 1), m_max + 1)[-1, : m_max + 1, 0]
+    counts = np.zeros((mus.size + 1, m_max + 2, 1))
+    counts[0, 1] = 1.0
+    return _shift_mix(mus.reshape(-1, 1), counts)[-1, 1:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +319,29 @@ def _zeta_of(z: float) -> float:
 
 @dataclass
 class BPState:
-    """Mutable message-passing state; owned by one fixed-point run.
+    """Mutable message-passing state over one graph, or over a batch: the
+    disjoint union of several graphs, one copy each, and each at its own
+    fugacity.
 
     msgs is the buffer [mu_row | mu_col | 0]; mu_row and mu_col are views
-    into it.  The decimation driver pins variables by setting active to
-    False and forcing both messages to 0 (an exact removal in the V
-    recursion), lowering r as links are committed.  work is the sweep
-    kernel's float64 workspace, sized by make_state for g.r; every sweep
-    writes its cavity arrays there instead of allocating them.
+    into it.  zeta is the copy's zeta, or in a batch one per factor of the
+    union.  Copy c owns variables parts[c]..parts[c+1]-1, and change[c] is
+    its largest change in the last sweep.  The decimation driver pins
+    variables by setting active to False and forcing both messages to 0 (an
+    exact removal in the count recursion), lowering r as links are
+    committed.  work is the sweep kernel's float64 workspace, sized by
+    make_state for g.r; every sweep writes its count arrays there instead
+    of allocating them.
     """
 
     g: FactorGraph
-    zeta: float
+    zeta: float | np.ndarray
     msgs: np.ndarray
     active: np.ndarray
     r: np.ndarray
     work: np.ndarray
+    parts: np.ndarray
+    change: np.ndarray
     degenerate: int = 0
 
     @property
@@ -315,120 +357,143 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _kernel_bytes(factors: int, k: int, rmax: int, finite: bool) -> int:
+    """Workspace of a sweep: the count arrays of K slots over the column
+    groups (two at finite z, three at z = 0), one gathered operand as tall,
+    and the prefix tails at r - 1 and r."""
+    rows = rmax + (1 if finite else 2)
+    return 8 * k * factors * ((3 if finite else 4) * rows + 2)
+
+
 def make_state(g: FactorGraph, z: float) -> BPState:
     """Fresh state at fugacity z with every message at 0.5 and the sweep
     kernel's workspace; raises KernelTooLarge, before allocating it, when
     that workspace would exceed physical memory."""
-    zeta = _zeta_of(z)
-    # The workspace holds the float64 arrays a sweep needs: the stacked
-    # prefix/suffix distributions over 0..K-1 slots and one gathered operand.
-    f, k, cut = g.n_factors, g.max_degree, int(g.r.max(initial=0)) + 2
-    nbytes = 8 * (2 * f * k * (cut + 1) + f * k * (cut + 2))
-    if nbytes > _physical_memory():
-        raise KernelTooLarge(
-            f"message kernel for n={g.n}, K={k}, R={cut} needs {nbytes} bytes, "
-            "more than physical memory"
-        )
+    return _batch_state([(g, z)])
+
+
+def _batch_state(pairs, msgs: np.ndarray | None = None, work: np.ndarray | None = None) -> BPState:
+    """State of a batch of (graph, z) copies, all at finite z or all at
+    z = 0: messages msgs (all 0.5 by default) and workspace work (a fresh
+    one by default, after the guard has counted the whole batch's).  A
+    single copy runs on its own graph with a scalar zeta."""
+    graphs = [g for g, _ in pairs]
+    zetas = [_zeta_of(z) for _, z in pairs]
+    if len(pairs) == 1:
+        g, zeta = graphs[0], zetas[0]
+    else:
+        g = _union(graphs)
+        zeta = np.tile(np.repeat(zetas, [h.n for h in graphs]), 2)
+    if work is None:
+        f, k, rmax = g.n_factors, g.max_degree, int(g.r.max(initial=0))
+        nbytes = _kernel_bytes(f, k, rmax, min(zetas) > 0)
+        if nbytes > _physical_memory():
+            raise KernelTooLarge(
+                f"message kernel for n={g.n}, K={k}, R={rmax} needs {nbytes} bytes, "
+                "more than physical memory"
+            )
+        # An anonymous mapping (of positive length), not the allocator's
+        # heap: its pages go back to the system with the state instead of
+        # staying resident as free heap.
+        work = np.frombuffer(mmap.mmap(-1, max(nbytes, 8)), dtype=float)
     m = g.m_total
-    # An anonymous mapping (of positive length), not the allocator's heap:
-    # its pages go back to the system with the state instead of staying
-    # resident as free heap.
-    work = np.frombuffer(mmap.mmap(-1, max(nbytes, 8)), dtype=float)
     return BPState(
         g=g,
         zeta=zeta,
-        msgs=np.append(np.full(2 * m, 0.5), 0.0),
+        msgs=np.append(np.full(2 * m, 0.5), 0.0) if msgs is None else msgs,
         active=np.ones(m, dtype=bool),
         r=np.array(g.r),
         work=work,
+        parts=np.cumsum([0] + [h.m_total for h in graphs]),
+        change=np.full(len(pairs), math.inf),
     )
 
 
-def _tilt(inc: np.ndarray, zeta: float) -> np.ndarray:
+def _tilt(inc: np.ndarray, zeta) -> np.ndarray:
     """Messages reweighted by zeta per link: zeta mu / (1 - mu + zeta mu)."""
     on = zeta * inc
     return on / (1.0 - inc + on)
 
 
-def _prefix_weights(on: np.ndarray, cut: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(S+1, cut+1, C) link-count distributions of each column's first t of
-    its S = len(on) slots.
-
-    [t, :, c] is the distribution of the number of links among slots
-    0..t-1 of column c when slot s is on with probability on[s, c].  Bins
-    0..cut-1 are exact; bin cut holds "cut or more".  out, when given, is
-    the (S+1, cut+1, C) array to fill instead of a fresh one.
-    """
-    kmax, cols = on.shape
-    if out is None:
-        out = np.empty((kmax + 1, cut + 1, cols))
-    out[0] = 0.0
-    out[0, 0] = 1.0
+def _shift_mix(on: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Fill counts[1:] from counts[0], slot by slot: row i >= 1 of
+    counts[t+1] is (1 - on[t]) counts[t][i] + on[t] counts[t][i-1].  Row 0
+    is the ghost bin: 0 below masses, 1 (T(>= 0)) below tails."""
     off = 1.0 - on
-    carry = np.empty((cut, cols))
-    for head, last, lo, hi, top, on_t, off_t in zip(
-        out[:-1, :cut], out[:-1, cut], out[1:, :cut], out[1:, 1:], out[1:, cut], on, off
-    ):
-        np.multiply(head, on_t, out=carry)
-        np.multiply(head, off_t, out=lo)
-        top[:] = last
-        np.add(hi, carry, out=hi)
-    return out
+    carry = np.empty_like(counts[0, 1:])
+    for stay, shift, nxt, on_t, off_t in zip(counts[:-1, 1:], counts[:-1, :-1], counts[1:, 1:], on, off):
+        np.multiply(stay, off_t, out=nxt)
+        np.multiply(shift, on_t, out=carry)
+        nxt += carry
+    return counts
 
 
 def _gather_plan(state: BPState):
-    """Cut, (cut+2, F) cavity gathers and workspace views for state.r.
+    """Gathers and workspace views for state.r, for one run_sweeps call.
 
-    Row j pairs prefix bin j with suffix bin max(r - j, 0): at_bin indexes
-    that bin of the suffix half inside the stacked prefix array, and
-    reachable marks r - j >= 0.  The stacked distributions and the
-    gathered operand follow, carved for this cut from the front of
-    state.work.  r changes between run_sweeps calls, so a plan serves one
-    call only; r only falls, so the views fit the workspace make_state
-    sized for g.r.
+    counts holds rows 0..max r (one more at z = 0) of each column group,
+    with its ghost row and its row t = 0 (no slot yet) set.  Row i of
+    at_tail reads P(Y >= r - i), or a ghost 0 from bin 0 down, and of
+    at_mass P(Y = r - i); prefix bin j reads row j for k = r and row j + 1
+    for k = r - 1.  at_prefix reads P(X = k - 1) for k = r - 1 and r.
     """
-    g, r = state.g, state.r
+    g, r, zeta = state.g, state.r, state.zeta
     fcount, kmax = g.n_factors, g.max_degree
-    cut = int(r.max()) + 2
-    idx = r - np.arange(cut + 2)[:, None]
-    at_bin = np.maximum(idx, 0) * (2 * fcount) + fcount + np.arange(fcount)
-    stacked = kmax * (cut + 1) * 2 * fcount
-    both = state.work[:stacked].reshape(kmax, cut + 1, 2 * fcount)
-    picked = state.work[stacked : stacked + kmax * (cut + 2) * fcount].reshape(kmax, cut + 2, fcount)
-    return cut, at_bin, idx >= 0, both, picked
+    finite = bool(np.min(zeta) > 0)
+    rows = int(r.max(initial=0)) + (1 if finite else 2)
+    width = (2 if finite else 3) * fcount
+    zeta_in = np.append(np.tile(zeta[g.var_row_factor], 2), 1.0) if np.ndim(zeta) else zeta
+    f = np.arange(fcount)
+    k = r - np.arange(rows)[:, None]
+    at_tail = np.where(k >= 1, k * width + fcount + f, f)
+    at_mass = np.maximum(k + 1, 0) * width + 2 * fcount + f
+    at_prefix = np.maximum(np.stack([r - 1, r]), 0) * width + f
+    size = kmax * rows * width
+    counts = state.work[:size].reshape(kmax, rows, width)
+    picked = state.work[size : size + kmax * rows * fcount].reshape(kmax, rows, fcount)
+    tails = state.work[size + kmax * rows * fcount :][: 2 * kmax * fcount].reshape(kmax, 2, fcount)
+    counts[:, 0] = 0.0
+    counts[:, 0, fcount : 2 * fcount] = 1.0
+    counts[0, 1:] = 0.0
+    counts[0, 1:2, :fcount] = counts[0, 1:2, 2 * fcount :] = 1.0
+    tails[0] = np.stack([r <= 1, r == 0])
+    return finite, zeta_in, at_tail, at_mass, at_prefix, counts, picked, tails
 
 
 def _slot_messages(state: BPState, plan) -> np.ndarray:
-    """(K, F) fresh outgoing messages at finite z or z = 0."""
-    g = state.g
-    fcount, kmax = g.n_factors, g.max_degree
-    cut, at_bin, reachable, both, picked = plan
-    finite = state.zeta > 0
-    q = _tilt(state.msgs, state.zeta) if finite else state.msgs
-    # A cavity leaves one slot out, so rows 0..K-1 of the distributions,
-    # from the first K-1 slots, are all a sweep reads.
-    _prefix_weights(q[g.slot_in[:-1]], cut, out=both)
-    pre = both[:, :, :fcount]  # slots before s
-    # Row t of both holds the last t slots, so slot s reads row K-1-s.
-    # mode="clip" gathers straight into picked; the default buffers out.
-    suffix_bins = both.reshape(kmax, -1)
+    """(K, F) fresh outgoing messages at finite z or z = 0; the cavity of
+    slot s is its prefix X (slots before s) and its suffix Y."""
+    g, fcount = state.g, state.g.n_factors
+    finite, zeta_in, at_tail, at_mass, at_prefix, counts, picked, tails = plan
+    on = (_tilt(state.msgs, zeta_in) if finite else state.msgs)[g.slot_in[:-1]]
     if not finite:
+        on = np.hstack([on, on[:, fcount:]])
+    # A cavity leaves one slot out, so the counts after the first K-1
+    # slots are all a sweep reads.
+    flat = _shift_mix(on, counts).reshape(counts.shape[0], -1)
+    # Prefix tails: P(X_t >= k) = [k <= 0] + sum_{s<t} on_s P(X_s = k - 1).
+    np.take(flat[:-1], at_prefix, axis=1, out=tails[1:], mode="clip")
+    tails[1:] *= on[:, None, :fcount]
+    del on
+    np.cumsum(tails, axis=0, out=tails)
+    pre = counts[:, 1:, :fcount]
+    # Row t of a suffix group holds the last t slots, so slot s reads row
+    # K-1-s.  mode="clip" gathers straight into picked; the default buffers.
+    np.take(flat, at_tail, axis=1, out=picked, mode="clip")
+    reach = np.einsum("tjf,tjf->tf", pre, picked[::-1, 1:])
+    reach += tails[:, 0]  # P(X + Y >= r - 1)
+    if finite:
+        # sum_m zeta^m V^m = prod(1 - mu + zeta mu) * tilted tail, and the
+        # product cancels: mu = zeta T(>= r-1) / (zeta T(>= r-1) + T(>= r)).
+        den = np.einsum("tjf,tjf->tf", pre, picked[::-1, :-1])
+        den += tails[:, 1]
+        num = state.zeta * reach
+        den += num
+    else:
         # mu = V^{r-1} / (V^{r-1} + V^r); V^{-1} = 0, so unneeded links
         # vanish in the sparsest limit.
-        np.take(suffix_bins, at_bin, axis=1, out=picked, mode="clip")
-        picked *= reachable
+        np.take(flat, at_mass, axis=1, out=picked, mode="clip")
         num = np.einsum("tjf,tjf->tf", pre, picked[::-1, 1:])
-        den = num + np.einsum("tjf,tjf->tf", pre, picked[::-1, :-1])
-    # The suffix distributions become their tails T(>= b) in place, summed
-    # bin by bin from the top (cumsum along the strided bin axis is slower).
-    suf = both[:, ::-1, fcount:].swapaxes(0, 1)
-    for prev, dst in zip(suf[:-1], suf[1:]):
-        np.add(prev, dst, out=dst)
-    np.take(suffix_bins, at_bin, axis=1, out=picked, mode="clip")
-    # sums over j of pre[s, j] * T(>= max(r - 1 - j, 0)), resp. r - j
-    reach = np.einsum("tjf,tjf->tf", pre, picked[::-1, 1:])
-    if finite:
-        num = state.zeta * reach
         den = num + np.einsum("tjf,tjf->tf", pre, picked[::-1, :-1])
     # den = 0 with a reachable r - 1: the cavity already holds more than r
     # links, and the z -> 0 limit of the message is 0.
@@ -474,9 +539,10 @@ class _MarginalMoves:
         return float(np.abs(seen, out=seen).max())
 
 
-def _sweep(state: BPState, damping: float, plan, marginals: _MarginalMoves | None = None) -> float:
-    """One synchronous update of every message.  Returns the max change of
-    an undecided link's messages or, given marginals, of the link marginals."""
+def _sweep(state: BPState, damping: float, plan, marginals: _MarginalMoves | None = None) -> np.ndarray:
+    """One synchronous update of every message.  Returns each copy's max
+    change of an undecided link's messages or, given marginals, the max
+    change of the link marginals."""
     m = state.g.m_total
     fresh = np.take(_slot_messages(state, plan), state.g.msg_slot)
     old = state.msgs[: 2 * m]
@@ -484,14 +550,17 @@ def _sweep(state: BPState, damping: float, plan, marginals: _MarginalMoves | Non
     new = damping * old + (1.0 - damping) * fresh if damping else fresh
     old, new = old.reshape(2, m), new.reshape(2, m)
     if marginals is None:
-        delta = float(np.max(np.abs(new - old), where=state.active, initial=0.0))
+        moved = np.max(np.abs(new - old), axis=0, where=state.active, initial=0.0)
     np.copyto(old, new, where=state.active)
-    return delta if marginals is None else marginals.move()
+    if marginals is None:
+        return np.maximum.reduceat(moved, state.parts[:-1])
+    return np.full(1, marginals.move())
 
 
 def run_sweeps(state: BPState, opts: BPOptions, *, marginals: bool = False) -> tuple[bool, int, float]:
-    """Iterate synchronous sweeps until a sweep's largest change is below
-    opts.tol; returns (converged, sweeps, that last change).
+    """Iterate synchronous sweeps until some copy's largest change in a
+    sweep is below opts.tol; returns (converged, sweeps, that change).
+    state.change holds every copy's change in the last sweep.
 
     The change is the largest move of an undecided link's messages.  With
     marginals=True it is the largest move of a link marginal, as
@@ -504,13 +573,110 @@ def run_sweeps(state: BPState, opts: BPOptions, *, marginals: bool = False) -> t
         return True, 0, 0.0
     plan = _gather_plan(state)
     moves = _MarginalMoves(state) if marginals else None
-    delta = math.inf
     for sweep in range(1, opts.max_sweeps + 1):
-        delta = _sweep(state, opts.damping, plan, moves)
+        state.change = _sweep(state, opts.damping, plan, moves)
         assert state.msgs.min() >= -1e-12 and state.msgs.max() <= 1 + 1e-12, "message left [0, 1]"
-        if delta < opts.tol:
-            return True, sweep, delta
-    return False, opts.max_sweeps, delta
+        least = float(state.change.min())
+        if least < opts.tol:
+            return True, sweep, least
+    return False, opts.max_sweeps, least
+
+
+# A batch takes (graph, z) copies while its sweep workspace stays within
+# this many bytes, so that it stays about cache-sized; a copy larger than
+# that runs alone.  A sweep's fixed cost is some 75 numpy calls whatever
+# its width; a copy of an n = 12 network adds about 30 kB of counts, one of
+# an n = 60 network 1.5 MB.
+_BATCH_BYTES = 1 << 20
+
+
+def _batches(pairs):
+    """pairs in order, cut into batches: all finite or all at z = 0, and
+    within _BATCH_BYTES unless a batch is one copy."""
+    batch, shape = [], None
+    for g, z in pairs:
+        mine = (g.n_factors, g.max_degree, int(g.r.max(initial=0)), z > 0)
+        if batch:
+            grown = (shape[0] + mine[0], max(shape[1], mine[1]), max(shape[2], mine[2]), mine[3])
+            if mine[3] == shape[3] and _kernel_bytes(*grown) <= _BATCH_BYTES:
+                batch.append((g, z))
+                shape = grown
+                continue
+            yield batch
+        batch, shape = [(g, z)], mine
+    if batch:
+        yield batch
+
+
+def _run_batch(pairs, opts: BPOptions) -> list[MessageSet]:
+    """Message passing on a batch of copies with m > 0 variables.  A copy
+    leaves at the first sweep under tol, or at the cap, with its own
+    sweep count; the others go on in a batch rebuilt without it, in the
+    same workspace.  Copies share no factor and a copy's counts never
+    read past its own bins, so each result is its solo run's bit for bit."""
+    out: list = [None] * len(pairs)
+    live = list(range(len(pairs)))
+    state = _batch_state(pairs)
+    done = 0
+    while live:
+        _, sweeps, _ = run_sweeps(state, replace(opts, max_sweeps=opts.max_sweeps - done))
+        done += sweeps
+        m, stay = state.g.m_total, []
+        for c, i in enumerate(live):
+            lo, hi = state.parts[c], state.parts[c + 1]
+            row, col, change = state.msgs[lo:hi], state.msgs[m + lo : m + hi], float(state.change[c])
+            if change < opts.tol or done == opts.max_sweeps:
+                row, col = row.copy(), col.copy()
+                row.setflags(write=False)
+                col.setflags(write=False)
+                out[i] = MessageSet(pairs[i][1], row, col, change < opts.tol, done, change)
+            else:
+                stay.append((i, row, col))
+        if stay:
+            live = [i for i, _, _ in stay]
+            msgs = np.concatenate([row for _, row, _ in stay] + [col for _, _, col in stay] + [[0.0]])
+            state = _batch_state([pairs[i] for i in live], msgs, state.work)
+        else:
+            live = []
+    return out
+
+
+def bp_fixed_points(pairs: Sequence[tuple[FactorGraph, float]], opts: BPOptions = BPOptions()) -> list[MessageSet]:
+    """bp_fixed_point of every (graph, z) pair, run as batches: each
+    result equals its solo run bit for bit, lands in its graph's memo when
+    it converged, and logs its own warning when it did not."""
+    found: dict = {}
+    todo = []
+    for g, z in pairs:
+        if g.infeasible_factors:
+            raise LocallyInfeasible(g.infeasible_factors)
+        known = g._fixed_points.get((z, opts.tol, opts.damping))
+        if known is not None and known.sweeps <= opts.max_sweeps:
+            found[id(g), z] = known
+        elif (id(g), z) not in found:
+            found[id(g), z] = None
+            todo.append((g, z))
+    for g, z in todo:
+        _zeta_of(z)
+        if g.m_total == 0:  # nothing to pass: converged after 0 sweeps
+            none = np.zeros(0)
+            none.setflags(write=False)
+            found[id(g), z] = MessageSet(z, none, none, True, 0, 0.0)
+    for batch in _batches([(g, z) for g, z in todo if g.m_total]):
+        for (g, z), msgs in zip(batch, _run_batch(batch, opts)):
+            found[id(g), z] = msgs
+    for g, z in todo:
+        msgs = found[id(g), z]
+        if msgs.converged:
+            g._fixed_points[z, opts.tol, opts.damping] = msgs
+        else:
+            logger.warning(
+                "message passing not converged at z=%g: residual %.3e after %d sweeps",
+                z,
+                msgs.residual,
+                msgs.sweeps,
+            )
+    return [found[id(g), z] for g, z in pairs]
 
 
 def bp_fixed_point(
@@ -536,36 +702,7 @@ def bp_fixed_point(
     rerun would give the same messages bit for bit.  A run that did not
     converge is not kept, so its warning is never skipped.
     """
-    if g.infeasible_factors:
-        raise LocallyInfeasible(g.infeasible_factors)
-    key = (z, opts.tol, opts.damping)
-    known = g._fixed_points.get(key)
-    if known is not None and known.sweeps <= opts.max_sweeps:
-        return known
-    state = make_state(g, z)
-    converged, sweeps, resid = run_sweeps(state, opts)
-    if not converged:
-        logger.warning(
-            "message passing not converged at z=%g: residual %.3e after %d sweeps",
-            z,
-            resid,
-            sweeps,
-        )
-    mu_row = state.mu_row.copy()
-    mu_col = state.mu_col.copy()
-    mu_row.setflags(write=False)
-    mu_col.setflags(write=False)
-    msgs = MessageSet(
-        z=z,
-        mu_row=mu_row,
-        mu_col=mu_col,
-        converged=converged,
-        sweeps=sweeps,
-        residual=resid,
-    )
-    if converged:
-        g._fixed_points[key] = msgs
-    return msgs
+    return bp_fixed_points([(g, z)], opts)[0]
 
 
 def state_marginals(mu_row: np.ndarray, mu_col: np.ndarray) -> tuple[np.ndarray, int]:
@@ -611,9 +748,11 @@ def bethe_entropy(g: FactorGraph, m: MessageSet) -> float:
     # (F, K) messages arriving at each factor slot, read through the same
     # gather as the sweeps; pads read the trailing 0.
     inc = np.concatenate([m.mu_row, m.mu_col, [0.0]])[g.slot_in[:, : g.n_factors].T]
-    cut = int(g.r.max()) + 2
-    full = _prefix_weights(_tilt(inc, zeta).T, cut)[-1]
-    at_least = np.where(np.arange(cut + 1)[:, None] >= g.r, full, 0.0).sum(axis=0)
+    # Tails T(>= 0..max r) of each whole factor's tilted link count; row 0
+    # is T(>= 0) = 1, the tails' ghost bin.
+    tails = np.zeros((g.max_degree + 1, int(g.r.max()) + 1, g.n_factors))
+    tails[:, 0] = 1.0
+    at_least = _shift_mix(_tilt(inc, zeta).T, tails)[-1, g.r, np.arange(g.n_factors)]
     live = g.k > 0
     if np.any(at_least[live] <= 0):
         logger.warning("contradictory factor in entropy evaluation")
@@ -662,19 +801,23 @@ def _fugacity_grid(z_grid: Sequence[float]) -> list[float]:
     return zs
 
 
-def sigma_curve(g: FactorGraph, z_grid: Sequence[float], opts: BPOptions = BPOptions()) -> EntropyCurve:
-    """Evaluate density and entropies over a sorted, finite, positive
-    fugacity grid.  Non-converged points are flagged and the curve
-    continues.
-    """
+def entropy_points(pairs: Sequence[tuple[FactorGraph, float]], opts: BPOptions = BPOptions()) -> list[EntropyPoint]:
+    """Density, entropy and Sigma of every (graph, z) pair at finite,
+    positive z, from fixed points that bp_fixed_points runs as batches."""
     points = []
-    for z in _fugacity_grid(z_grid):
-        msgs = bp_fixed_point(g, z, opts)
+    for (g, z), msgs in zip(pairs, bp_fixed_points(pairs, opts)):
         lam = mean_density(link_marginals(msgs))
         s = bethe_entropy(g, msgs)
-        sigma = s - (1.0 - lam) * math.log(z)
-        points.append(EntropyPoint(z, lam, s, sigma, msgs.converged))
-    return EntropyCurve(tuple(points))
+        points.append(EntropyPoint(z, lam, s, s - (1.0 - lam) * math.log(z), msgs.converged))
+    return points
+
+
+def sigma_curve(g: FactorGraph, z_grid: Sequence[float], opts: BPOptions = BPOptions()) -> EntropyCurve:
+    """Evaluate density and entropies over a sorted, finite, positive
+    fugacity grid, whose fixed points share batches.  Non-converged points
+    are flagged and the curve continues.
+    """
+    return EntropyCurve(tuple(entropy_points([(g, z) for z in _fugacity_grid(z_grid)], opts)))
 
 
 # Fugacity range and bisection step cap of calibrate_fugacity.  The search
@@ -684,6 +827,59 @@ def sigma_curve(g: FactorGraph, z_grid: Sequence[float], opts: BPOptions = BPOpt
 _CALIBRATE_Z_LO = 1e-4
 _CALIBRATE_Z_HI = 1e4
 _CALIBRATE_MAX_ITER = 60
+
+
+def _calibration(target_lambda: float, tol: float):
+    """calibrate_fugacity's search, one step at a time: a generator that
+    yields each z to evaluate, is sent the density there, and returns
+    (z, density)."""
+    if not 0 <= target_lambda <= 1:
+        raise ValueError("target sparsity must be in [0, 1]")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol {tol:g} must be finite and > 0")
+    z = 1.0
+    lam = yield z
+    if abs(lam - target_lambda) <= tol:
+        return z, lam
+    up = lam > target_lambda  # too sparse: the target lies at larger z
+    end, clamp = (_CALIBRATE_Z_HI, min) if up else (_CALIBRATE_Z_LO, max)
+    decade = 0
+    while (lam > target_lambda) == up:
+        if z == end:
+            return z, lam
+        decade += 1 if up else -1
+        z_prev, z = z, clamp(10.0**decade, end)
+        lam = yield z
+    # The density crossed the target between z_prev and z.
+    lo, hi = sorted((math.log(z_prev), math.log(z)))
+    for _ in range(_CALIBRATE_MAX_ITER):
+        if abs(lam - target_lambda) <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        z = math.exp(mid)
+        lam = yield z
+        if lam > target_lambda:
+            lo = mid
+        else:
+            hi = mid
+    return z, lam
+
+
+def _lockstep(graphs, targets, tol: float, fixed_points) -> list[tuple[float, float]]:
+    """Run one calibration search per graph, each step's fixed points in
+    one fixed_points call over the searches still open."""
+    searches = [_calibration(t, tol) for t in targets]
+    asked = {i: next(search) for i, search in enumerate(searches)}
+    found: list = [None] * len(searches)
+    while asked:
+        steps = list(asked.items())
+        for (i, _), msgs in zip(steps, fixed_points([(graphs[i], z) for i, z in steps])):
+            try:
+                asked[i] = searches[i].send(mean_density(link_marginals(msgs)))
+            except StopIteration as stop:
+                found[i] = stop.value
+                del asked[i]
+    return found
 
 
 def calibrate_fugacity(
@@ -704,40 +900,19 @@ def calibrate_fugacity(
     reach, or within tol of the endpoint's density.  The end of the range
     away from the target is never evaluated.
     """
-    if not 0 <= target_lambda <= 1:
-        raise ValueError("target sparsity must be in [0, 1]")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol {tol:g} must be finite and > 0")
+    return _lockstep([g], [target_lambda], tol, lambda pairs: [bp_fixed_point(h, z, opts) for h, z in pairs])[0]
 
-    def density(z: float) -> float:
-        return mean_density(link_marginals(bp_fixed_point(g, z, opts)))
 
-    z = 1.0
-    lam = density(z)
-    if abs(lam - target_lambda) <= tol:
-        return z, lam
-    up = lam > target_lambda  # too sparse: the target lies at larger z
-    end, clamp = (_CALIBRATE_Z_HI, min) if up else (_CALIBRATE_Z_LO, max)
-    decade = 0
-    while (lam > target_lambda) == up:
-        if z == end:
-            return z, lam
-        decade += 1 if up else -1
-        z_prev, z = z, clamp(10.0**decade, end)
-        lam = density(z)
-    # The density crossed the target between z_prev and z.
-    lo, hi = sorted((math.log(z_prev), math.log(z)))
-    for _ in range(_CALIBRATE_MAX_ITER):
-        if abs(lam - target_lambda) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        z = math.exp(mid)
-        lam = density(z)
-        if lam > target_lambda:
-            lo = mid
-        else:
-            hi = mid
-    return z, lam
+def calibrate_fugacities(
+    graphs: Sequence[FactorGraph],
+    targets: Sequence[float],
+    opts: BPOptions = BPOptions(),
+    tol: float = 5e-3,
+) -> list[tuple[float, float]]:
+    """calibrate_fugacity of each graph toward its target, the searches
+    advancing in lock-step: each step's fixed points run as batches, and
+    each search returns what it would alone."""
+    return _lockstep(graphs, targets, tol, lambda pairs: bp_fixed_points(pairs, opts))
 
 
 _ENTROPY_HEADER = "z,lambda_hat,S,Sigma,converged"

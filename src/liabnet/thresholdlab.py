@@ -27,10 +27,11 @@ from .bpcore import (
     _SEARCH_BP,
     BPOptions,
     EntropyCurve,
+    FactorGraph,
     _fugacity_grid,
     build_factor_graph,
-    calibrate_fugacity,
-    sigma_curve,
+    calibrate_fugacities,
+    entropy_points,
 )
 from .netcore import (
     LiabilityMatrix,
@@ -167,9 +168,12 @@ def _true_sparsity(L: LiabilityMatrix) -> float:
     return float(np.mean(L.entries[off] == 0.0))
 
 
-def _sweep_one(
+def _search(
     L_true: LiabilityMatrix, theta: float, opts: ThresholdOptions, index: int
-) -> ThresholdRecord:
+) -> tuple[ThresholdRecord, FactorGraph | None]:
+    """A threshold's observation and sparsity search: its record, and its
+    factor graph when the record still needs its entropies (its entropy
+    field is then NaN)."""
     n = L_true.n
     total_slots = n * (n - 1)
     obs = make_observation(L_true, theta, opts.disclosed)
@@ -190,36 +194,62 @@ def _sweep_one(
             lambda_max_unknown=1.0,
             entropy_at_lambda_max=0.0,
             note=note,
-        )
+        ), None
     g = build_factor_graph(rp, strict=True)
     lm = lambda_max(g, rp, replace(opts.lambda_opts, rng_seed=opts.lambda_opts.rng_seed + index))
-    links_min = lm.links
-    lam_whole = 1.0 - (known_links + links_min) / total_slots
-    curve = sigma_curve(g, opts.z_grid, opts.bp)
-    # Sigma at the sparsity edge: the log-count of supports per link at the
-    # sparsest achievable density, which vanishes as disclosure completes.
-    edge_bp = replace(opts.bp, max_sweeps=4 * opts.bp.max_sweeps)
-    z_edge, lam_edge = calibrate_fugacity(g, lm.lambda_max, edge_bp)
-    edge_point = sigma_curve(g, (z_edge,), edge_bp).points[0]
-    entropy_edge = edge_point.sigma
-    if abs(lam_edge - lm.lambda_max) > 0.05:
-        note = (note + "; " if note else "") + (
-            "fugacity grid could not reach the sparsity edge "
-            f"(closest density {lam_edge:.3f} vs {lm.lambda_max:.3f})"
-        )
-    if not math.isfinite(entropy_edge):
-        entropy_edge = 0.0
-        note = (note + "; " if note else "") + "entropy collapsed at the sparsity edge"
+    lam_whole = 1.0 - (known_links + lm.links) / total_slots
     return ThresholdRecord(
         theta=theta,
         m_raw=rp.m,
         m=m_live,
         lambda_max=lam_whole,
         lambda_max_unknown=lm.lambda_max,
-        entropy_at_lambda_max=float(entropy_edge),
-        curve=curve,
+        entropy_at_lambda_max=math.nan,
         fallback=lm.fallback,
         note=note,
+    ), g
+
+
+def _entropies(
+    records: list[ThresholdRecord], graphs: list[FactorGraph], opts: ThresholdOptions
+) -> list[ThresholdRecord]:
+    """The records with their entropy curves and their entropies at the
+    sparsity edge, every record's fixed points in shared batches."""
+    grid = opts.z_grid
+    points = entropy_points([(g, z) for g in graphs for z in grid], opts.bp)
+    # Sigma at the sparsity edge: the log-count of supports per link at the
+    # sparsest achievable density, which vanishes as disclosure completes.
+    # The calibrations advance in lock-step, at 4x the sweeps; each ends on
+    # a fixed point its graph keeps, which the edge point reads again.
+    edge_bp = replace(opts.bp, max_sweeps=4 * opts.bp.max_sweeps)
+    edges = calibrate_fugacities(graphs, [rec.lambda_max_unknown for rec in records], edge_bp)
+    edge_points = entropy_points([(g, z) for g, (z, _) in zip(graphs, edges)], edge_bp)
+    done = []
+    for k, (rec, (_, lam_edge), edge) in enumerate(zip(records, edges, edge_points)):
+        note, entropy_edge = rec.note, edge.sigma
+        if abs(lam_edge - rec.lambda_max_unknown) > 0.05:
+            note = (note + "; " if note else "") + (
+                "fugacity grid could not reach the sparsity edge "
+                f"(closest density {lam_edge:.3f} vs {rec.lambda_max_unknown:.3f})"
+            )
+        if not math.isfinite(entropy_edge):
+            entropy_edge = 0.0
+            note = (note + "; " if note else "") + "entropy collapsed at the sparsity edge"
+        curve = EntropyCurve(tuple(points[k * len(grid) : (k + 1) * len(grid)]))
+        done.append(replace(rec, curve=curve, entropy_at_lambda_max=float(entropy_edge), note=note))
+    return done
+
+
+def _failed(theta: float, err: Exception) -> ThresholdRecord:
+    logger.warning("threshold %g failed: %s", theta, err)
+    return ThresholdRecord(
+        theta=theta,
+        m_raw=-1,
+        m=-1,
+        lambda_max=math.nan,
+        lambda_max_unknown=math.nan,
+        entropy_at_lambda_max=math.nan,
+        error=str(err),
     )
 
 
@@ -265,6 +295,17 @@ def threshold_sweep(
     Returns:
         ThresholdReport; a failing threshold contributes a record with
         its error string and the sweep continues.
+
+    The sweep runs in three stages.  First each threshold, in ascending
+    order, is observed, absorbed and searched for its sparsest support,
+    the k-th with seed lambda_opts.rng_seed + k.  Then the entropy curves
+    of every record left undetermined run as one batch of fixed points.
+    Last, their sparsity-edge calibrations advance in lock-step, each step's
+    fixed points in one batch.  Every fixed point equals its solo run bit
+    for bit, so each record is what the three stages would give it alone.
+    A threshold whose first stage fails keeps its error and leaves the
+    later stages; should a later stage fail, every record it was
+    computing takes its error.
     """
     thetas = sorted({float(t) for t in theta_grid})
     if not thetas:
@@ -272,22 +313,22 @@ def threshold_sweep(
     if thetas[0] <= 0:
         raise ValueError("thresholds must be positive")
     records: list[ThresholdRecord] = []
+    graphs: dict[int, FactorGraph] = {}
     for idx, theta in enumerate(thetas):
         try:
-            records.append(_sweep_one(L_true, theta, opts, idx))
+            rec, g = _search(L_true, theta, opts, idx)
         except (ValueError, RuntimeError) as err:
-            logger.warning("threshold %g failed: %s", theta, err)
-            records.append(
-                ThresholdRecord(
-                    theta=theta,
-                    m_raw=-1,
-                    m=-1,
-                    lambda_max=math.nan,
-                    lambda_max_unknown=math.nan,
-                    entropy_at_lambda_max=math.nan,
-                    error=str(err),
-                )
-            )
+            rec, g = _failed(theta, err), None
+        records.append(rec)
+        if g is not None:
+            graphs[idx] = g
+    if graphs:
+        try:
+            done = _entropies([records[i] for i in graphs], list(graphs.values()), opts)
+        except (ValueError, RuntimeError) as err:
+            done = [_failed(records[i].theta, err) for i in graphs]
+        for i, rec in zip(graphs, done):
+            records[i] = rec
     lam_true = _true_sparsity(L_true)
     ok = [r for r in records if r.error is None]
     first = records[0]

@@ -3,6 +3,7 @@ vs exhaustive enumeration, limit behavior, and the entropy curve."""
 
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from liabnet.bpcore import (
     MessageSet,
     bethe_entropy,
     bp_fixed_point,
+    bp_fixed_points,
     build_factor_graph,
     calibrate_fugacity,
     link_marginals,
@@ -299,11 +301,12 @@ def powerlaw_graph(n, quantile, seed=0):
 class TestKernelSize:
     def test_guard_names_the_size(self, monkeypatch):
         g = build_factor_graph(benchmark3())
-        monkeypatch.setattr(bpcore, "_physical_memory", lambda: 1000)
+        monkeypatch.setattr(bpcore, "_physical_memory", lambda: 500)
         with pytest.raises(KernelTooLarge) as exc:
             bp_fixed_point(g, 1.0)
-        # n = 3, K = 2 slots per factor, R = max(r) + 2 = 3
-        assert "n=3, K=2, R=3 needs 1248 bytes" in str(exc.value)
+        # n = 3, K = 2 slots per factor, R = max(r) = 1: 8 bytes x K x 2n
+        # factors x (3 x (R + 1) + 2) rows at finite z
+        assert "n=3, K=2, R=1 needs 768 bytes" in str(exc.value)
         assert isinstance(exc.value, ValueError)
 
     def test_guard_counts_the_workspace(self, monkeypatch):
@@ -315,6 +318,40 @@ class TestKernelSize:
         monkeypatch.setattr(bpcore.mmap, "mmap", lambda *args: pytest.fail("workspace allocated"))
         with pytest.raises(KernelTooLarge, match=f"needs {nbytes} bytes"):
             make_state(g, 1.0)
+
+    def test_guard_counts_a_whole_batch(self, monkeypatch):
+        # Two copies of benchmark3 at finite z: n = 6, K = 2, R = 1, twice
+        # one copy's 768 bytes.
+        g = build_factor_graph(benchmark3())
+        pairs = [(g, 0.5), (g, 2.0)]
+        monkeypatch.setattr(bpcore, "_physical_memory", lambda: 1535)
+        monkeypatch.setattr(bpcore.mmap, "mmap", lambda *args: pytest.fail("workspace allocated"))
+        with pytest.raises(KernelTooLarge, match="n=6, K=2, R=1 needs 1536 bytes"):
+            bp_fixed_points(pairs)
+        monkeypatch.undo()
+        monkeypatch.setattr(bpcore, "_physical_memory", lambda: 1536)
+        assert all(m.converged for m in bp_fixed_points(pairs))
+
+    def test_large_copies_run_alone(self, monkeypatch):
+        # At the entropy-large size one copy's workspace is over the batch
+        # budget, so a curve's fixed points run one at a time: no workspace
+        # is larger than one copy's, and no two are alive at once.
+        g = powerlaw_graph(60, 0.9)
+        one = make_state(g, 1.0).work.nbytes
+        assert one > bpcore._BATCH_BYTES
+        alive, seen, real = [0], [], bpcore.mmap.mmap
+
+        def spy(fileno, length):
+            buf = real(fileno, length)
+            alive[0] += 1
+            seen.append((length, alive[0]))
+            weakref.finalize(buf, lambda: alive.__setitem__(0, alive[0] - 1))
+            return buf
+
+        monkeypatch.setattr(bpcore.mmap, "mmap", spy)
+        curve = sigma_curve(g, (0.5, 1.0, 2.0), BPOptions(tol=1e-8, max_sweeps=300))
+        assert all(pt.converged for pt in curve.points)
+        assert seen == [(one, 1)] * 3
 
     @pytest.mark.parametrize("z", [0.0, 1.0])
     def test_sweeps_write_into_the_workspace(self, z):
@@ -454,6 +491,66 @@ class TestMarginalStop:
         assert np.array_equal(mine.msgs, ref.msgs)
         assert (done, sweeps) == (False, 4)
         assert change == np.abs(state_marginals(ref.mu_row, ref.mu_col)[0] - before).max() > 0
+
+
+def mixed_graphs():
+    """The three record graphs of a seeded powerlaw n=12 sweep (K = 11, max
+    r 3, 2 and 2) and a uniform n=8 graph (K = 7, max r 3)."""
+    L, _ = generate(EnsembleSpec("uniform", 8, 0.3, seed=0))
+    uniform = build_factor_graph(absorb_known(make_observation(L, 1.0)))
+    return [powerlaw_graph(12, q, seed=1) for q in (0.5, 0.75, 0.9)] + [uniform]
+
+
+def assert_same_run(got, want):
+    assert np.array_equal(got.mu_row, want.mu_row) and np.array_equal(got.mu_col, want.mu_col)
+    assert (got.z, got.converged, got.sweeps, got.residual) == (want.z, want.converged, want.sweeps, want.residual)
+
+
+class TestBatches:
+    """Several (graph, z) copies share sweeps, and each gives its solo run."""
+
+    def test_batch_equals_solo_runs(self, monkeypatch):
+        graphs, twins = mixed_graphs(), mixed_graphs()
+        assert {(g.max_degree, int(g.r.max())) for g in graphs} == {(11, 3), (11, 2), (7, 3)}
+        opts = BPOptions(tol=1e-8, max_sweeps=150)
+        zs = (0.0, 0.1, 1.0, 5.0)
+        pairs = [(g, z) for z in zs for g in graphs]
+        sizes, real = [], bpcore._run_batch
+        monkeypatch.setattr(bpcore, "_run_batch", lambda batch, opts: sizes.append(len(batch)) or real(batch, opts))
+        batch = bp_fixed_points(pairs, opts)
+        # the z = 0 copies of all four graphs share one batch, the others
+        # another
+        assert sizes == [4, 12]
+        for (g, z), twin, got in zip(pairs, twins * len(zs), batch):
+            assert_same_run(got, bp_fixed_point(twin, z, opts))
+            assert (g._fixed_points.get((z, opts.tol, opts.damping)) is got) == got.converged
+        # copies left the batch at different sweeps, and some hit the cap
+        assert len({m.sweeps for m in batch}) > 4
+        assert not all(m.converged for m in batch) and any(m.converged for m in batch)
+
+    def test_capped_copy_warns_once_and_is_not_kept(self, caplog):
+        # At z = 1 the copy converges in 19 sweeps; at z = 0.05 it needs
+        # 74, so the cap of 40 stops it after the other has left.
+        g, twin = powerlaw_graph(12, 0.75, seed=1), powerlaw_graph(12, 0.75, seed=1)
+        opts = BPOptions(tol=1e-8, max_sweeps=40)
+        with caplog.at_level("WARNING", logger="liabnet.bpcore"):
+            fast, capped = bp_fixed_points([(g, 1.0), (g, 0.05)], opts)
+        assert fast.converged and fast.sweeps < 40
+        assert not capped.converged and capped.sweeps == 40
+        assert [r.getMessage() for r in caplog.records if "not converged" in r.getMessage()] == [
+            f"message passing not converged at z=0.05: residual {capped.residual:.3e} after 40 sweeps"
+        ]
+        assert list(g._fixed_points) == [(1.0, opts.tol, opts.damping)]
+        with caplog.at_level("WARNING", logger="liabnet.bpcore"):
+            assert_same_run(capped, bp_fixed_point(twin, 0.05, opts))
+            assert_same_run(fast, bp_fixed_point(twin, 1.0, opts))
+
+    def test_repeated_pair_runs_once(self, monkeypatch):
+        g = build_factor_graph(benchmark3())
+        runs, real = [], bpcore._run_batch
+        monkeypatch.setattr(bpcore, "_run_batch", lambda pairs, opts: runs.extend(pairs) or real(pairs, opts))
+        a, b, c = bp_fixed_points([(g, 0.5), (g, 2.0), (g, 0.5)])
+        assert a is c and runs == [(g, 0.5), (g, 2.0)]
 
 
 class TestFixedPointMemo:

@@ -6,13 +6,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from liabnet.bpcore import BPOptions, build_factor_graph, calibrate_fugacity, sigma_curve
+from liabnet.bpcore import (
+    BPOptions,
+    EntropyCurve,
+    EntropyPoint,
+    bethe_entropy,
+    bp_fixed_point,
+    build_factor_graph,
+    calibrate_fugacity,
+    link_marginals,
+    mean_density,
+    sigma_curve,
+)
 from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import LiabilityMatrix, absorb_known, make_observation
 from liabnet.sampler import DecimationOptions, LambdaMaxOptions, lambda_max
 from liabnet import bpcore, thresholdlab
 from liabnet.thresholdlab import (
     ThresholdOptions,
+    ThresholdRecord,
     default_theta_grid,
     read_threshold_csv,
     threshold_sweep,
@@ -174,23 +186,92 @@ def test_records_match_their_pieces():
 def test_a_record_runs_no_fixed_point_twice(monkeypatch):
     # The curve, the calibration and the edge point share fixed points (here
     # z = 1 and 0.1, and the edge point repeats the calibration's last one);
-    # each runs its sweeps once per graph.
-    runs, graphs, calls, real = [], [], [], bpcore.run_sweeps
+    # each runs its sweeps once per graph, whatever batch it runs in.
+    runs, graphs, asked = [], [], []
+    real_batch, real_fixed_points = bpcore._run_batch, bpcore.bp_fixed_points
 
-    def spy(state, opts):
-        graphs.append(state.g)  # held, so no two graphs share an id
-        runs.append((id(state.g), state.zeta, opts.tol, opts.damping))
-        return real(state, opts)
+    def spy(pairs, opts):
+        graphs.extend(g for g, _ in pairs)  # held, so no two graphs share an id
+        runs.extend((id(g), z, opts.tol, opts.damping) for g, z in pairs)
+        return real_batch(pairs, opts)
 
-    monkeypatch.setattr(bpcore, "run_sweeps", spy)
-    real_fixed_point = bpcore.bp_fixed_point
+    monkeypatch.setattr(bpcore, "_run_batch", spy)
     monkeypatch.setattr(
-        bpcore, "bp_fixed_point", lambda *args: calls.append(args) or real_fixed_point(*args)
+        bpcore, "bp_fixed_points", lambda pairs, opts: asked.extend(pairs) or real_fixed_points(pairs, opts)
     )
     rep = threshold_sweep(powerlaw_net(n=8, seed=8), (0.0021, 0.0181), small_opts(seed=1))
     assert all(rec.error is None and rec.curve is not None for rec in rep.records)
     assert len(set(runs)) == len(runs)
-    assert len(calls) == len(runs) + 3 * len(rep.records)
+    assert len(asked) == len(runs) + 3 * len(rep.records)
+
+
+def solo_record(L, theta, opts, k):
+    """The record of threshold theta, built from single-graph calls on
+    fresh graphs: the search, one fixed point per curve point, and a
+    calibration whose edge point is one more fixed point."""
+    obs = make_observation(L, theta)
+    rp = absorb_known(obs)
+    lm = lambda_max(build_factor_graph(rp), rp, replace(opts.lambda_opts, rng_seed=opts.lambda_opts.rng_seed + k))
+
+    def point(z, bp):
+        g = build_factor_graph(rp)
+        msgs = bp_fixed_point(g, z, bp)
+        lam, s = mean_density(link_marginals(msgs)), bethe_entropy(g, msgs)
+        return EntropyPoint(z, lam, s, s - (1.0 - lam) * math.log(z), msgs.converged)
+
+    edge_bp = replace(opts.bp, max_sweeps=4 * opts.bp.max_sweeps)
+    z_edge, lam_edge = calibrate_fugacity(build_factor_graph(rp), lm.lambda_max, edge_bp)
+    assert abs(lam_edge - lm.lambda_max) <= 0.05
+    known_links = sum(v > 0.0 for v in obs.known.values())
+    return ThresholdRecord(
+        theta=theta,
+        m_raw=rp.m,
+        m=int(rp.live.sum()),
+        lambda_max=1.0 - (known_links + lm.links) / (L.n * (L.n - 1)),
+        lambda_max_unknown=lm.lambda_max,
+        entropy_at_lambda_max=point(z_edge, edge_bp).sigma,
+        curve=EntropyCurve(tuple(point(z, opts.bp) for z in opts.z_grid)),
+        fallback=lm.fallback,
+    )
+
+
+def quantile_thetas(L, quantiles):
+    pos = np.sort(L.entries[L.entries > 0])
+    k = np.minimum((np.asarray(quantiles) * (pos.size - 1)).astype(int), pos.size - 2)
+    return tuple(float(t) for t in 0.5 * (pos[k] + pos[k + 1]))
+
+
+def test_staged_sweep_equals_single_graph_records():
+    # A powerlaw n=12 network at three entry quantiles: the records' graphs
+    # need 3, 2 and 2 links at most, so their counts keep different bins,
+    # and the staged sweep still gives each record bit for bit.
+    L, _ = generate(EnsembleSpec("powerlaw", 12, 0.3, seed=1))
+    thetas = quantile_thetas(L, (0.5, 0.75, 0.9))
+    graphs = [build_factor_graph(absorb_known(make_observation(L, t))) for t in thetas]
+    assert [int(g.r.max()) for g in graphs] == [3, 2, 2]
+    opts = small_opts(seed=1)
+    rep = threshold_sweep(L, thetas, opts)
+    for k, (theta, rec) in enumerate(zip(thetas, rep.records)):
+        assert rec == solo_record(L, theta, opts, k)
+
+
+def test_failed_record_keeps_its_error_and_the_others_complete(monkeypatch):
+    L, _ = generate(EnsembleSpec("powerlaw", 12, 0.3, seed=1))
+    thetas = quantile_thetas(L, (0.5, 0.75, 0.9))
+    opts = small_opts(seed=1)
+    whole = threshold_sweep(L, thetas, opts)
+    real = thresholdlab.lambda_max
+
+    def failing(g, rp, lopts):
+        if lopts.rng_seed == opts.lambda_opts.rng_seed + 1:
+            raise RuntimeError("search failed")
+        return real(g, rp, lopts)
+
+    monkeypatch.setattr(thresholdlab, "lambda_max", failing)
+    rep = threshold_sweep(L, thetas, opts)
+    assert rep.records[1].error == "search failed" and rep.records[1].curve is None
+    assert (rep.records[0], rep.records[2]) == (whole.records[0], whole.records[2])
+    assert all(rec.error is None and rec.curve is not None for rec in whole.records)
 
 
 class TestNestedCurves:
@@ -205,10 +286,10 @@ class TestNestedCurves:
 
 class TestErrorHandling:
     def test_per_theta_failure_recorded(self, monkeypatch):
-        def failing_curve(g, z_grid, opts):
+        def failing_curve(pairs, opts):
             raise ValueError("curve scan failed")
 
-        monkeypatch.setattr(thresholdlab, "sigma_curve", failing_curve)
+        monkeypatch.setattr(thresholdlab, "entropy_points", failing_curve)
         L = powerlaw_net()
         positive = L.entries[L.entries > 0]
         tiny = float(positive.min()) / 2.0
