@@ -254,8 +254,8 @@ def _union(graphs: Sequence[FactorGraph]) -> FactorGraph:
 
 @dataclass(frozen=True)
 class BPOptions:
-    tol: float = 1e-10
-    max_sweeps: int = 1000
+    tol: float = 1e-8
+    max_sweeps: int = 300
     damping: float = 0.5
 
     def __post_init__(self) -> None:
@@ -265,13 +265,6 @@ class BPOptions:
             raise ValueError(f"max_sweeps {self.max_sweeps} must be >= 1")
         if not 0 <= self.damping < 1:
             raise ValueError("damping must be in [0, 1)")
-
-
-# Message-passing budget of the support searches: decimation's refreshes,
-# the typical-support calibration and the threshold sweep's entropy curves.
-# Its damping applies to z = 0 refreshes; decimation runs finite-z
-# refreshes undamped.
-_SEARCH_BP = BPOptions(tol=1e-8, max_sweeps=300)
 
 
 @dataclass(frozen=True)

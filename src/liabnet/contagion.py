@@ -36,7 +36,7 @@ from .netcore import (
     sparsity,
 )
 from .maxent import Infeasible, MEOptions, NotConverged, me_on_support, me_reconstruct
-from .bpcore import _SEARCH_BP, build_factor_graph, calibrate_fugacity
+from .bpcore import build_factor_graph, calibrate_fugacity
 from .sampler import (
     DecimationOptions,
     LambdaMaxOptions,
@@ -387,7 +387,7 @@ def _reconstructions(
         raise ValueError("no unknown slots to sample supports over")
     z = opts.typical_z
     if z is None:
-        z, _ = calibrate_fugacity(g, sparsity(truth, rp.m), _SEARCH_BP)
+        z, _ = calibrate_fugacity(g, sparsity(truth, rp.m))
     samples = sample_supports(
         g, rp, z, opts.support_samples, np.random.SeedSequence(opts.rng_seed), opts.decimation
     )

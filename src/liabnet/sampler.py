@@ -24,11 +24,13 @@ the flow it carried, and a re-route pushes only that flow again.
 Max-flow is monotone in the link set, so once those links cannot carry
 the residuals no completion can, and the draw stops there with the
 network's deficient cut.  sample_supports is its one caller: it gives
-each draw its own stream, records draws on a locally infeasible graph as
-failed and flow-checks the completed ones.  lambda_max draws through
-sample_supports over a ladder of fugacities near the z -> 0 limit,
-greedily peels every distinct draw that passes the flow check, each on
-one residual network, and keeps the sparsest result.
+each draw its own stream and flow-checks the completed ones, so a draw
+either completes or stops.  lambda_max draws through sample_supports over
+a ladder of fugacities near the z -> 0 limit, greedily peels the full
+support and every distinct draw that passes the flow check, each on one
+residual network, and keeps the sparsest result.  Both raise
+LocallyInfeasible on a graph where some bank needs more links than it
+has slots, as every other consumer of such a graph does.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ import numpy as np
 
 from .netcore import ReducedProblem, Support, _check_same_slots, sparsity
 from .bpcore import (
-    _SEARCH_BP,
     BPOptions,
     BPState,
     FactorGraph,
@@ -271,7 +272,7 @@ class DecimationOptions:
     """
 
     fix_per_round: float = 0.0
-    bp: BPOptions = _SEARCH_BP
+    bp: BPOptions = BPOptions()
 
     def __post_init__(self) -> None:
         if not 0 <= self.fix_per_round < 1:
@@ -281,8 +282,7 @@ class DecimationOptions:
 @dataclass(frozen=True)
 class DecimationTrace:
     """What one decimation run did: message-passing rounds, links fixed on
-    by propagation (forced), and its support (None for a draw that
-    sample_supports recorded as failed).  converged_rounds counts the
+    by propagation (forced), and its support.  converged_rounds counts the
     rounds whose refresh stopped because no link marginal moved by bp.tol
     in a sweep, not at bp.max_sweeps.
 
@@ -299,7 +299,7 @@ class DecimationTrace:
     """
 
     restarts: int
-    final_support: Support | None
+    final_support: Support
     converged_rounds: int = 0
     rounds: int = 0
     forced: int = 0
@@ -464,16 +464,15 @@ def decimate(
 @dataclass(frozen=True)
 class SampledSupport:
     """One draw: its decimation trace and the transport certificate of its
-    support (None exactly when the draw failed).  support is the trace's
-    final_support, None for a failed draw.  For a draw that stopped early
-    the certificate is the trace's cut and support the possible links it
-    was cut on, not a drawn support."""
+    support, the trace's final_support.  For a draw that stopped early the
+    certificate is the trace's cut and support the possible links it was
+    cut on, not a drawn support."""
 
     trace: DecimationTrace
-    certificate: FeasibilityCertificate | None
+    certificate: FeasibilityCertificate
 
     @property
-    def support(self) -> Support | None:
+    def support(self) -> Support:
         return self.trace.final_support
 
 
@@ -490,22 +489,18 @@ def sample_supports(
 
     Draw t runs on child t of count children spawned from rng_seed, so
     results do not depend on completion order; a SeedSequence is spawned
-    from in place, so consecutive calls on one continue its children.
-    Draws on a locally infeasible graph (LocallyInfeasible) are recorded
-    as failed rather than raised.  A draw that stopped early carries its
-    cut as the certificate; a completed draw is flow-checked.  sample_stats
-    summarizes the batch.
+    from in place, so consecutive calls on one continue its children.  A
+    draw that stopped early carries its cut as the certificate; a completed
+    draw is flow-checked.  sample_stats summarizes the batch.
+
+    Raises:
+        LocallyInfeasible: if some factor needs more links than it has.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     out: list[SampledSupport] = []
     for child in _seed_sequence(rng_seed).spawn(count):
-        try:
-            trace = decimate(g, p, z, child, opts)
-        except LocallyInfeasible as err:
-            logger.warning("support draw failed: %s", err)
-            out.append(SampledSupport(DecimationTrace(restarts=0, final_support=None), None))
-            continue
+        trace = decimate(g, p, z, child, opts)
         # A completed draw's network already carries the flow; the check
         # stays because perfbench's tracer pairs each draw with a
         # feasibility_check verdict (ROADMAP item 7 replaces that pairing).
@@ -515,18 +510,15 @@ def sample_supports(
 
 
 def sample_stats(samples: list[SampledSupport]) -> dict[str, float]:
-    """Batch summary: the share of draws that reached a flow verdict
-    (completed or stopped early; only failed draws did not), the feasible
-    share of those, and the mean link count of the drawn supports, which
-    leaves stopped draws out (their support is a possible set, not a draw)."""
+    """Batch summary: the share of draws whose support passed the flow
+    check, and the mean link count of the drawn supports, which leaves
+    stopped draws out (their support is a possible set, not a draw)."""
     total = len(samples)
-    done = [s for s in samples if s.support is not None]
-    drawn = [s.support.ones for s in done if s.trace.cut is None]
+    drawn = [s.support.ones for s in samples if s.trace.cut is None]
     return {
         "count": float(total),
-        "completed_fraction": len(done) / total if total else 0.0,
         "feasible_fraction": (
-            sum(s.certificate.feasible for s in done) / len(done) if done else math.nan
+            sum(s.certificate.feasible for s in samples) / total if total else math.nan
         ),
         "mean_links": float(np.mean(drawn)) if drawn else math.nan,
     }
@@ -562,22 +554,23 @@ class LambdaMaxOptions:
 class LambdaMaxResult:
     """Sparsest admissible support found over the unknown slots.
 
-    links and lambda_max (sparsity over the M unknown slots, 1.0 when
-    M = 0) derive from support.  trials counts the draws asked for, rungs x
-    per-rung draws; completed_trials those that reached a flow verdict
-    (completed, or stopped early once their possible links could not carry
-    the flow) and feasible_trials the distinct ones that passed the flow
-    check.  fallback is True when no sampled trial produced a
-    transport-feasible support; the result is then the greedily thinned
-    full support (or, if even the full support cannot transport the
-    residuals, the full support with sparsity 0).
+    trials counts the draws asked for, rungs x per-rung draws, and
+    feasible_trials the distinct ones that passed the flow check (all of
+    them when M = 0).  links, lambda_max (sparsity over the M unknown
+    slots, 1.0 when M = 0) and fallback derive from those.  fallback is
+    True when no sampled trial produced a transport-feasible support; the
+    result is then the greedily thinned full support, or, if even the full
+    support cannot transport the residuals, the full support with
+    sparsity 0.
     """
 
     support: Support
     trials: int
-    completed_trials: int
     feasible_trials: int
-    fallback: bool
+
+    @property
+    def fallback(self) -> bool:
+        return self.feasible_trials == 0
 
     @property
     def links(self) -> int:
@@ -588,24 +581,25 @@ class LambdaMaxResult:
         return sparsity(self.support, self.support.m) if self.support.m else 1.0
 
 
-def _peel_support(g: FactorGraph, p: ReducedProblem, values: np.ndarray) -> np.ndarray:
-    """Greedily delete links while degrees and the transport check hold.
+def _peel_support(g: FactorGraph, p: ReducedProblem, values: np.ndarray) -> np.ndarray | None:
+    """Greedily delete links while degrees and the transport check hold;
+    None when values itself cannot carry the residuals.
 
-    values must be flow-feasible.  Peeling builds one residual network of
-    values and keeps its flow as links go: a link without flow is deleted
-    without a max-flow, and deleting one that carries flow re-routes only
-    what it carried, from capacities saved before the deletion and
-    restored if the residuals no longer fit.  One sweep in ascending slot
-    order leaves the support feasible and locally minimal.  A second sweep
-    could delete nothing: later deletions only lower degree counts and
-    shrink what the support can carry, so a link kept for its degrees or
-    for transport stays needed.
+    Peeling builds one residual network of values, whose first max-flow
+    is values' flow check, and keeps its flow as links go: a link without
+    flow is deleted without a max-flow, and deleting one that carries flow
+    re-routes only what it carried, from capacities saved before the
+    deletion and restored if the residuals no longer fit.  One sweep in
+    ascending slot order leaves the support feasible and locally minimal.
+    A second sweep could delete nothing: later deletions only lower degree
+    counts and shrink what the support can carry, so a link kept for its
+    degrees or for transport stays needed.
     """
     vals = values.copy()
     counts = _degree_counts(g, vals)
     net = _Transport(p, np.flatnonzero(vals))
-    feasible = net.reroute()
-    assert feasible, "peeling needs a flow-feasible start"
+    if not net.reroute():
+        return None
     for e in np.flatnonzero(vals).tolist():
         fr, fc = g.var_row_factor[e], g.var_col_factor[e]
         if counts[fr] <= g.r[fr] or counts[fc] <= g.r[fc]:
@@ -634,42 +628,43 @@ def lambda_max(
     draws that pass the flow check are peeled to local minimality in one
     sweep (removing links never restores a degree count or transport, so a
     link kept once stays needed), and the sparsest certified support wins.
-    A deterministic baseline candidate (the greedily thinned full support)
-    is always in play.  Every candidate is admissible, so the estimate
-    never exceeds the true maximum.  With no feasible sampled draw the
-    baseline is reported with fallback=True; when even the full support
-    fails the flow check, no trial runs and the full support is reported
-    with sparsity 0.
+    A deterministic baseline candidate, the greedily thinned full support,
+    is always in play; its peel starts with the flow check of the full
+    support.  Every candidate is admissible, so the estimate never exceeds
+    the true maximum.  With no feasible sampled draw the baseline is
+    reported (fallback); when even the full support fails the flow check,
+    no trial runs and the full support is reported with sparsity 0.
 
     With no unknown slots at all the empty support is vacuously maximal
     and lambda_max is reported as 1.0.
+
+    Raises:
+        LocallyInfeasible: if some factor needs more links than it has,
+            before any flow work.
     """
+    if g.infeasible_factors:
+        raise LocallyInfeasible(g.infeasible_factors)
     rungs = len(opts.z_ladder)
     per_rung = -(-opts.trials // rungs)  # ceil division
     trials = rungs * per_rung
     if g.m_total == 0:
-        empty = Support(p.ends, np.zeros(0, dtype=np.uint8))
-        return LambdaMaxResult(empty, trials, trials, trials, fallback=False)
-    # Deterministic baseline: thin the full support greedily.  Removing
-    # links never restores transport, so when the full support fails the
-    # flow check no draw can pass it and the search is skipped.
-    full = Support(p.ends, np.ones(g.m_total, dtype=np.uint8))
-    full_cert = feasibility_check(p, full)
-    if not full_cert:
+        return LambdaMaxResult(Support(p.ends, np.zeros(0, dtype=np.uint8)), trials, trials)
+    # Removing links never restores transport, so when the full support
+    # fails the flow check no draw can pass it and the search is skipped.
+    full = np.ones(g.m_total, dtype=np.uint8)
+    peeled = _peel_support(g, p, full)
+    if peeled is None:
         logger.warning(
             "the residuals cannot be transported on any support; reporting "
             "the full unknown support with sparsity 0"
         )
-        return LambdaMaxResult(full, trials, 0, 0, fallback=True)
-    best = Support(p.ends, _peel_support(g, p, full.values))
+        return LambdaMaxResult(Support(p.ends, full), trials, 0)
+    best = Support(p.ends, peeled)
     ss = np.random.SeedSequence(opts.rng_seed)
-    completed = feasible = 0
+    feasible = 0
     seen: set[bytes] = set()
     for z in opts.z_ladder:
         for s in sample_supports(g, p, z, per_rung, ss, opts.decimation):
-            if s.support is None:
-                continue
-            completed += 1
             key = s.support.values.tobytes()
             if key in seen:
                 continue
@@ -680,11 +675,10 @@ def lambda_max(
             candidate = Support(p.ends, _peel_support(g, p, s.support.values))
             if candidate.ones < best.ones:
                 best = candidate
-    fallback = feasible == 0
-    if fallback:
+    if not feasible:
         logger.warning(
             "no transport-feasible support among %d sampled trials; "
             "reporting the greedily thinned full support",
             trials,
         )
-    return LambdaMaxResult(best, trials, completed, feasible, fallback)
+    return LambdaMaxResult(best, trials, feasible)

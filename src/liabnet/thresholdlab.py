@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bpcore import (
-    _SEARCH_BP,
     BPOptions,
     EntropyCurve,
     FactorGraph,
@@ -89,7 +88,7 @@ class ThresholdOptions:
     """
 
     z_grid: tuple[float, ...] = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
-    bp: BPOptions = _SEARCH_BP
+    bp: BPOptions = BPOptions()
     lambda_opts: LambdaMaxOptions = field(
         default_factory=lambda: LambdaMaxOptions(
             trials=6,

@@ -307,6 +307,23 @@ class TestCompareMethods:
         assert mc.error is None
         assert mc.curve is not None
 
+    @pytest.mark.parametrize("typical_z", [None, 1.0])
+    def test_locally_infeasible_sampling_methods_fail(self, typical_z):
+        # At theta = 1 both links are hidden, and each bank then needs two
+        # links over its one slot: the sampling methods report the graph's
+        # error, with no fallback support, and the others still stress-test.
+        L = LiabilityMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        rep = compare_methods(
+            L, [0.5, 0.5], [0.5], METHOD_NAMES, CompareOptions(theta=1.0, typical_z=typical_z)
+        )
+        for method in ("me_on_typical_support", "me_on_sparsest_support"):
+            mc = rep.curve_for(method)
+            assert mc.curve is None
+            assert mc.error == "locally infeasible factors: out:0, out:1, in:0, in:1"
+        for method in ("true", "me_dense", "me_on_true_support"):
+            mc = rep.curve_for(method)
+            assert mc.error is None and mc.curve is not None
+
     def test_below_minimum_threshold_reconstructions_are_exact(self):
         # with every positive entry disclosed, only true zeros stay unknown and
         # every reconstruction reproduces the original matrix exactly; dyadic

@@ -147,7 +147,7 @@ def _names(node, name: str) -> bool:
 def test_one_draw_loop():
     # Every support draw, typical or near-sparse, goes through
     # sampler.sample_supports, so conditioning the draws or changing how
-    # failed ones are handled happens in one place.
+    # they are flow-checked happens in one place.
     users = _scopes_using(lambda node: _names(node, "decimate"))
     assert users == ["sampler.sample_supports"], f"decimate is used in: {users}"
 
@@ -161,6 +161,21 @@ def test_one_certificate_builder():
         _scopes_using(lambda node: isinstance(node, ast.Call) and _names(node.func, "FeasibilityCertificate"))
     )
     assert builders == {"sampler._Transport.certificate"}, f"FeasibilityCertificate built in: {builders}"
+
+
+def test_draws_complete_or_stop():
+    # A draw ends one of two ways, completed or stopped by its flow network,
+    # and only decimate describes it.  A locally infeasible graph raises
+    # LocallyInfeasible to the caller; no module turns it into a failed
+    # draw or a fallback result.
+    builders = _scopes_using(lambda node: isinstance(node, ast.Call) and _names(node.func, "DecimationTrace"))
+    assert builders == ["sampler.decimate"], f"DecimationTrace built in: {builders}"
+    catchers = _scopes_using(
+        lambda node: isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and any(_names(part, "LocallyInfeasible") for part in ast.walk(node.type))
+    )
+    assert catchers == [], f"LocallyInfeasible caught in: {catchers}"
 
 
 def _traced_names() -> tuple[set[str], set[str]]:

@@ -43,12 +43,23 @@ def fallback_problem() -> ReducedProblem:
 
 def every_draw_fails_problem() -> ReducedProblem:
     """Bank 0 lends exactly 1.0 over its one slot: transport holds, but the
-    degree rule asks two links of it, so every decimation draw fails."""
+    degree rule asks two links of it, so the graph is locally infeasible."""
     return ReducedProblem(
         n=2,
         ends=ends_of(((0, 1), (1, 0))),
         res_out=np.array([1.0, 0.5]),
         res_in=np.array([0.5, 1.0]),
+    )
+
+
+def one_slot_problem() -> ReducedProblem:
+    """Bank 0 lends 1.5 to bank 1 over their one slot, which the degree
+    rule asks two links of."""
+    return ReducedProblem(
+        n=2,
+        ends=ends_of(((0, 1),)),
+        res_out=np.array([1.5, 0.0]),
+        res_in=np.array([0.0, 1.5]),
     )
 
 
@@ -322,20 +333,12 @@ class TestDecimate:
             assert h_is_zero(p, tr.final_support.values)
 
     def test_infeasible_graph_raises_immediately(self):
-        # The error bp_fixed_point raises for the same graph; sample_supports
-        # records such a draw as failed, with no support.
-        p = ReducedProblem(
-            n=2,
-            ends=ends_of(((0, 1),)),
-            res_out=np.array([1.5, 0.0]),
-            res_in=np.array([0.0, 1.5]),
-        )
+        # The error bp_fixed_point raises for the same graph.
+        p = one_slot_problem()
         g = build_factor_graph(p, strict=False)
         with pytest.raises(LocallyInfeasible) as exc:
             decimate(g, p, 1.0, 0)
         assert exc.value.labels == ("out:0", "in:1")
-        [draw] = sample_supports(g, p, 1.0, 1, rng_seed=0)
-        assert draw.trace.final_support is None and draw.certificate is None
 
     def test_batch_fixing_matches_degree_validity(self):
         _, _, p = random_problem(5, seed=2, density=1.0)
@@ -558,20 +561,19 @@ class TestSampleSupports:
         g = build_factor_graph(p)
         samples = sample_supports(g, p, 1.0, 30, rng_seed=1)
         stats = sample_stats(samples)
-        assert stats["completed_fraction"] == 1.0
+        assert set(stats) == {"count", "feasible_fraction", "mean_links"}
         assert all(h_is_zero(p, s.support.values) for s in samples)
         assert 3 <= stats["mean_links"] <= 6
         assert 0.0 <= stats["feasible_fraction"] <= 1.0
         # On random_problem(6, 1) most draws stop early: their possible sets
-        # reach a flow verdict but are not drawn supports, so mean_links
-        # leaves them out.
+        # count in feasible_fraction but are not drawn supports, so
+        # mean_links leaves them out.
         _, _, p = random_problem(6, 1)
         g = build_factor_graph(p)
         samples = sample_supports(g, p, 1.0, 30, rng_seed=1)
         stats = sample_stats(samples)
         drawn = [s for s in samples if s.trace.cut is None]
         assert 0 < len(drawn) < len(samples)
-        assert stats["completed_fraction"] == 1.0
         assert stats["feasible_fraction"] == len(drawn) / len(samples)
         assert stats["mean_links"] == np.mean([s.support.ones for s in drawn])
         p = fallback_problem()
@@ -628,13 +630,62 @@ class TestLambdaMax:
         assert np.array_equal(r1.support.values, r2.support.values)
 
     def test_fallback_when_degrees_cannot_transport(self):
+        # The full support cannot carry the residuals, so it is reported
+        # (test_full_support_checked_by_its_peel: without a draw).
         p = fallback_problem()
         g = build_factor_graph(p)
         res = lambda_max(g, p, LambdaMaxOptions(trials=5, rng_seed=0))
         assert res.fallback
-        assert res.lambda_max == 0.0
-        assert res.feasible_trials == 0
-        assert res.completed_trials == 0
+        assert res.lambda_max == 0.0 and res.links == p.m
+        assert res.feasible_trials == 0 and res.trials == 8
+
+    @pytest.mark.parametrize(
+        "case", [every_draw_fails_problem, one_slot_problem], ids=["every-draw-fails", "one-slot"]
+    )
+    def test_locally_infeasible_raises(self, monkeypatch, case):
+        # As every other consumer of such a graph: no draw is recorded as
+        # failed, and lambda_max raises before it builds a flow network.
+        p = case()
+        g = build_factor_graph(p, strict=False)
+        networks = []
+        monkeypatch.setattr(sampler, "_Transport", lambda *args: networks.append(args))
+        for run in (lambda: sample_supports(g, p, 1.0, 3, rng_seed=0), lambda: lambda_max(g, p)):
+            with pytest.raises(LocallyInfeasible) as exc:
+                run()
+            assert exc.value.labels == ("out:0", "in:1")
+        assert networks == []
+
+    def test_full_support_checked_by_its_peel(self, monkeypatch):
+        # lambda_max runs no feasibility_check of its own: peeling the full
+        # support is its full-support check, and sample_supports checks
+        # each completed draw once.
+        p = fallback_problem()
+        g = build_factor_graph(p)
+        assert _peel_support(g, p, np.ones(p.m, dtype=np.uint8)) is None
+        calls, inside, draws = [], [False], []
+        real_check, real_sample = sampler.feasibility_check, sampler.sample_supports
+
+        def check(*args):
+            calls.append(inside[0])
+            return real_check(*args)
+
+        def sample(*args):
+            inside[0] = True
+            try:
+                out = real_sample(*args)
+            finally:
+                inside[0] = False
+            draws.extend(out)
+            return out
+
+        monkeypatch.setattr(sampler, "feasibility_check", check)
+        monkeypatch.setattr(sampler, "sample_supports", sample)
+        lambda_max(g, p, LambdaMaxOptions(trials=5, rng_seed=0))
+        assert calls == [] and draws == []
+        p = benchmark3()
+        lambda_max(build_factor_graph(p), p, LambdaMaxOptions(trials=20, rng_seed=0))
+        completed = [s for s in draws if s.trace.cut is None]
+        assert completed and calls == [True] * len(completed)
 
     @pytest.mark.parametrize("n, seed", [(4, 0), (4, 1), (5, 2), (6, 3)])
     def test_peeled_supports_are_locally_minimal(self, n, seed):
@@ -683,8 +734,9 @@ class TestLambdaMax:
         g = build_factor_graph(p)
         res = lambda_max(g, p)
         assert res.lambda_max == 1.0 and res.links == 0
-        # The default 50 trials over 4 rungs ask for 13 draws per rung.
-        assert res.trials == res.completed_trials == res.feasible_trials == 52
+        # The default 50 trials over 4 rungs ask for 13 draws per rung, and
+        # each finds the empty support, which carries the (zero) residuals.
+        assert res.trials == res.feasible_trials == 52 and not res.fallback
 
     @pytest.mark.parametrize(
         "case, opts",
@@ -702,45 +754,36 @@ class TestLambdaMax:
                 ),
             ),
             (fallback_problem, LambdaMaxOptions(trials=5, rng_seed=0)),
-            (every_draw_fails_problem, LambdaMaxOptions(trials=4, rng_seed=1)),
         ],
         ids=["benchmark3", "benchmark3-3-rungs", "random-4-0", "random-4-1", "random-4-2",
-             "random-4-3", "random-6-batched", "fallback", "every-draw-fails"],
+             "random-4-3", "random-6-batched", "fallback"],
     )
     def test_rebuilt_from_its_pieces(self, case, opts):
-        # lambda_max is the flow check of the full support, one
-        # sample_supports batch per rung on one SeedSequence(rng_seed), and
-        # peeling of each distinct certified draw, sparsest first found kept.
+        # lambda_max is the peel of the full support, one sample_supports
+        # batch per rung on one SeedSequence(rng_seed), and peeling of each
+        # distinct certified draw, sparsest first found kept.
         p = case()
-        g = build_factor_graph(p, strict=False)
+        g = build_factor_graph(p)
         rungs = len(opts.z_ladder)
         per_rung = -(-opts.trials // rungs)
         full = np.ones(p.m, dtype=np.uint8)
-        full_cert = feasibility_check(p, Support(p.ends, full))
-        if not full_cert:
-            want = (full, p.m, rungs * per_rung, 0, 0, True)
+        best = _peel_support(g, p, full)
+        if best is None:
+            want = (full, p.m, rungs * per_rung, 0, True)
         else:
-            best = _peel_support(g, p, full)
             ss = np.random.SeedSequence(opts.rng_seed)
-            draws = [
-                s
-                for z in opts.z_ladder
-                for s in sample_supports(g, p, z, per_rung, ss, opts.decimation)
-            ]
-            completed = [s for s in draws if s.certificate is not None]
             distinct = {}
-            for s in completed:
-                distinct.setdefault(s.support.values.tobytes(), s)
+            for z in opts.z_ladder:
+                for s in sample_supports(g, p, z, per_rung, ss, opts.decimation):
+                    distinct.setdefault(s.support.values.tobytes(), s)
             certified = [s for s in distinct.values() if s.certificate]
             for s in certified:
                 peeled = _peel_support(g, p, s.support.values)
                 if peeled.sum() < best.sum():
                     best = peeled
-            trials = rungs * per_rung
-            want = (best, int(best.sum()), trials, len(completed), len(certified), not certified)
+            want = (best, int(best.sum()), rungs * per_rung, len(certified), not certified)
         res = lambda_max(g, p, opts)
-        got = (res.support.values, res.links, res.trials)
-        got += (res.completed_trials, res.feasible_trials, res.fallback)
+        got = (res.support.values, res.links, res.trials, res.feasible_trials, res.fallback)
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
         assert res.lambda_max == 1.0 - want[1] / p.m
 
