@@ -40,11 +40,14 @@ workspace views for their bins, once per call; decimation lowers r
 between calls, so a plan kept longer would be stale, and r only falls.
 
 Batches.  bp_fixed_points runs several (graph, z) copies as one state
-over the disjoint union of their graphs, with one zeta per factor.  The
-copies share no factor, and a pad slot or a bin above a copy's own r
-changes none of its bits, so each copy's messages are its solo run's bit
-for bit.  A batch takes copies while its workspace stays within
-_BATCH_BYTES; a larger graph runs alone.
+over the disjoint union of their graphs, with one zeta per factor, and
+sampler runs its decimation draws the same way, each draw one copy with
+its own r.  The copies share no factor, and a pad slot or a bin above a
+copy's own r changes none of its bits, so each copy's messages are its
+solo run's bit for bit.  A batch takes copies while its workspace stays
+within _BATCH_BYTES; a larger graph runs alone.  A batch's workspace
+serves every state rebuilt from it, and sampler sweeps all the batches of
+one call in one, so no call holds more than one touched workspace.
 
 The limit z -> 0 (sparsest admissible graphs) is selected by passing
 z = 0.0 and uses exact closed forms, never extreme floats: mu = V^{r-1} /
@@ -53,17 +56,20 @@ than r links, mu is 0 (the z -> 0 limit), and only a cavity that cannot
 reach r - 1 links is degenerate (0.5, counted in BPState.degenerate).
 
 Stopping.  run_sweeps stops at the first sweep in which some copy's
-largest change is below tol, and there are two changes it can test.  In a
-batch, that copy leaves with its own sweep count, or every copy does at
-the sweep cap, and the others go on in a state rebuilt without it.
-bp_fixed_points, and through it bp_fixed_point, sigma_curve and the
-calibrations, test the messages: bethe_entropy reads the messages
-themselves, and the graph's memo, which keeps every converged run
-whatever batch ran it, hands one fixed point to all of them.
-Decimation's refreshes (sampler) test the link marginals instead, because
-their coin flips read nothing else.  At z = 0, damped messages can keep
-creeping toward 0 or 1 for hundreds of sweeps after the marginals stopped
-moving.
+largest change is below tol, and there are two changes it can test, both
+per copy.  In a batch of fixed points, that copy leaves with its own
+sweep count, or every copy does at the sweep cap, and the others go on
+in a state rebuilt without it.  bp_fixed_points, and through it
+bp_fixed_point, sigma_curve and the calibrations, test the messages:
+bethe_entropy reads the messages themselves, and the graph's memo, which
+keeps every converged run whatever batch ran it, hands one fixed point to
+all of them.  Decimation's refreshes (sampler) test each copy's link
+marginals instead, because their coin flips read nothing else.  At z = 0,
+damped messages can keep creeping toward 0 or 1 for hundreds of sweeps
+after the marginals stopped moving.  In a batch of draws, the copy whose
+marginals settled, or whose refresh reached the cap counted from its own
+start, ends that refresh alone: it fixes links and starts its next one,
+or leaves the batch, while the other copies go on sweeping.
 """
 
 from __future__ import annotations
@@ -155,7 +161,9 @@ class FactorGraph:
     each directed message sent from slot s of factor f.
 
     The graph also keeps, out of comparisons, the converged fixed points
-    bp_fixed_points has found on it, keyed by (z, tol, damping).
+    bp_fixed_points has found on it, keyed by (z, tol, damping), and the
+    outcomes of the decimation draws sampler has run on it ahead of their
+    decimate calls, each until that call takes it.
     """
 
     n: int
@@ -168,6 +176,7 @@ class FactorGraph:
     msg_slot: np.ndarray
     infeasible_factors: tuple[str, ...]
     _fixed_points: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _draws: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def m_total(self) -> int:
@@ -319,7 +328,7 @@ class BPState:
     msgs is the buffer [mu_row | mu_col | 0]; mu_row and mu_col are views
     into it.  zeta is the copy's zeta, or in a batch one per factor of the
     union.  Copy c owns variables parts[c]..parts[c+1]-1, and change[c] is
-    its largest change in the last sweep.  The decimation driver pins
+    its largest change in the last sweep.  Decimation pins a copy's
     variables by setting active to False and forcing both messages to 0 (an
     exact removal in the count recursion), lowering r as links are
     committed.  work is the sweep kernel's float64 workspace, sized by
@@ -378,17 +387,7 @@ def _batch_state(pairs, msgs: np.ndarray | None = None, work: np.ndarray | None 
         g = _union(graphs)
         zeta = np.tile(np.repeat(zetas, [h.n for h in graphs]), 2)
     if work is None:
-        f, k, rmax = g.n_factors, g.max_degree, int(g.r.max(initial=0))
-        nbytes = _kernel_bytes(f, k, rmax, min(zetas) > 0)
-        if nbytes > _physical_memory():
-            raise KernelTooLarge(
-                f"message kernel for n={g.n}, K={k}, R={rmax} needs {nbytes} bytes, "
-                "more than physical memory"
-            )
-        # An anonymous mapping (of positive length), not the allocator's
-        # heap: its pages go back to the system with the state instead of
-        # staying resident as free heap.
-        work = np.frombuffer(mmap.mmap(-1, max(nbytes, 8)), dtype=float)
+        work = _workspace([pairs])
     m = g.m_total
     return BPState(
         g=g,
@@ -400,6 +399,31 @@ def _batch_state(pairs, msgs: np.ndarray | None = None, work: np.ndarray | None 
         parts=np.cumsum([0] + [h.m_total for h in graphs]),
         change=np.full(len(pairs), math.inf),
     )
+
+
+def _workspace(batches) -> np.ndarray:
+    """One sweep workspace that holds the largest of batches' (each a list
+    of (graph, z) copies, all finite or all at z = 0); raises
+    KernelTooLarge, before allocating it, when that would exceed physical
+    memory."""
+    nbytes, n, k, rmax = 0, 0, 0, 0
+    for pairs in batches:
+        shape = (
+            sum(g.n_factors for g, _ in pairs),
+            max(g.max_degree for g, _ in pairs),
+            max(int(g.r.max(initial=0)) for g, _ in pairs),
+            min(z for _, z in pairs) > 0,
+        )
+        if _kernel_bytes(*shape) > nbytes:
+            nbytes, n, k, rmax = _kernel_bytes(*shape), sum(g.n for g, _ in pairs), shape[1], shape[2]
+    if nbytes > _physical_memory():
+        raise KernelTooLarge(
+            f"message kernel for n={n}, K={k}, R={rmax} needs {nbytes} bytes, more than physical memory"
+        )
+    # An anonymous mapping (of positive length), not the allocator's heap:
+    # its pages go back to the system with the last state using it instead
+    # of staying resident as free heap.
+    return np.frombuffer(mmap.mmap(-1, max(nbytes, 8)), dtype=float)
 
 
 def _tilt(inc: np.ndarray, zeta) -> np.ndarray:
@@ -499,13 +523,14 @@ def _slot_messages(state: BPState, plan) -> np.ndarray:
 class _MarginalMoves:
     """The link marginals of a state's messages, with the values
     state_marginals gives (0.5 where degenerate; messages stay in [0, 1],
-    so its clip never acts), and the largest move of any since the last
-    look.  A fixed link's messages are pinned at 0, so its marginal reads 0
-    on every look and never moves.  Buffers are allocated once per
+    so its clip never acts), and each copy's largest move of any since the
+    last look.  A fixed link's messages are pinned at 0, so its marginal
+    reads 0 on every look and never moves.  Buffers are allocated once per
     run_sweeps call."""
 
     def __init__(self, state: BPState):
         m = state.g.m_total
+        self.starts = state.parts[:-1]
         self.mu = state.msgs[: 2 * m].reshape(2, m)
         self.off = np.empty((2, m))
         # Row views are kept: making one costs as much as a small ufunc call.
@@ -524,18 +549,19 @@ class _MarginalMoves:
         out.fill(0.5)
         np.divide(num, den, out=out, where=np.greater(den, 0.0, out=self.valid))
 
-    def move(self) -> float:
+    def move(self) -> np.ndarray:
+        """Each copy's largest marginal move since the last look."""
         now, seen = self.now, self.seen
         self._read(now)
         np.subtract(now, seen, out=seen)
         self.seen, self.now = now, seen
-        return float(np.abs(seen, out=seen).max())
+        return np.maximum.reduceat(np.abs(seen, out=seen), self.starts)
 
 
 def _sweep(state: BPState, damping: float, plan, marginals: _MarginalMoves | None = None) -> np.ndarray:
     """One synchronous update of every message.  Returns each copy's max
-    change of an undecided link's messages or, given marginals, the max
-    change of the link marginals."""
+    change of an undecided link's messages or, given marginals, of its link
+    marginals."""
     m = state.g.m_total
     fresh = np.take(_slot_messages(state, plan), state.g.msg_slot)
     old = state.msgs[: 2 * m]
@@ -547,7 +573,7 @@ def _sweep(state: BPState, damping: float, plan, marginals: _MarginalMoves | Non
     np.copyto(old, new, where=state.active)
     if marginals is None:
         return np.maximum.reduceat(moved, state.parts[:-1])
-    return np.full(1, marginals.move())
+    return marginals.move()
 
 
 def run_sweeps(state: BPState, opts: BPOptions, *, marginals: bool = False) -> tuple[bool, int, float]:
@@ -555,12 +581,13 @@ def run_sweeps(state: BPState, opts: BPOptions, *, marginals: bool = False) -> t
     sweep is below opts.tol; returns (converged, sweeps, that change).
     state.change holds every copy's change in the last sweep.
 
-    The change is the largest move of an undecided link's messages.  With
-    marginals=True it is the largest move of a link marginal, as
-    state_marginals reads it, instead; the message change is then not
-    computed.  Only decimation's refreshes ask for that, as their coin
-    flips read only the marginals.  bp_fixed_point keeps the message test,
-    because bethe_entropy reads the messages themselves.
+    A copy's change is the largest move of its undecided links' messages.
+    With marginals=True it is the largest move of one of its link
+    marginals, as state_marginals reads it, instead; the message change is
+    then not computed.  Only decimation's refreshes ask for that, as their
+    coin flips read only the marginals; a batch of draws reads each copy's
+    change to end that copy's refresh alone.  bp_fixed_point keeps the
+    message test, because bethe_entropy reads the messages themselves.
     """
     if state.g.m_total == 0 or not np.any(state.active):
         return True, 0, 0.0

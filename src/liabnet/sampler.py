@@ -19,22 +19,33 @@ remaining requirement equals its undecided links has all of them fixed on
 at once, as every support of the conditioned ensemble has them; so no
 coin flip can leave a bank short.
 decimate also keeps a residual flow network of the links still possible
-(fixed on or undecided), built once per draw: a link fixed off cancels
-the flow it carried, and a re-route pushes only that flow again.
-Max-flow is monotone in the link set, so once those links cannot carry
-the residuals no completion can, and the draw stops there with the
-network's deficient cut.  sample_supports is its one caller: it gives
-each draw its own stream and flow-checks the completed ones, so a draw
-either completes or stops.  lambda_max draws through sample_supports over
-a ladder of fugacities near the z -> 0 limit, greedily peels the full
-support and every distinct draw that passes the flow check, each on one
-residual network, and keeps the sparsest result.  Both raise
-LocallyInfeasible on a graph where some bank needs more links than it
-has slots, as every other consumer of such a graph does.
+(fixed on or undecided), forked from the max-flow of all links, which
+runs once per problem: a link fixed off cancels the flow it carried, and
+a re-route pushes only that flow again.  Max-flow is monotone in the
+link set, so once those links cannot carry the residuals no completion
+can, and the draw stops there with the network's deficient cut.
+
+Draws run in lock-step batches.  Each draw is one copy of its graph in a
+shared message-passing state, with its own stream, requirements, flow
+network and refresh stop, so its outcome is its solo run's bit for bit;
+a sweep over several copies costs little more than one, because at
+these sizes a sweep is bound by per-call overhead.  The outcomes wait
+on the graph until decimate reads them back, one call per draw.
+sample_supports is decimate's one caller: it runs its draws as one
+batch, reads each back and flow-checks the completed ones, so a draw
+either completes or stops.  lambda_max draws through sample_supports
+over a ladder of fugacities near the z -> 0 limit, every rung's draws
+run ahead together (threshold_sweep runs those of all its thresholds
+together), greedily peels the full support and every distinct draw that
+passes the flow check, each on one residual network, and keeps the
+sparsest result.  Both raise LocallyInfeasible on a graph where some
+bank needs more links than it has slots, as every other consumer of
+such a graph does.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 from collections import deque
@@ -48,6 +59,9 @@ from .bpcore import (
     BPState,
     FactorGraph,
     LocallyInfeasible,
+    _batch_state,
+    _batches,
+    _workspace,
     make_state,
     run_sweeps,
     state_marginals,
@@ -218,6 +232,13 @@ class _Transport:
     def restore(self, saved: tuple[list[float], float]) -> None:
         self.cap[:], self.moved = saved
 
+    def fork(self) -> _Transport:
+        """A network on the same links in this one's state, whose removals
+        and re-routes leave this one as it is."""
+        twin = copy.copy(self)
+        twin.cap = list(self.cap)
+        return twin
+
     def certificate(self) -> FeasibilityCertificate:
         """The certificate of the last reroute, or of the state restored
         since.  Feasible: the flow on each link still present.  Otherwise
@@ -306,7 +327,7 @@ class DecimationTrace:
     cut: FeasibilityCertificate | None = None
 
 
-def _fix_variable(state: BPState, e: int, value: int) -> None:
+def _fix_variable(state: BPState | _Draw, e: int, value: int) -> None:
     """Commit one link choice and condition the factors on it.
 
     Pinning both directed messages to 0 removes the variable from both
@@ -349,7 +370,7 @@ def _seed_sequence(rng_seed: int | np.random.SeedSequence) -> np.random.SeedSequ
     return np.random.SeedSequence(rng_seed)
 
 
-def _force_links(state: BPState, members: list[np.ndarray], factors, values: np.ndarray) -> int:
+def _force_links(state: _Draw, members: list[np.ndarray], factors, values: np.ndarray) -> int:
     """Fix on every undecided link of each factor whose remaining
     requirement equals their number; returns how many links that fixed.
 
@@ -366,6 +387,188 @@ def _force_links(state: BPState, members: list[np.ndarray], factors, values: np.
                 _fix_variable(state, e, 1)
             forced += links.size
     return forced
+
+
+def _draw_key(p: ReducedProblem, z: float, opts: DecimationOptions, rng_seed) -> tuple:
+    """A draw's key in its graph's memo: the problem's identity, z, the
+    options and the stream's seed.  The memo keeps p next to the outcome,
+    so the identity cannot pass to another problem while it waits."""
+    ss = _seed_sequence(rng_seed)
+    entropy = tuple(ss.entropy) if isinstance(ss.entropy, (list, tuple, np.ndarray)) else ss.entropy
+    return id(p), z, opts, (entropy, ss.spawn_key, ss.pool_size)
+
+
+class _Draw:
+    """One decimation draw in flight: its stream, its fixed links (values),
+    its messages, active links and factors' remaining requirements r, its
+    residual flow network and its counts.  In a batch, mu_row, mu_col and
+    active view its copy's slices of the batch state, so fixing a link
+    writes straight into the state, and factors names where its r sits in
+    the state's, to be written back after each round.  swept counts the
+    sweeps of its current refresh."""
+
+    def __init__(
+        self,
+        g: FactorGraph,
+        p: ReducedProblem,
+        z: float,
+        rng_seed,
+        opts: DecimationOptions,
+        key: tuple,
+        members: list[np.ndarray],
+        net: _Transport,
+        carries: bool,
+    ):
+        self.g, self.p, self.z, self.opts, self.key, self.members = g, p, z, opts, key, members
+        self.rng = np.random.default_rng(rng_seed)
+        # A fresh state's arrays; its workspace, never touched, goes back at
+        # once, as the draw sweeps only in its batch's.
+        fresh = make_state(g, z)
+        self.mu_row, self.mu_col, self.active, self.r = fresh.mu_row, fresh.mu_col, fresh.active, fresh.r
+        self.values = np.zeros(g.m_total, dtype=np.uint8)
+        self.forced = _force_links(self, members, range(g.n_factors), self.values)
+        self.rounds = self.converged_rounds = self.swept = 0
+        self.net, self.carries = net, carries
+
+    @property
+    def going(self) -> bool:
+        return self.carries and bool(np.any(self.active))
+
+    def fix(self) -> None:
+        """After a refresh: flip the most biased undecided links, condition
+        on each outcome, and re-route the flow if a link fixed off carried
+        some."""
+        g = self.g
+        marg, _ = state_marginals(self.mu_row, self.mu_col)
+        undecided = np.flatnonzero(self.active)
+        bias = np.minimum(marg[undecided], 1.0 - marg[undecided])
+        order = _fixing_order(bias)
+        batch = undecided[order[: max(1, round(self.opts.fix_per_round * undecided.size))]]
+        lost_flow = False
+        for e in batch.tolist():
+            if not self.active[e]:
+                continue  # forced on earlier in this batch
+            value = 1 if self.rng.random() < marg[e] else 0
+            self.values[e] = value
+            _fix_variable(self, e, value)
+            if value == 0:
+                lost_flow = self.net.remove(e) > 0 or lost_flow
+                ends = (g.var_row_factor[e], g.var_col_factor[e])
+                self.forced += _force_links(self, self.members, ends, self.values)
+        self.carries = not lost_flow or self.net.reroute()
+
+    def keep(self) -> None:
+        """Leave the outcome on the graph for decimate: the final support
+        (fixed on or still possible), the counts, and the network's cut if
+        the possible links stopped carrying the residuals; and release the
+        network."""
+        cut = None if self.carries else self.net.certificate()
+        outcome = (self.values | self.active, self.converged_rounds, self.rounds, self.forced, cut)
+        self.g._draws[self.key] = (self.p, outcome)
+        self.net = None
+
+
+def _batch_of(live: list[_Draw], work: np.ndarray) -> BPState:
+    """The batch state of the draws' copies, in workspace work, from each
+    draw's messages, active links and r; each draw's messages and active
+    links then view its copy's slices."""
+    msgs = np.concatenate([d.mu_row for d in live] + [d.mu_col for d in live] + [[0.0]])
+    state = _batch_state([(d.g, d.z) for d in live], msgs, work)
+    np.concatenate([d.active for d in live], out=state.active)
+    np.concatenate([d.r[: d.g.n] for d in live] + [d.r[d.g.n :] for d in live], out=state.r)
+    m, banks, b = state.g.m_total, state.g.n, 0
+    for d, lo, hi in zip(live, state.parts.tolist(), state.parts[1:].tolist()):
+        d.mu_row, d.mu_col, d.active = state.msgs[lo:hi], state.msgs[m + lo : m + hi], state.active[lo:hi]
+        d.factors = (slice(b, b + d.g.n), slice(banks + b, banks + b + d.g.n))
+        b += d.g.n
+    return state
+
+
+def _draw_batch(live: list[_Draw], bp: BPOptions, work: np.ndarray) -> None:
+    """Run a batch of draws to their ends in one message-passing state, in
+    workspace work.
+
+    Every sweep advances every copy.  A copy whose link marginals settled,
+    or whose refresh reached bp.max_sweeps counted from its own start,
+    ends that refresh alone: it fixes links and starts the next, or, once
+    it completes or stops, keeps its outcome and leaves, and the others go
+    on in a state rebuilt without it in the same workspace.
+    """
+    state = _batch_of(live, work)
+    while live:
+        cap = bp.max_sweeps - max(d.swept for d in live)
+        _, sweeps, _ = run_sweeps(state, replace(bp, max_sweeps=cap), marginals=True)
+        stay = []
+        for d, change in zip(live, state.change.tolist()):
+            d.swept += sweeps
+            if change < bp.tol or d.swept == bp.max_sweeps:
+                d.rounds += 1
+                d.converged_rounds += change < bp.tol
+                d.swept = 0
+                d.fix()
+                if not d.going:
+                    d.keep()
+                    continue
+                rows, cols = d.factors
+                state.r[rows], state.r[cols] = d.r[: d.g.n], d.r[d.g.n :]
+            stay.append(d)
+        if stay and len(stay) < len(live):
+            state = _batch_of(stay, work)
+        live = stay
+
+
+def _run_draws(draws, carrying_only: bool = False) -> None:
+    """Run each (g, p, z, rng_seed, opts) draw whose outcome is not already
+    waiting on its graph, and leave the outcome there for decimate.
+
+    Draws at finite z and at z = 0, or under other options, never share a
+    batch, and a batch takes copies while its workspace stays within
+    bpcore's bound.  Every batch sweeps in one workspace, sized for the
+    largest, so the call holds one however many draws it runs.  The full
+    support of each problem is built and max-flowed once; every draw on it
+    starts from a fork of that network.
+    With carrying_only, the draws on a problem whose full support cannot
+    carry the residuals are not run.  A draw on a locally infeasible graph
+    is left to decimate, which raises.
+    """
+    nets: dict[int, tuple[_Transport, bool]] = {}
+    members: dict[int, list[np.ndarray]] = {}
+    groups: dict[tuple, list[_Draw]] = {}
+    ended: list[_Draw] = []
+    seen = set()
+    for g, p, z, rng_seed, opts in draws:
+        key = _draw_key(p, z, opts, rng_seed)
+        if g.infeasible_factors or key in g._draws or (id(g), key) in seen:
+            continue
+        seen.add((id(g), key))
+        if id(p) not in nets:
+            net = _Transport(p, np.arange(g.m_total))
+            nets[id(p)] = net, net.reroute()
+        net, carries = nets[id(p)]
+        if carrying_only and not carries:
+            continue
+        if id(g) not in members:
+            members[id(g)] = [
+                np.flatnonzero((g.var_row_factor == f) | (g.var_col_factor == f)) for f in range(g.n_factors)
+            ]
+        d = _Draw(g, p, z, rng_seed, opts, key, members[id(g)], net.fork(), carries)
+        if d.going:
+            groups.setdefault((opts, z > 0), []).append(d)
+        else:
+            ended.append(d)
+    runs = []
+    for (opts, finite), group in groups.items():
+        bp = replace(opts.bp, damping=0.0) if finite else opts.bp
+        start = 0
+        for batch in _batches([(d.g, d.z) for d in group]):
+            runs.append((group[start : start + len(batch)], batch, bp))
+            start += len(batch)
+    # The workspace's guard raises before any outcome is kept.
+    work = _workspace([batch for _, batch, _ in runs]) if runs else None
+    for d in ended:
+        d.keep()
+    for live, _, bp in runs:
+        _draw_batch(live, bp, work)
 
 
 def decimate(
@@ -395,7 +598,7 @@ def decimate(
     converge slowly without it.
 
     A residual flow network of the possible links (fixed on or undecided)
-    rides along, built and max-flowed once on all of them.  Each link
+    rides along, starting from the max-flow of all of them.  Each link
     fixed off is removed from it, cancelling the flow it carried; after a
     batch in which a removed link carried flow the network re-routes that
     flow, and links fixed off without flow leave the flow valid.  When the
@@ -403,6 +606,13 @@ def decimate(
     stops with the network's certificate, the deficient cut of the
     possible links.  The network draws no random number, so a draw that
     completes is the one an unchecked run gives, and it is flow-feasible.
+
+    sample_supports, and lambda_max or threshold_sweep before it, run
+    their draws ahead as one batch: each draw one copy of g in a shared
+    message-passing state, with its own stream, requirements, network and
+    refresh stop, so each outcome is its solo run's bit for bit.  The
+    outcome waits on g, keyed by p's identity, z, opts and the seed, until
+    this call takes it; a draw not run ahead runs here as a batch of one.
 
     Returns:
         DecimationTrace whose final_support, the drawn support or, for a
@@ -414,41 +624,10 @@ def decimate(
     """
     if g.infeasible_factors:
         raise LocallyInfeasible(g.infeasible_factors)
-    rng = np.random.default_rng(rng_seed)
-    bp = opts.bp if z == 0 else replace(opts.bp, damping=0.0)
-    state = make_state(g, z)
-    values = np.zeros(g.m_total, dtype=np.uint8)
-    members = [
-        np.flatnonzero((g.var_row_factor == f) | (g.var_col_factor == f))
-        for f in range(g.n_factors)
-    ]
-    forced = _force_links(state, members, range(g.n_factors), values)
-    rounds = converged_rounds = 0
-    net = _Transport(p, np.arange(g.m_total))
-    carries = net.reroute()
-    while carries and np.any(state.active):
-        ok, _, _ = run_sweeps(state, bp, marginals=True)
-        rounds += 1
-        converged_rounds += int(ok)
-        marg, _ = state_marginals(state.mu_row, state.mu_col)
-        undecided = np.flatnonzero(state.active)
-        bias = np.minimum(marg[undecided], 1.0 - marg[undecided])
-        order = _fixing_order(bias)
-        batch = undecided[order[: max(1, round(opts.fix_per_round * undecided.size))]]
-        lost_flow = False
-        for e in batch.tolist():
-            if not state.active[e]:
-                continue  # forced on earlier in this batch
-            value = 1 if rng.random() < marg[e] else 0
-            values[e] = value
-            _fix_variable(state, e, value)
-            if value == 0:
-                lost_flow = net.remove(e) > 0 or lost_flow
-                ends = (g.var_row_factor[e], g.var_col_factor[e])
-                forced += _force_links(state, members, ends, values)
-        carries = not lost_flow or net.reroute()
-    cut = None if carries else net.certificate()
-    final = values | state.active
+    key = _draw_key(p, z, opts, rng_seed)
+    if key not in g._draws:
+        _run_draws([(g, p, z, rng_seed, opts)])
+    _, (final, converged_rounds, rounds, forced, cut) = g._draws.pop(key)
     degrees_met = np.all(_degree_counts(g, final) >= g.r)
     assert degrees_met, "decimation produced a degree-violating support"
     return DecimationTrace(
@@ -489,8 +668,10 @@ def sample_supports(
 
     Draw t runs on child t of count children spawned from rng_seed, so
     results do not depend on completion order; a SeedSequence is spawned
-    from in place, so consecutive calls on one continue its children.  A
-    draw that stopped early carries its cut as the certificate; a completed
+    from in place, so consecutive calls on one continue its children.  The
+    draws not already run ahead run first, in lock-step as one batch (see
+    decimate); then each is read back through decimate, in order.  A draw
+    that stopped early carries its cut as the certificate; a completed
     draw is flow-checked.  sample_stats summarizes the batch.
 
     Raises:
@@ -498,8 +679,10 @@ def sample_supports(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    children = _seed_sequence(rng_seed).spawn(count)
+    _run_draws([(g, p, z, child, opts) for child in children])
     out: list[SampledSupport] = []
-    for child in _seed_sequence(rng_seed).spawn(count):
+    for child in children:
         trace = decimate(g, p, z, child, opts)
         # A completed draw's network already carries the flow; the check
         # stays because perfbench's tracer pairs each draw with a
@@ -615,6 +798,32 @@ def _peel_support(g: FactorGraph, p: ReducedProblem, values: np.ndarray) -> np.n
     return vals
 
 
+def _per_rung(opts: LambdaMaxOptions) -> int:
+    """Draws per rung: the trials split evenly across the ladder, rounded up."""
+    return -(-opts.trials // len(opts.z_ladder))
+
+
+def _draw_searches(searches) -> None:
+    """Run ahead, in shared batches, every draw that lambda_max(g, p, opts)
+    asks for, for each (g, p, opts) in searches with unknown slots whose
+    full support carries the residuals; each lambda_max call then reads
+    its draws back.  Draw t of rung k runs on child k * per_rung + t of
+    SeedSequence(opts.rng_seed), as lambda_max's sample_supports calls
+    spawn them."""
+    draws = []
+    for g, p, opts in searches:
+        if g.m_total == 0:
+            continue
+        per_rung = _per_rung(opts)
+        children = np.random.SeedSequence(opts.rng_seed).spawn(len(opts.z_ladder) * per_rung)
+        draws += [
+            (g, p, z, children[k * per_rung + t], opts.decimation)
+            for k, z in enumerate(opts.z_ladder)
+            for t in range(per_rung)
+        ]
+    _run_draws(draws, carrying_only=True)
+
+
 def lambda_max(
     g: FactorGraph,
     p: ReducedProblem,
@@ -624,10 +833,14 @@ def lambda_max(
 
     Trials are split evenly across opts.z_ladder, rounded up per rung; each
     rung is one sample_supports batch on SeedSequence(opts.rng_seed), so
-    draw t of rung k runs on child k * per_rung + t.  Distinct completed
-    draws that pass the flow check are peeled to local minimality in one
-    sweep (removing links never restores a degree count or transport, so a
-    link kept once stays needed), and the sparsest certified support wins.
+    draw t of rung k runs on child k * per_rung + t.  Every rung's draws
+    run ahead in lock-step, z = 0 and finite rungs in separate batches,
+    and the rungs read them back; after threshold_sweep has run several
+    searches' draws ahead together, none is left to run here.  Distinct
+    completed draws that pass the flow check are peeled to local
+    minimality in one sweep (removing links never restores a degree count
+    or transport, so a link kept once stays needed), and the sparsest
+    certified support wins.
     A deterministic baseline candidate, the greedily thinned full support,
     is always in play; its peel starts with the flow check of the full
     support.  Every candidate is admissible, so the estimate never exceeds
@@ -644,9 +857,8 @@ def lambda_max(
     """
     if g.infeasible_factors:
         raise LocallyInfeasible(g.infeasible_factors)
-    rungs = len(opts.z_ladder)
-    per_rung = -(-opts.trials // rungs)  # ceil division
-    trials = rungs * per_rung
+    per_rung = _per_rung(opts)
+    trials = len(opts.z_ladder) * per_rung
     if g.m_total == 0:
         return LambdaMaxResult(Support(p.ends, np.zeros(0, dtype=np.uint8)), trials, trials)
     # Removing links never restores transport, so when the full support
@@ -660,6 +872,7 @@ def lambda_max(
         )
         return LambdaMaxResult(Support(p.ends, full), trials, 0)
     best = Support(p.ends, peeled)
+    _draw_searches([(g, p, opts)])
     ss = np.random.SeedSequence(opts.rng_seed)
     feasible = 0
     seen: set[bytes] = set()

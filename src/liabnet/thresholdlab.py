@@ -40,7 +40,7 @@ from .netcore import (
     absorb_known,
     make_observation,
 )
-from .sampler import DecimationOptions, LambdaMaxOptions, lambda_max
+from .sampler import DecimationOptions, LambdaMaxOptions, _draw_searches, lambda_max
 
 __all__ = [
     "ThresholdOptions",
@@ -167,14 +167,12 @@ def _true_sparsity(L: LiabilityMatrix) -> float:
     return float(np.mean(L.entries[off] == 0.0))
 
 
-def _search(
-    L_true: LiabilityMatrix, theta: float, opts: ThresholdOptions, index: int
-) -> tuple[ThresholdRecord, FactorGraph | None]:
-    """A threshold's observation and sparsity search: its record, and its
-    factor graph when the record still needs its entropies (its entropy
-    field is then NaN)."""
+def _observe(L_true: LiabilityMatrix, theta: float, opts: ThresholdOptions) -> tuple[ThresholdRecord, tuple | None]:
+    """A threshold's observation: its record and, when the record still
+    needs its sparsity search, that search's (reduced problem, factor
+    graph, count of known links); the record's sparsity fields and entropy
+    are then NaN."""
     n = L_true.n
-    total_slots = n * (n - 1)
     obs = make_observation(L_true, theta, opts.disclosed)
     rp = absorb_known(obs)
     known_links = sum(1 for v in obs.known.values() if v > 0.0)
@@ -184,7 +182,7 @@ def _search(
     m_live = int(rp.live.sum())
     if m_live == 0:
         # fully determined: every undisclosed slot is forced to zero
-        lam_whole = 1.0 - known_links / total_slots
+        lam_whole = 1.0 - known_links / (n * (n - 1))
         return ThresholdRecord(
             theta=theta,
             m_raw=rp.m,
@@ -194,19 +192,28 @@ def _search(
             entropy_at_lambda_max=0.0,
             note=note,
         ), None
-    g = build_factor_graph(rp, strict=True)
-    lm = lambda_max(g, rp, replace(opts.lambda_opts, rng_seed=opts.lambda_opts.rng_seed + index))
-    lam_whole = 1.0 - (known_links + lm.links) / total_slots
-    return ThresholdRecord(
+    rec = ThresholdRecord(
         theta=theta,
         m_raw=rp.m,
         m=m_live,
-        lambda_max=lam_whole,
-        lambda_max_unknown=lm.lambda_max,
+        lambda_max=math.nan,
+        lambda_max_unknown=math.nan,
         entropy_at_lambda_max=math.nan,
-        fallback=lm.fallback,
         note=note,
-    ), g
+    )
+    return rec, (rp, build_factor_graph(rp, strict=True), known_links)
+
+
+def _search(rec: ThresholdRecord, search: tuple, opts: LambdaMaxOptions, n: int) -> ThresholdRecord:
+    """The record with the sparsity fields of its search's sparsest support."""
+    rp, g, known_links = search
+    lm = lambda_max(g, rp, opts)
+    return replace(
+        rec,
+        lambda_max=1.0 - (known_links + lm.links) / (n * (n - 1)),
+        lambda_max_unknown=lm.lambda_max,
+        fallback=lm.fallback,
+    )
 
 
 def _entropies(
@@ -296,15 +303,18 @@ def threshold_sweep(
         its error string and the sweep continues.
 
     The sweep runs in three stages.  First each threshold, in ascending
-    order, is observed, absorbed and searched for its sparsest support,
-    the k-th with seed lambda_opts.rng_seed + k.  Then the entropy curves
-    of every record left undetermined run as one batch of fixed points.
-    Last, their sparsity-edge calibrations advance in lock-step, each step's
-    fixed points in one batch.  Every fixed point equals its solo run bit
-    for bit, so each record is what the three stages would give it alone.
-    A threshold whose first stage fails keeps its error and leaves the
-    later stages; should a later stage fail, every record it was
-    computing takes its error.
+    order, is observed and absorbed into its reduced problem and factor
+    graph; the decimation draws of every sparsity search whose full
+    support carries the residuals run ahead in shared batches; then each
+    threshold is searched for its sparsest support, the k-th with seed
+    lambda_opts.rng_seed + k, reading its draws back.  Then the entropy
+    curves of every record left undetermined run as one batch of fixed
+    points.  Last, their sparsity-edge calibrations advance in lock-step,
+    each step's fixed points in one batch.  Every draw and every fixed
+    point equals its solo run bit for bit, so each record is what the
+    three stages would give it alone.  A threshold whose first stage fails
+    keeps its error and leaves the later stages; should a later stage
+    fail, every record it was computing takes its error.
     """
     thetas = sorted({float(t) for t in theta_grid})
     if not thetas:
@@ -312,15 +322,32 @@ def threshold_sweep(
     if thetas[0] <= 0:
         raise ValueError("thresholds must be positive")
     records: list[ThresholdRecord] = []
-    graphs: dict[int, FactorGraph] = {}
+    searches: dict[int, tuple] = {}
     for idx, theta in enumerate(thetas):
         try:
-            rec, g = _search(L_true, theta, opts, idx)
+            rec, search = _observe(L_true, theta, opts)
         except (ValueError, RuntimeError) as err:
-            rec, g = _failed(theta, err), None
+            rec, search = _failed(theta, err), None
         records.append(rec)
-        if g is not None:
-            graphs[idx] = g
+        if search is not None:
+            searches[idx] = search
+    lambda_opts = {i: replace(opts.lambda_opts, rng_seed=opts.lambda_opts.rng_seed + i) for i in searches}
+    # Every search's draws run ahead in shared batches; a search whose full
+    # support cannot carry the residuals draws nothing.  Should that fail,
+    # each lambda_max below runs the draws it misses, so only the search
+    # at fault takes the error.
+    try:
+        _draw_searches([(g, rp, lambda_opts[i]) for i, (rp, g, _) in searches.items()])
+    except (ValueError, RuntimeError):
+        pass
+    graphs: dict[int, FactorGraph] = {}
+    for i, search in searches.items():
+        try:
+            records[i] = _search(records[i], search, lambda_opts[i], L_true.n)
+        except (ValueError, RuntimeError) as err:
+            records[i] = _failed(records[i].theta, err)
+        else:
+            graphs[i] = search[1]
     if graphs:
         try:
             done = _entropies([records[i] for i in graphs], list(graphs.values()), opts)

@@ -545,6 +545,24 @@ class TestBatches:
             assert_same_run(capped, bp_fixed_point(twin, 0.05, opts))
             assert_same_run(fast, bp_fixed_point(twin, 1.0, opts))
 
+    @pytest.mark.parametrize("zs", [(0.0,), (0.1, 1.0, 5.0)], ids=["sparse", "finite"])
+    def test_marginal_stop_is_per_copy(self, zs):
+        # With marginals=True, each copy's change is the largest move of its
+        # own link marginals: sweep by sweep it equals its solo run's, and a
+        # batch stops at the first sweep in which some copy settles.
+        pairs = [(g, z) for z in zs for g in mixed_graphs()]
+        bp = BPOptions(tol=1e-7, max_sweeps=300)
+        solo = [run_sweeps(make_state(g, z), bp, marginals=True) for g, z in pairs]
+        assert len({sweeps for _, sweeps, _ in solo}) > 1
+        state = bpcore._batch_state(pairs)
+        first = min(sweeps for _, sweeps, _ in solo)
+        assert run_sweeps(state, bp, marginals=True) == (True, first, min(change for _, sweeps, change in solo if sweeps == first))
+        state, mine = bpcore._batch_state(pairs), [make_state(g, z) for g, z in pairs]
+        one = BPOptions(tol=bp.tol, max_sweeps=1)
+        for _ in range(first + 2):
+            run_sweeps(state, one, marginals=True)
+            assert state.change.tolist() == [run_sweeps(s, one, marginals=True)[2] for s in mine]
+
     def test_repeated_pair_runs_once(self, monkeypatch):
         g = build_factor_graph(benchmark3())
         runs, real = [], bpcore._run_batch

@@ -152,6 +152,13 @@ def test_one_draw_loop():
     assert users == ["sampler.sample_supports"], f"decimate is used in: {users}"
 
 
+def test_one_sweep_loop():
+    # Fixed points and decimation draws, alone or in batches, all sweep in
+    # bpcore.run_sweeps, so a stop test or a batch rule lives in one loop.
+    callers = _scopes_using(lambda node: isinstance(node, ast.Call) and _names(node.func, "_sweep"))
+    assert callers == ["bpcore.run_sweeps"], f"bpcore._sweep is called in: {callers}"
+
+
 def test_one_certificate_builder():
     # Every flow certificate, from a fresh network or from one a draw has
     # been removing links from, is read off the residual network in

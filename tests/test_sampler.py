@@ -2,11 +2,12 @@
 decimation distribution vs enumeration, and the sparsest-support search."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from liabnet import bpcore, sampler
+from liabnet import bpcore, sampler, thresholdlab
 from liabnet.bpcore import BPOptions, LocallyInfeasible, build_factor_graph, make_state, state_marginals
 from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import ReducedProblem, Support, absorb_known, make_observation, support_of
@@ -21,6 +22,7 @@ from liabnet.sampler import (
     sample_stats,
     sample_supports,
 )
+from liabnet.thresholdlab import ThresholdOptions, threshold_sweep
 
 from _instances import benchmark3, ends_of, forced3, random_problem
 from _oracles import all_patterns, enumerate_ensemble, exact_lambda_max, h_is_zero, lp_feasible
@@ -786,6 +788,144 @@ class TestLambdaMax:
         got = (res.support.values, res.links, res.trials, res.feasible_trials, res.fallback)
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
         assert res.lambda_max == 1.0 - want[1] / p.m
+
+
+def sweep_problems() -> list[ReducedProblem]:
+    """The three records of a seeded powerlaw n=12 sweep: thresholds halfway
+    between the entries at the 0.5, 0.75 and 0.9 quantiles."""
+    L, _ = generate(EnsembleSpec("powerlaw", 12, 0.3, seed=1))
+    pos = np.sort(L.entries[L.entries > 0])
+    k = (np.array([0.5, 0.75, 0.9]) * (pos.size - 1)).astype(int)
+    return [absorb_known(make_observation(L, t)) for t in 0.5 * (pos[k] + pos[k + 1])]
+
+
+def trace_fields(tr):
+    cut = None if tr.cut is None else (tr.cut.cut_rows, tr.cut.cut_cols, tr.cut.max_flow)
+    return tr.final_support.values.tobytes(), tr.rounds, tr.converged_rounds, tr.forced, cut
+
+
+class TestBatchedDraws:
+    """Draws run ahead in lock-step, as copies of their graphs in one
+    message-passing state, each give their solo run; the outcomes wait on
+    the graph until decimate takes them."""
+
+    @staticmethod
+    def spy_batches(monkeypatch) -> list[tuple[int, float]]:
+        sizes, real = [], sampler._draw_batch
+
+        def spy(live, bp, work):
+            sizes.append((len(live), bp.damping))
+            real(live, bp, work)
+
+        monkeypatch.setattr(sampler, "_draw_batch", spy)
+        return sizes
+
+    @pytest.mark.parametrize("share, cap", [(0.0, 30), (0.12, 8)])
+    def test_mixed_batch_equals_solo_draws(self, monkeypatch, share, cap):
+        # Seven problems at z = 0, 0.05 and 1, two seeds each.  Refreshes
+        # are capped at a few sweeps, so copies leave at different sweeps,
+        # and some copy is left alone in mid-refresh: its cap counts from
+        # the start of its own refresh, in whatever batch.  (A cap that
+        # restarts when the batch shrinks to one moves some draw in both
+        # cases; at a cap of 5 a batch's refreshes all end together.)
+        problems = [benchmark3(), *(random_problem(n, n)[2] for n in (4, 5, 6)), *sweep_problems()]
+        graphs = [build_factor_graph(p) for p in problems]
+        opts = DecimationOptions(fix_per_round=share, bp=BPOptions(tol=1e-8, max_sweeps=cap))
+        draws = [(g, p, z, seed, opts) for g, p in zip(graphs, problems) for z in (0.0, 0.05, 1.0) for seed in (1, 2)]
+        sizes = self.spy_batches(monkeypatch)
+        sampler._run_draws(draws)
+        assert all(len(g._draws) == 6 for g in graphs)
+        batched = [decimate(*draw) for draw in draws]
+        assert all(g._draws == {} for g in graphs)
+        # z = 0 copies run damped, the others undamped, never together
+        assert {damping for _, damping in sizes} == {0.0, 0.5} and max(size for size, _ in sizes) > 10
+        monkeypatch.undo()
+        for (_, p, z, seed, _), got in zip(draws, batched):
+            assert trace_fields(got) == trace_fields(decimate(build_factor_graph(p), p, z, seed, opts))
+        assert any(tr.converged_rounds < tr.rounds for tr in batched)
+        assert {tr.cut is None for tr in batched} == {True, False}
+
+    def test_draws_sweep_in_one_workspace(self, monkeypatch):
+        # At n = 60 a copy's workspace is over the batch budget, so each
+        # draw runs as a batch of one.  Every batch sweeps in one workspace;
+        # the fresh state each draw starts from hands its own back untouched.
+        L, _ = generate(EnsembleSpec("powerlaw", 60, 0.3, seed=1))
+        p = absorb_known(make_observation(L, float(np.quantile(L.entries[L.entries > 0], 0.9))))
+        g = build_factor_graph(p, strict=False)
+        assert make_state(g, 1.0).work.nbytes > bpcore._BATCH_BYTES
+        alive, mapped, real_map = [], [], bpcore.mmap.mmap
+
+        def spy_map(fileno, length):
+            buf = real_map(fileno, length)
+            alive.append(weakref.ref(buf))
+            return buf
+
+        swept, real_sweeps = [], sampler.run_sweeps
+
+        def spy_sweeps(state, opts, **stop):
+            swept.append(sum(ref() is not None for ref in alive))
+            mapped.append(state.work.base)
+            return real_sweeps(state, opts, **stop)
+
+        monkeypatch.setattr(bpcore.mmap, "mmap", spy_map)
+        monkeypatch.setattr(sampler, "run_sweeps", spy_sweeps)
+        sizes = self.spy_batches(monkeypatch)
+        out = sample_supports(g, p, 1.0, 3, rng_seed=1, opts=DecimationOptions(fix_per_round=0.12))
+        assert len(out) == 3 and sizes == [(1, 0.0)] * 3 and g._draws == {}
+        # a mapping per draw's fresh state and one workspace for the call
+        assert len(alive) == 4 and swept and set(swept) == {1}
+        assert len({id(buf) for buf in mapped}) == 1
+
+    def test_memoized_draw_is_returned_once(self, monkeypatch):
+        p = benchmark3()
+        g = build_factor_graph(p)
+        sizes = self.spy_batches(monkeypatch)
+        child = np.random.SeedSequence(5).spawn(1)[0]
+        sampler._run_draws([(g, p, 1.0, child, DecimationOptions())] * 2)
+        assert sizes == [(1, 0.0)] and len(g._draws) == 1
+        first = decimate(g, p, 1.0, child)
+        assert g._draws == {} and sizes == [(1, 0.0)]
+        # asked again, the draw runs again, alone, and gives the same trace
+        again = decimate(g, p, 1.0, np.random.SeedSequence(5).spawn(1)[0])
+        assert sizes == [(1, 0.0)] * 2 and trace_fields(again) == trace_fields(first)
+        # another z, seed, problem or option set is another draw
+        sampler._run_draws([(g, p, 1.0, child, DecimationOptions())])
+        for other in ((g, p, 0.5, child), (g, p, 1.0, 6), (g, benchmark3(), 1.0, child)):
+            decimate(*other)
+        decimate(g, p, 1.0, child, DecimationOptions(fix_per_round=0.25))
+        assert len(g._draws) == 1 and len(sizes) == 7
+
+    def test_callers_leave_no_draw(self, monkeypatch):
+        sizes = self.spy_batches(monkeypatch)
+        p = random_problem(6, 1)[2]
+        g = build_factor_graph(p)
+        sample_supports(g, p, 1.0, 5, rng_seed=3)
+        assert g._draws == {} and sizes == [(5, 0.0)]
+        sizes.clear()
+        lambda_max(g, p, LambdaMaxOptions(trials=8, rng_seed=2))
+        # one z = 0 batch and one finite batch over the other three rungs
+        assert g._draws == {} and sorted(sizes) == [(2, 0.5), (6, 0.0)]
+        graphs, real = [], thresholdlab.build_factor_graph
+        monkeypatch.setattr(thresholdlab, "build_factor_graph", lambda *a, **k: graphs.append(real(*a, **k)) or graphs[-1])
+        sizes.clear()
+        L, _ = generate(EnsembleSpec("powerlaw", 12, 0.3, seed=1))
+        rep = threshold_sweep(L, (0.002, 0.01, 0.05), ThresholdOptions(z_grid=(0.5, 1.0)))
+        assert all(rec.error is None for rec in rep.records) and len(graphs) == 3
+        assert all(h._draws == {} for h in graphs)
+        # every record's z = 0 draws share one batch
+        assert (3 * 2, 0.5) in sizes
+
+    def test_search_without_a_carrying_full_support_hands_over_nothing(self, monkeypatch):
+        sizes = self.spy_batches(monkeypatch)
+        bad, good = fallback_problem(), benchmark3()
+        g_bad, g_good = build_factor_graph(bad), build_factor_graph(good)
+        opts = LambdaMaxOptions(trials=6, rng_seed=1)
+        sampler._draw_searches([(g_bad, bad, opts), (g_good, good, opts)])
+        assert g_bad._draws == {} and len(g_good._draws) == 8
+        assert sum(size for size, _ in sizes) == 8
+        assert lambda_max(g_bad, bad, opts).fallback
+        lambda_max(g_good, good, opts)
+        assert g_bad._draws == g_good._draws == {} and sum(size for size, _ in sizes) == 8
 
 
 def test_true_support_certified_at_small_threshold():

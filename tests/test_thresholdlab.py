@@ -10,6 +10,7 @@ from liabnet.bpcore import (
     BPOptions,
     EntropyCurve,
     EntropyPoint,
+    KernelTooLarge,
     bethe_entropy,
     bp_fixed_point,
     build_factor_graph,
@@ -21,7 +22,7 @@ from liabnet.bpcore import (
 from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import LiabilityMatrix, absorb_known, make_observation
 from liabnet.sampler import DecimationOptions, LambdaMaxOptions, lambda_max
-from liabnet import bpcore, thresholdlab
+from liabnet import bpcore, sampler, thresholdlab
 from liabnet.thresholdlab import (
     ThresholdOptions,
     ThresholdRecord,
@@ -272,6 +273,34 @@ def test_failed_record_keeps_its_error_and_the_others_complete(monkeypatch):
     assert rep.records[1].error == "search failed" and rep.records[1].curve is None
     assert (rep.records[0], rep.records[2]) == (whole.records[0], whole.records[2])
     assert all(rec.error is None and rec.curve is not None for rec in whole.records)
+
+
+def test_draws_failing_on_one_graph_fail_only_its_record(monkeypatch):
+    # The searches' draws run ahead together.  When one record's graph
+    # cannot hold a message-passing state, that shared run fails; each
+    # search then runs its own draws, and only that record takes the error.
+    L, _ = generate(EnsembleSpec("powerlaw", 12, 0.3, seed=1))
+    thetas = quantile_thetas(L, (0.5, 0.75, 0.9))
+    opts = small_opts(seed=1)
+    whole = threshold_sweep(L, thetas, opts)
+    graphs, real_build, real_state = [], thresholdlab.build_factor_graph, sampler.make_state
+
+    def build(*args, **kwargs):
+        graphs.append(real_build(*args, **kwargs))
+        return graphs[-1]
+
+    def state(g, z):
+        if g is graphs[1]:
+            raise KernelTooLarge("no room for this graph")
+        return real_state(g, z)
+
+    monkeypatch.setattr(thresholdlab, "build_factor_graph", build)
+    monkeypatch.setattr(sampler, "make_state", state)
+    rep = threshold_sweep(L, thetas, opts)
+    assert len(graphs) == 3
+    assert rep.records[1].error == "no room for this graph" and rep.records[1].curve is None
+    assert (rep.records[0], rep.records[2]) == (whole.records[0], whole.records[2])
+    assert all(g._draws == {} for g in graphs)
 
 
 class TestNestedCurves:
