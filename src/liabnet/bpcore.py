@@ -33,21 +33,24 @@ cancels, and mu = zeta T(>= r-1) / (zeta T(>= r-1) + T(>= r)) with T the
 tilted cavity tail.  Messages live in one buffer [mu_row | mu_col | 0]:
 the graph's slot_in gathers every slot's incoming message in one call
 (pads read the trailing 0) and msg_slot picks the fresh ones back out.
-The O(F K R) count arrays live in one workspace per state, sized by
-make_state for the graph's r, so a sweep allocates only O(F K) arrays.
+The O(F K R) count arrays live in one workspace, sized by _workspace for
+the graphs' r, so a sweep allocates only O(F K) arrays.
 The gathers depend on r, so run_sweeps builds them, and carves the
 workspace views for their bins, once per call; decimation lowers r
 between calls, so a plan kept longer would be stale, and r only falls.
 
-Batches.  bp_fixed_points runs several (graph, z) copies as one state
-over the disjoint union of their graphs, with one zeta per factor, and
-sampler runs its decimation draws the same way, each draw one copy with
-its own r.  The copies share no factor, and a pad slot or a bin above a
-copy's own r changes none of its bits, so each copy's messages are its
-solo run's bit for bit.  A batch takes copies while its workspace stays
-within _BATCH_BYTES; a larger graph runs alone.  A batch's workspace
-serves every state rebuilt from it, and sampler sweeps all the batches of
-one call in one, so no call holds more than one touched workspace.
+Batches.  One driver runs both kinds of copy: a _Copy is one (graph, z)
+run in flight, a fixed point of bp_fixed_points or, subclassed, a
+decimation draw of sampler with its own r.  _run_copies cuts the copies
+into batches, each one state over the disjoint union of their graphs with
+one zeta per factor, and _run_batch sweeps each batch in lock-step.  The
+copies share no factor, and a pad slot or a bin above a copy's own r
+changes none of its bits, so each copy's messages are its solo run's bit
+for bit.  A batch takes copies while its workspace stays within
+_BATCH_BYTES; a larger graph runs alone.  All the batches of one call,
+and every state rebuilt from them, sweep in one workspace, sized for the
+largest batch, so no call holds more than one, and its guard raises
+before any copy runs.
 
 The limit z -> 0 (sparsest admissible graphs) is selected by passing
 z = 0.0 and uses exact closed forms, never extreme floats: mu = V^{r-1} /
@@ -57,19 +60,19 @@ reach r - 1 links is degenerate (0.5, counted in BPState.degenerate).
 
 Stopping.  run_sweeps stops at the first sweep in which some copy's
 largest change is below tol, and there are two changes it can test, both
-per copy.  In a batch of fixed points, that copy leaves with its own
-sweep count, or every copy does at the sweep cap, and the others go on
-in a state rebuilt without it.  bp_fixed_points, and through it
-bp_fixed_point, sigma_curve and the calibrations, test the messages:
-bethe_entropy reads the messages themselves, and the graph's memo, which
-keeps every converged run whatever batch ran it, hands one fixed point to
-all of them.  Decimation's refreshes (sampler) test each copy's link
-marginals instead, because their coin flips read nothing else.  At z = 0,
-damped messages can keep creeping toward 0 or 1 for hundreds of sweeps
-after the marginals stopped moving.  In a batch of draws, the copy whose
-marginals settled, or whose refresh reached the cap counted from its own
-start, ends that refresh alone: it fixes links and starts its next one,
-or leaves the batch, while the other copies go on sweeping.
+per copy.  In _run_batch, each copy whose change is under tol, or whose
+run reached the sweep cap counted from its own start, settles alone while
+the others go on sweeping: a fixed point keeps its messages and leaves, a
+draw fixes links and starts its next refresh, or leaves once it completes
+or stops, and the others go on in a state rebuilt without it.
+bp_fixed_points, and through it bp_fixed_point, sigma_curve and the
+calibrations, test the messages: bethe_entropy reads the messages
+themselves, and the graph's memo, which keeps every converged run
+whatever batch ran it, hands one fixed point to all of them.
+Decimation's refreshes (sampler) test each copy's link marginals
+instead, because their coin flips read nothing else.  At z = 0, damped
+messages can keep creeping toward 0 or 1 for hundreds of sweeps after
+the marginals stopped moving.
 """
 
 from __future__ import annotations
@@ -107,7 +110,6 @@ __all__ = [
     "write_entropy_csv",
     "read_entropy_csv",
     "BPState",
-    "make_state",
     "run_sweeps",
     "state_marginals",
     "required_degrees",
@@ -126,7 +128,7 @@ class LocallyInfeasible(ValueError):
 
 class KernelTooLarge(ValueError):
     """The message kernel's workspace would not fit in physical memory;
-    make_state raises it before allocating anything."""
+    _workspace raises it before allocating anything."""
 
 
 def required_degrees(residuals: np.ndarray) -> np.ndarray:
@@ -332,7 +334,7 @@ class BPState:
     variables by setting active to False and forcing both messages to 0 (an
     exact removal in the count recursion), lowering r as links are
     committed.  work is the sweep kernel's float64 workspace, sized by
-    make_state for g.r; every sweep writes its count arrays there instead
+    _workspace for g.r; every sweep writes its count arrays there instead
     of allocating them.
     """
 
@@ -367,55 +369,76 @@ def _kernel_bytes(factors: int, k: int, rmax: int, finite: bool) -> int:
     return 8 * k * factors * ((3 if finite else 4) * rows + 2)
 
 
-def make_state(g: FactorGraph, z: float) -> BPState:
-    """Fresh state at fugacity z with every message at 0.5 and the sweep
-    kernel's workspace; raises KernelTooLarge, before allocating it, when
-    that workspace would exceed physical memory."""
-    return _batch_state([(g, z)])
+class _Copy:
+    """One (graph, z) copy in flight: its messages (fresh at 0.5), active
+    links and factors' requirements r, and swept, the sweeps of its current
+    run.  In a batch, mu_row, mu_col and active view the copy's slices of
+    the batch state, and factors names where its r sits in the state's."""
+
+    def __init__(self, g: FactorGraph, z: float):
+        self.g, self.z, self.zeta = g, z, _zeta_of(z)
+        self.mu_row, self.mu_col = np.full(g.m_total, 0.5), np.full(g.m_total, 0.5)
+        self.active = np.ones(g.m_total, dtype=bool)
+        self.r = np.array(g.r)
+        self.swept = 0
+
+    def settle(self, change: float, converged: bool) -> bool:
+        """Called when the copy's run stops, on its own change or at the
+        sweep cap; returns whether the copy goes on sweeping.  A fixed point
+        takes its messages out of the batch state, read-only, as msgs and
+        leaves."""
+        self.mu_row, self.mu_col = self.mu_row.copy(), self.mu_col.copy()
+        self.mu_row.setflags(write=False)
+        self.mu_col.setflags(write=False)
+        self.msgs = MessageSet(self.z, self.mu_row, self.mu_col, converged, self.swept, change)
+        return False
 
 
-def _batch_state(pairs, msgs: np.ndarray | None = None, work: np.ndarray | None = None) -> BPState:
-    """State of a batch of (graph, z) copies, all at finite z or all at
-    z = 0: messages msgs (all 0.5 by default) and workspace work (a fresh
-    one by default, after the guard has counted the whole batch's).  A
-    single copy runs on its own graph with a scalar zeta."""
-    graphs = [g for g, _ in pairs]
-    zetas = [_zeta_of(z) for _, z in pairs]
-    if len(pairs) == 1:
-        g, zeta = graphs[0], zetas[0]
+def _state_of(copies, work: np.ndarray | None = None) -> BPState:
+    """The state of a batch of copies, all at finite z or all at z = 0,
+    from each copy's messages, active links and r, in workspace work (a
+    fresh one by default, after the guard has counted it); each copy's
+    messages and active links then view its slices.  A single copy runs on
+    its own graph with a scalar zeta."""
+    graphs = [c.g for c in copies]
+    if len(copies) == 1:
+        g, zeta = graphs[0], copies[0].zeta
     else:
         g = _union(graphs)
-        zeta = np.tile(np.repeat(zetas, [h.n for h in graphs]), 2)
-    if work is None:
-        work = _workspace([pairs])
-    m = g.m_total
-    return BPState(
+        zeta = np.tile(np.repeat([c.zeta for c in copies], [h.n for h in graphs]), 2)
+    state = BPState(
         g=g,
         zeta=zeta,
-        msgs=np.append(np.full(2 * m, 0.5), 0.0) if msgs is None else msgs,
-        active=np.ones(m, dtype=bool),
-        r=np.array(g.r),
-        work=work,
+        msgs=np.concatenate([c.mu_row for c in copies] + [c.mu_col for c in copies] + [[0.0]]),
+        active=np.concatenate([c.active for c in copies]),
+        r=np.concatenate([c.r[: c.g.n] for c in copies] + [c.r[c.g.n :] for c in copies]),
+        work=_workspace([copies]) if work is None else work,
         parts=np.cumsum([0] + [h.m_total for h in graphs]),
-        change=np.full(len(pairs), math.inf),
+        change=np.full(len(copies), math.inf),
     )
+    m, banks, b = g.m_total, g.n, 0
+    for c, lo, hi in zip(copies, state.parts.tolist(), state.parts[1:].tolist()):
+        c.mu_row, c.mu_col, c.active = state.msgs[lo:hi], state.msgs[m + lo : m + hi], state.active[lo:hi]
+        c.factors = (slice(b, b + c.g.n), slice(banks + b, banks + b + c.g.n))
+        b += c.g.n
+    return state
 
 
 def _workspace(batches) -> np.ndarray:
     """One sweep workspace that holds the largest of batches' (each a list
-    of (graph, z) copies, all finite or all at z = 0); raises
-    KernelTooLarge, before allocating it, when that would exceed physical
-    memory."""
+    of copies, all finite or all at z = 0, sized for their graphs' r);
+    raises KernelTooLarge, before allocating it, when that would exceed
+    physical memory."""
     nbytes, n, k, rmax = 0, 0, 0, 0
-    for pairs in batches:
+    for copies in batches:
         shape = (
-            sum(g.n_factors for g, _ in pairs),
-            max(g.max_degree for g, _ in pairs),
-            max(int(g.r.max(initial=0)) for g, _ in pairs),
-            min(z for _, z in pairs) > 0,
+            sum(c.g.n_factors for c in copies),
+            max(c.g.max_degree for c in copies),
+            max(int(c.g.r.max(initial=0)) for c in copies),
+            min(c.z for c in copies) > 0,
         )
         if _kernel_bytes(*shape) > nbytes:
-            nbytes, n, k, rmax = _kernel_bytes(*shape), sum(g.n for g, _ in pairs), shape[1], shape[2]
+            nbytes, n, k, rmax = _kernel_bytes(*shape), sum(c.g.n for c in copies), shape[1], shape[2]
     if nbytes > _physical_memory():
         raise KernelTooLarge(
             f"message kernel for n={n}, K={k}, R={rmax} needs {nbytes} bytes, more than physical memory"
@@ -610,55 +633,59 @@ def run_sweeps(state: BPState, opts: BPOptions, *, marginals: bool = False) -> t
 _BATCH_BYTES = 1 << 20
 
 
-def _batches(pairs):
-    """pairs in order, cut into batches: all finite or all at z = 0, and
+def _batches(copies):
+    """copies in order, cut into batches: all finite or all at z = 0, and
     within _BATCH_BYTES unless a batch is one copy."""
     batch, shape = [], None
-    for g, z in pairs:
-        mine = (g.n_factors, g.max_degree, int(g.r.max(initial=0)), z > 0)
+    for c in copies:
+        mine = (c.g.n_factors, c.g.max_degree, int(c.g.r.max(initial=0)), c.z > 0)
         if batch:
             grown = (shape[0] + mine[0], max(shape[1], mine[1]), max(shape[2], mine[2]), mine[3])
             if mine[3] == shape[3] and _kernel_bytes(*grown) <= _BATCH_BYTES:
-                batch.append((g, z))
+                batch.append(c)
                 shape = grown
                 continue
             yield batch
-        batch, shape = [(g, z)], mine
+        batch, shape = [c], mine
     if batch:
         yield batch
 
 
-def _run_batch(pairs, opts: BPOptions) -> list[MessageSet]:
-    """Message passing on a batch of copies with m > 0 variables.  A copy
-    leaves at the first sweep under tol, or at the cap, with its own
-    sweep count; the others go on in a batch rebuilt without it, in the
-    same workspace.  Copies share no factor and a copy's counts never
-    read past its own bins, so each result is its solo run's bit for bit."""
-    out: list = [None] * len(pairs)
-    live = list(range(len(pairs)))
-    state = _batch_state(pairs)
-    done = 0
+def _run_batch(live: list[_Copy], bp: BPOptions, work: np.ndarray, marginals: bool) -> None:
+    """Run a batch of copies with m > 0 variables to their ends in one
+    state, in workspace work.  Every sweep advances every copy.  A copy
+    whose change is under bp.tol, or whose run reached bp.max_sweeps
+    counted from its own start, settles alone: if it goes on, its r is
+    written back into the state; if it leaves, the others go on in a state
+    rebuilt without it in the same workspace."""
+    state = _state_of(live, work)
     while live:
-        _, sweeps, _ = run_sweeps(state, replace(opts, max_sweeps=opts.max_sweeps - done))
-        done += sweeps
-        m, stay = state.g.m_total, []
-        for c, i in enumerate(live):
-            lo, hi = state.parts[c], state.parts[c + 1]
-            row, col, change = state.msgs[lo:hi], state.msgs[m + lo : m + hi], float(state.change[c])
-            if change < opts.tol or done == opts.max_sweeps:
-                row, col = row.copy(), col.copy()
-                row.setflags(write=False)
-                col.setflags(write=False)
-                out[i] = MessageSet(pairs[i][1], row, col, change < opts.tol, done, change)
-            else:
-                stay.append((i, row, col))
-        if stay:
-            live = [i for i, _, _ in stay]
-            msgs = np.concatenate([row for _, row, _ in stay] + [col for _, _, col in stay] + [[0.0]])
-            state = _batch_state([pairs[i] for i in live], msgs, state.work)
-        else:
-            live = []
-    return out
+        cap = bp.max_sweeps - max(c.swept for c in live)
+        _, sweeps, _ = run_sweeps(state, replace(bp, max_sweeps=cap), marginals=marginals)
+        stay = []
+        for c, change in zip(live, state.change.tolist()):
+            c.swept += sweeps
+            if change < bp.tol or c.swept == bp.max_sweeps:
+                if not c.settle(change, change < bp.tol):
+                    continue
+                rows, cols = c.factors
+                state.r[rows], state.r[cols] = c.r[: c.g.n], c.r[c.g.n :]
+            stay.append(c)
+        if stay and len(stay) < len(live):
+            state = _state_of(stay, work)
+        live = stay
+
+
+def _run_copies(groups, marginals: bool = False) -> None:
+    """Run every copy of each (copies, bp) group, cut into batches, with
+    run_sweeps' marginal test if marginals.  One workspace, sized for the
+    largest batch, serves them all, and its guard raises before any copy
+    runs."""
+    runs = [(batch, bp) for copies, bp in groups for batch in _batches(copies)]
+    if runs:
+        work = _workspace([batch for batch, _ in runs])
+        for batch, bp in runs:
+            _run_batch(batch, bp, work, marginals)
 
 
 def bp_fixed_points(pairs: Sequence[tuple[FactorGraph, float]], opts: BPOptions = BPOptions()) -> list[MessageSet]:
@@ -676,23 +703,19 @@ def bp_fixed_points(pairs: Sequence[tuple[FactorGraph, float]], opts: BPOptions 
         elif (id(g), z) not in found:
             found[id(g), z] = None
             todo.append((g, z))
-    for g, z in todo:
-        _zeta_of(z)
-        if g.m_total == 0:  # nothing to pass: converged after 0 sweeps
-            none = np.zeros(0)
-            none.setflags(write=False)
-            found[id(g), z] = MessageSet(z, none, none, True, 0, 0.0)
-    for batch in _batches([(g, z) for g, z in todo if g.m_total]):
-        for (g, z), msgs in zip(batch, _run_batch(batch, opts)):
-            found[id(g), z] = msgs
-    for g, z in todo:
-        msgs = found[id(g), z]
+    copies = [_Copy(g, z) for g, z in todo]
+    for c in copies:
+        if c.g.m_total == 0:
+            c.settle(0.0, True)  # nothing to pass: converged after 0 sweeps
+    _run_copies([([c for c in copies if c.g.m_total], opts)])
+    for c in copies:
+        msgs = found[id(c.g), c.z] = c.msgs
         if msgs.converged:
-            g._fixed_points[z, opts.tol, opts.damping] = msgs
+            c.g._fixed_points[c.z, opts.tol, opts.damping] = msgs
         else:
             logger.warning(
                 "message passing not converged at z=%g: residual %.3e after %d sweeps",
-                z,
+                c.z,
                 msgs.residual,
                 msgs.sweeps,
             )

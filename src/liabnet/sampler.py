@@ -25,22 +25,19 @@ a re-route pushes only that flow again.  Max-flow is monotone in the
 link set, so once those links cannot carry the residuals no completion
 can, and the draw stops there with the network's deficient cut.
 
-Draws run in lock-step batches.  Each draw is one copy of its graph in a
-shared message-passing state, with its own stream, requirements, flow
-network and refresh stop, so its outcome is its solo run's bit for bit;
-a sweep over several copies costs little more than one, because at
-these sizes a sweep is bound by per-call overhead.  The outcomes wait
-on the graph until decimate reads them back, one call per draw.
-sample_supports is decimate's one caller: it runs its draws as one
-batch, reads each back and flow-checks the completed ones, so a draw
-either completes or stops.  lambda_max draws through sample_supports
-over a ladder of fugacities near the z -> 0 limit, every rung's draws
-run ahead together (threshold_sweep runs those of all its thresholds
-together), greedily peels the full support and every distinct draw that
-passes the flow check, each on one residual network, and keeps the
-sparsest result.  Both raise LocallyInfeasible on a graph where some
-bank needs more links than it has slots, as every other consumer of
-such a graph does.
+Draws run ahead as copies in bpcore's lock-step batches, each with its
+own stream and flow network, so its outcome is its solo run's bit for
+bit; the outcomes wait on the graph until decimate reads them back, one
+call per draw.  sample_supports is decimate's one caller: it runs its
+draws ahead together, reads each back and flow-checks the completed
+ones, so a draw either completes or stops.  lambda_max draws through
+sample_supports over a ladder of fugacities near the z -> 0 limit, every
+rung's draws run ahead together (threshold_sweep runs those of all its
+thresholds together), greedily peels the full support and every distinct
+draw that passes the flow check, each on one residual network, and keeps
+the sparsest result.  Both raise LocallyInfeasible on a graph where some
+bank needs more links than it has slots, as every other consumer of such
+a graph does.
 """
 
 from __future__ import annotations
@@ -59,11 +56,8 @@ from .bpcore import (
     BPState,
     FactorGraph,
     LocallyInfeasible,
-    _batch_state,
-    _batches,
-    _workspace,
-    make_state,
-    run_sweeps,
+    _Copy,
+    _run_copies,
     state_marginals,
 )
 
@@ -398,14 +392,11 @@ def _draw_key(p: ReducedProblem, z: float, opts: DecimationOptions, rng_seed) ->
     return id(p), z, opts, (entropy, ss.spawn_key, ss.pool_size)
 
 
-class _Draw:
-    """One decimation draw in flight: its stream, its fixed links (values),
-    its messages, active links and factors' remaining requirements r, its
-    residual flow network and its counts.  In a batch, mu_row, mu_col and
-    active view its copy's slices of the batch state, so fixing a link
-    writes straight into the state, and factors names where its r sits in
-    the state's, to be written back after each round.  swept counts the
-    sweeps of its current refresh."""
+class _Draw(_Copy):
+    """One decimation draw in flight, a copy of its graph at fugacity z:
+    its stream, its fixed links (values), its residual flow network and its
+    counts, besides the copy's messages, active links and requirements r,
+    which fixing a link writes into."""
 
     def __init__(
         self,
@@ -419,15 +410,12 @@ class _Draw:
         net: _Transport,
         carries: bool,
     ):
-        self.g, self.p, self.z, self.opts, self.key, self.members = g, p, z, opts, key, members
+        super().__init__(g, z)
+        self.p, self.opts, self.key, self.members = p, opts, key, members
         self.rng = np.random.default_rng(rng_seed)
-        # A fresh state's arrays; its workspace, never touched, goes back at
-        # once, as the draw sweeps only in its batch's.
-        fresh = make_state(g, z)
-        self.mu_row, self.mu_col, self.active, self.r = fresh.mu_row, fresh.mu_col, fresh.active, fresh.r
         self.values = np.zeros(g.m_total, dtype=np.uint8)
         self.forced = _force_links(self, members, range(g.n_factors), self.values)
-        self.rounds = self.converged_rounds = self.swept = 0
+        self.rounds = self.converged_rounds = 0
         self.net, self.carries = net, carries
 
     @property
@@ -457,6 +445,18 @@ class _Draw:
                 self.forced += _force_links(self, self.members, ends, self.values)
         self.carries = not lost_flow or self.net.reroute()
 
+    def settle(self, change: float, converged: bool) -> bool:
+        """A refresh ended: count the round, fix links, and keep the
+        outcome once the draw completes or stops."""
+        self.rounds += 1
+        self.converged_rounds += converged
+        self.swept = 0
+        self.fix()
+        if self.going:
+            return True
+        self.keep()
+        return False
+
     def keep(self) -> None:
         """Leave the outcome on the graph for decimate: the final support
         (fixed on or still possible), the counts, and the network's cut if
@@ -468,68 +468,17 @@ class _Draw:
         self.net = None
 
 
-def _batch_of(live: list[_Draw], work: np.ndarray) -> BPState:
-    """The batch state of the draws' copies, in workspace work, from each
-    draw's messages, active links and r; each draw's messages and active
-    links then view its copy's slices."""
-    msgs = np.concatenate([d.mu_row for d in live] + [d.mu_col for d in live] + [[0.0]])
-    state = _batch_state([(d.g, d.z) for d in live], msgs, work)
-    np.concatenate([d.active for d in live], out=state.active)
-    np.concatenate([d.r[: d.g.n] for d in live] + [d.r[d.g.n :] for d in live], out=state.r)
-    m, banks, b = state.g.m_total, state.g.n, 0
-    for d, lo, hi in zip(live, state.parts.tolist(), state.parts[1:].tolist()):
-        d.mu_row, d.mu_col, d.active = state.msgs[lo:hi], state.msgs[m + lo : m + hi], state.active[lo:hi]
-        d.factors = (slice(b, b + d.g.n), slice(banks + b, banks + b + d.g.n))
-        b += d.g.n
-    return state
-
-
-def _draw_batch(live: list[_Draw], bp: BPOptions, work: np.ndarray) -> None:
-    """Run a batch of draws to their ends in one message-passing state, in
-    workspace work.
-
-    Every sweep advances every copy.  A copy whose link marginals settled,
-    or whose refresh reached bp.max_sweeps counted from its own start,
-    ends that refresh alone: it fixes links and starts the next, or, once
-    it completes or stops, keeps its outcome and leaves, and the others go
-    on in a state rebuilt without it in the same workspace.
-    """
-    state = _batch_of(live, work)
-    while live:
-        cap = bp.max_sweeps - max(d.swept for d in live)
-        _, sweeps, _ = run_sweeps(state, replace(bp, max_sweeps=cap), marginals=True)
-        stay = []
-        for d, change in zip(live, state.change.tolist()):
-            d.swept += sweeps
-            if change < bp.tol or d.swept == bp.max_sweeps:
-                d.rounds += 1
-                d.converged_rounds += change < bp.tol
-                d.swept = 0
-                d.fix()
-                if not d.going:
-                    d.keep()
-                    continue
-                rows, cols = d.factors
-                state.r[rows], state.r[cols] = d.r[: d.g.n], d.r[d.g.n :]
-            stay.append(d)
-        if stay and len(stay) < len(live):
-            state = _batch_of(stay, work)
-        live = stay
-
-
 def _run_draws(draws, carrying_only: bool = False) -> None:
     """Run each (g, p, z, rng_seed, opts) draw whose outcome is not already
     waiting on its graph, and leave the outcome there for decimate.
 
-    Draws at finite z and at z = 0, or under other options, never share a
-    batch, and a batch takes copies while its workspace stays within
-    bpcore's bound.  Every batch sweeps in one workspace, sized for the
-    largest, so the call holds one however many draws it runs.  The full
-    support of each problem is built and max-flowed once; every draw on it
-    starts from a fork of that network.
-    With carrying_only, the draws on a problem whose full support cannot
-    carry the residuals are not run.  A draw on a locally infeasible graph
-    is left to decimate, which raises.
+    The draws run as bpcore's copies, in lock-step batches that
+    _run_copies cuts from each group of one option set at finite z or at
+    z = 0; finite-z refreshes run undamped.  The full support of each
+    problem is built and max-flowed once; every draw on it starts from a
+    fork of that network.  With carrying_only, the draws on a problem
+    whose full support cannot carry the residuals are not run.  A draw on
+    a locally infeasible graph is left to decimate, which raises.
     """
     nets: dict[int, tuple[_Transport, bool]] = {}
     members: dict[int, list[np.ndarray]] = {}
@@ -556,19 +505,13 @@ def _run_draws(draws, carrying_only: bool = False) -> None:
             groups.setdefault((opts, z > 0), []).append(d)
         else:
             ended.append(d)
-    runs = []
-    for (opts, finite), group in groups.items():
-        bp = replace(opts.bp, damping=0.0) if finite else opts.bp
-        start = 0
-        for batch in _batches([(d.g, d.z) for d in group]):
-            runs.append((group[start : start + len(batch)], batch, bp))
-            start += len(batch)
-    # The workspace's guard raises before any outcome is kept.
-    work = _workspace([batch for _, batch, _ in runs]) if runs else None
+    _run_copies(
+        [(group, replace(opts.bp, damping=0.0) if finite else opts.bp) for (opts, finite), group in groups.items()],
+        marginals=True,
+    )
+    # Kept only now, so the workspace's guard raises before any outcome is.
     for d in ended:
         d.keep()
-    for live, _, bp in runs:
-        _draw_batch(live, bp, work)
 
 
 def decimate(
@@ -608,11 +551,10 @@ def decimate(
     completes is the one an unchecked run gives, and it is flow-feasible.
 
     sample_supports, and lambda_max or threshold_sweep before it, run
-    their draws ahead as one batch: each draw one copy of g in a shared
-    message-passing state, with its own stream, requirements, network and
-    refresh stop, so each outcome is its solo run's bit for bit.  The
-    outcome waits on g, keyed by p's identity, z, opts and the seed, until
-    this call takes it; a draw not run ahead runs here as a batch of one.
+    their draws ahead in lock-step (see bpcore), each outcome its solo
+    run's bit for bit.  The outcome waits on g, keyed by p's identity, z,
+    opts and the seed, until this call takes it; a draw not run ahead runs
+    here alone.
 
     Returns:
         DecimationTrace whose final_support, the drawn support or, for a

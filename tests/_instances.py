@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from liabnet import bpcore
 from liabnet.netcore import (
     LiabilityMatrix,
     Observation,
@@ -64,3 +65,9 @@ def random_problem(
     obs = make_observation(L, theta=1.0)
     assert obs.m == n * (n - 1), "entries must stay below theta"
     return L, obs, absorb_known(obs)
+
+
+def solo_state(g, z: float) -> bpcore.BPState:
+    """A fresh message-passing state of one copy of g at fugacity z, in its
+    own workspace: every message 0.5, every link active, g's requirements."""
+    return bpcore._state_of([bpcore._Copy(g, z)])

@@ -25,7 +25,6 @@ from liabnet.bpcore import (
     build_factor_graph,
     calibrate_fugacity,
     link_marginals,
-    make_state,
     mean_density,
     node_weights,
     read_entropy_csv,
@@ -39,7 +38,7 @@ from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import ReducedProblem, absorb_known, make_observation
 from liabnet.sampler import _fix_variable
 
-from _instances import benchmark3, ends_of, forced3, random_problem
+from _instances import benchmark3, ends_of, forced3, random_problem, solo_state
 from _oracles import count_h0_by_links, enumerate_ensemble, exact_cavity_message, subset_weights
 
 
@@ -201,7 +200,7 @@ class TestNodeWeights:
 
 def fresh_messages(g, z, mu_row, mu_col):
     """Messages after one undamped sweep from the given ones."""
-    state = make_state(g, z)
+    state = solo_state(g, z)
     state.mu_row[:] = mu_row
     state.mu_col[:] = mu_col
     run_sweeps(state, BPOptions(max_sweeps=1, damping=0.0))
@@ -249,7 +248,7 @@ class TestMessagesAgainstExactArithmetic:
         # read the lowered requirements.
         _, _, p = random_problem(6, 2, density=0.7)
         g = build_factor_graph(p, strict=False)
-        state = make_state(g, z)
+        state = solo_state(g, z)
         run_sweeps(state, BPOptions(max_sweeps=3))
         for e, value in ((0, 1), (7, 0), (13, 1), (20, 1), (24, 0)):
             _fix_variable(state, e, value)
@@ -311,13 +310,13 @@ class TestKernelSize:
 
     def test_guard_counts_the_workspace(self, monkeypatch):
         g = powerlaw_graph(60, 0.9)
-        nbytes = make_state(g, 1.0).work.nbytes
+        nbytes = solo_state(g, 1.0).work.nbytes
         monkeypatch.setattr(bpcore, "_physical_memory", lambda: nbytes)
-        assert make_state(g, 1.0).work.nbytes == nbytes
+        assert solo_state(g, 1.0).work.nbytes == nbytes
         monkeypatch.setattr(bpcore, "_physical_memory", lambda: nbytes - 1)
         monkeypatch.setattr(bpcore.mmap, "mmap", lambda *args: pytest.fail("workspace allocated"))
         with pytest.raises(KernelTooLarge, match=f"needs {nbytes} bytes"):
-            make_state(g, 1.0)
+            solo_state(g, 1.0)
 
     def test_guard_counts_a_whole_batch(self, monkeypatch):
         # Two copies of benchmark3 at finite z: n = 6, K = 2, R = 1, twice
@@ -334,10 +333,10 @@ class TestKernelSize:
 
     def test_large_copies_run_alone(self, monkeypatch):
         # At the entropy-large size one copy's workspace is over the batch
-        # budget, so a curve's fixed points run one at a time: no workspace
-        # is larger than one copy's, and no two are alive at once.
+        # budget, so a curve's fixed points run one at a time, all in one
+        # workspace no larger than one copy's.
         g = powerlaw_graph(60, 0.9)
-        one = make_state(g, 1.0).work.nbytes
+        one = solo_state(g, 1.0).work.nbytes
         assert one > bpcore._BATCH_BYTES
         alive, seen, real = [0], [], bpcore.mmap.mmap
 
@@ -351,12 +350,28 @@ class TestKernelSize:
         monkeypatch.setattr(bpcore.mmap, "mmap", spy)
         curve = sigma_curve(g, (0.5, 1.0, 2.0), BPOptions(tol=1e-8, max_sweeps=300))
         assert all(pt.converged for pt in curve.points)
-        assert seen == [(one, 1)] * 3
+        assert seen == [(one, 1)]
+
+    def test_guard_raises_before_any_fixed_point_is_kept(self, monkeypatch):
+        # A finite batch that fits and a z = 0 batch that does not: the
+        # guard counts every batch of the call before any copy sweeps, so
+        # no fixed point lands in a memo.
+        small, large = build_factor_graph(benchmark3()), powerlaw_graph(12, 0.5, seed=1)
+        fits = solo_state(small, 1.0).work.nbytes
+        assert solo_state(large, 0.0).work.nbytes > fits
+        monkeypatch.setattr(bpcore, "_physical_memory", lambda: fits)
+        monkeypatch.setattr(bpcore, "run_sweeps", lambda *args, **kwargs: pytest.fail("swept"))
+        with pytest.raises(KernelTooLarge, match="n=12"):
+            bp_fixed_points([(small, 1.0), (large, 0.0)])
+        assert small._fixed_points == large._fixed_points == {}
+        monkeypatch.undo()
+        done = bp_fixed_points([(small, 1.0), (large, 0.0)])
+        assert list(small._fixed_points) == [(1.0, 1e-8, 0.5)] and done[0].converged
 
     @pytest.mark.parametrize("z", [0.0, 1.0])
     def test_sweeps_write_into_the_workspace(self, z):
         g = powerlaw_graph(60, 0.9)
-        state = make_state(g, z)
+        state = solo_state(g, z)
         tracemalloc.start()
         try:
             run_sweeps(state, BPOptions(max_sweeps=3))
@@ -367,7 +382,7 @@ class TestKernelSize:
 
     @pytest.mark.parametrize("z", [0.0, 1.0])
     def test_sweep_memory_at_n200(self, z):
-        state = make_state(powerlaw_graph(200, 0.8), z)
+        state = solo_state(powerlaw_graph(200, 0.8), z)
         tracemalloc.start()
         try:
             run_sweeps(state, BPOptions(max_sweeps=1))
@@ -480,7 +495,7 @@ class TestMarginalStop:
         # state_marginals value in the last sweep.
         _, _, p = random_problem(6, 2, density=0.7)
         g = build_factor_graph(p, strict=False)
-        mine, ref = make_state(g, z), make_state(g, z)
+        mine, ref = solo_state(g, z), solo_state(g, z)
         for state in (mine, ref):
             for e, value in ((0, 1), (7, 0), (13, 1)):
                 _fix_variable(state, e, value)
@@ -501,6 +516,11 @@ def mixed_graphs():
     return [powerlaw_graph(12, q, seed=1) for q in (0.5, 0.75, 0.9)] + [uniform]
 
 
+def batch_state(pairs):
+    """A fresh state of one copy of each (graph, z) pair."""
+    return bpcore._state_of([bpcore._Copy(g, z) for g, z in pairs])
+
+
 def assert_same_run(got, want):
     assert np.array_equal(got.mu_row, want.mu_row) and np.array_equal(got.mu_col, want.mu_col)
     assert (got.z, got.converged, got.sweeps, got.residual) == (want.z, want.converged, want.sweeps, want.residual)
@@ -516,7 +536,7 @@ class TestBatches:
         zs = (0.0, 0.1, 1.0, 5.0)
         pairs = [(g, z) for z in zs for g in graphs]
         sizes, real = [], bpcore._run_batch
-        monkeypatch.setattr(bpcore, "_run_batch", lambda batch, opts: sizes.append(len(batch)) or real(batch, opts))
+        monkeypatch.setattr(bpcore, "_run_batch", lambda live, *rest: sizes.append(len(live)) or real(live, *rest))
         batch = bp_fixed_points(pairs, opts)
         # the z = 0 copies of all four graphs share one batch, the others
         # another
@@ -552,12 +572,12 @@ class TestBatches:
         # batch stops at the first sweep in which some copy settles.
         pairs = [(g, z) for z in zs for g in mixed_graphs()]
         bp = BPOptions(tol=1e-7, max_sweeps=300)
-        solo = [run_sweeps(make_state(g, z), bp, marginals=True) for g, z in pairs]
+        solo = [run_sweeps(solo_state(g, z), bp, marginals=True) for g, z in pairs]
         assert len({sweeps for _, sweeps, _ in solo}) > 1
-        state = bpcore._batch_state(pairs)
+        state = batch_state(pairs)
         first = min(sweeps for _, sweeps, _ in solo)
         assert run_sweeps(state, bp, marginals=True) == (True, first, min(change for _, sweeps, change in solo if sweeps == first))
-        state, mine = bpcore._batch_state(pairs), [make_state(g, z) for g, z in pairs]
+        state, mine = batch_state(pairs), [solo_state(g, z) for g, z in pairs]
         one = BPOptions(tol=bp.tol, max_sweeps=1)
         for _ in range(first + 2):
             run_sweeps(state, one, marginals=True)
@@ -566,7 +586,9 @@ class TestBatches:
     def test_repeated_pair_runs_once(self, monkeypatch):
         g = build_factor_graph(benchmark3())
         runs, real = [], bpcore._run_batch
-        monkeypatch.setattr(bpcore, "_run_batch", lambda pairs, opts: runs.extend(pairs) or real(pairs, opts))
+        monkeypatch.setattr(
+            bpcore, "_run_batch", lambda live, *rest: runs.extend((c.g, c.z) for c in live) or real(live, *rest)
+        )
         a, b, c = bp_fixed_points([(g, 0.5), (g, 2.0), (g, 0.5)])
         assert a is c and runs == [(g, 0.5), (g, 2.0)]
 
@@ -578,8 +600,8 @@ class TestFixedPointMemo:
     def spy_sweeps(monkeypatch) -> list[int]:
         runs, real = [], bpcore.run_sweeps
 
-        def spy(state, opts):
-            out = real(state, opts)
+        def spy(state, opts, **stop):
+            out = real(state, opts, **stop)
             runs.append(out[1])
             return out
 

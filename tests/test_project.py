@@ -159,6 +159,17 @@ def test_one_sweep_loop():
     assert callers == ["bpcore.run_sweeps"], f"bpcore._sweep is called in: {callers}"
 
 
+def test_one_batch_driver():
+    # Fixed points and decimation draws run as copies through one lock-step
+    # loop, bpcore._run_batch, which alone builds their states with
+    # bpcore._state_of, so the rule for when a copy leaves a batch lives
+    # in one place.
+    sweepers = _scopes_using(lambda node: isinstance(node, ast.Call) and _names(node.func, "run_sweeps"))
+    assert sweepers == ["bpcore._run_batch"], f"run_sweeps is called in: {sweepers}"
+    builders = _scopes_using(lambda node: isinstance(node, ast.Call) and _names(node.func, "BPState"))
+    assert builders == ["bpcore._state_of"], f"BPState is built in: {builders}"
+
+
 def test_one_certificate_builder():
     # Every flow certificate, from a fresh network or from one a draw has
     # been removing links from, is read off the residual network in

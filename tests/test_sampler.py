@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from liabnet import bpcore, sampler, thresholdlab
-from liabnet.bpcore import BPOptions, LocallyInfeasible, build_factor_graph, make_state, state_marginals
+from liabnet.bpcore import BPOptions, KernelTooLarge, LocallyInfeasible, build_factor_graph, state_marginals
 from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import ReducedProblem, Support, absorb_known, make_observation, support_of
 from liabnet.sampler import (
@@ -24,7 +24,7 @@ from liabnet.sampler import (
 )
 from liabnet.thresholdlab import ThresholdOptions, threshold_sweep
 
-from _instances import benchmark3, ends_of, forced3, random_problem
+from _instances import benchmark3, ends_of, forced3, random_problem, solo_state
 from _oracles import all_patterns, enumerate_ensemble, exact_lambda_max, h_is_zero, lp_feasible
 
 
@@ -250,14 +250,14 @@ class TestDecimate:
 
     def test_one_state_per_draw(self, monkeypatch):
         # A batch of flips cannot leave a bank short, so no draw starts
-        # over: one message-passing state per draw.
-        calls, real = [], sampler.make_state
+        # over: one draw in flight per decimate call.
+        calls, real = [], sampler._Draw
 
-        def spy(g, z):
+        def spy(g, p, z, *rest):
             calls.append(z)
-            return real(g, z)
+            return real(g, p, z, *rest)
 
-        monkeypatch.setattr(sampler, "make_state", spy)
+        monkeypatch.setattr(sampler, "_Draw", spy)
         p = benchmark3()
         g = build_factor_graph(p)
         opts = DecimationOptions(fix_per_round=0.25)
@@ -378,7 +378,6 @@ class TestDecimate:
             seen.append((opts, stop))
             return real(state, opts, **stop)
 
-        monkeypatch.setattr(sampler, "run_sweeps", spy)
         monkeypatch.setattr(bpcore, "run_sweeps", spy)
         p = benchmark3()
         g = build_factor_graph(p)
@@ -389,7 +388,7 @@ class TestDecimate:
         assert all(stop == {"marginals": True} for _, stop in seen)
         seen.clear()
         bpcore.bp_fixed_point(g, max(z, 0.5), bp)
-        assert [stop for _, stop in seen] == [{}]
+        assert [stop for _, stop in seen] == [{"marginals": False}]
 
     def test_options_validation(self):
         # fix_per_round is a share of the undecided links; 0 fixes one link
@@ -434,7 +433,7 @@ class TestRefreshStop:
         def spy(state, opts, **stop):
             out = real(state, opts, **stop)
             refreshes.append(out[0])
-            ref = make_state(state.g, z)
+            ref = solo_state(state.g, z)
             for mine, theirs in ((ref.msgs, state.msgs), (ref.active, state.active), (ref.r, state.r)):
                 mine[:] = theirs
             if out[0] and real(ref, BPOptions(tol=1e-12, max_sweeps=5000, damping=opts.damping))[0]:
@@ -444,7 +443,7 @@ class TestRefreshStop:
                 compared.append(float(np.abs(moved[state.active & settled]).max(initial=0.0)))
             return out
 
-        monkeypatch.setattr(sampler, "run_sweeps", spy)
+        monkeypatch.setattr(bpcore, "run_sweeps", spy)
         for p in (benchmark3(), *(random_problem(4, s)[2] for s in range(4))):
             g = build_factor_graph(p)
             for share in (0.0, 0.25):
@@ -811,13 +810,16 @@ class TestBatchedDraws:
 
     @staticmethod
     def spy_batches(monkeypatch) -> list[tuple[int, float]]:
-        sizes, real = [], sampler._draw_batch
+        """The size and damping of every batch of draws (fixed points sweep
+        on the message test, draws on the marginals)."""
+        sizes, real = [], bpcore._run_batch
 
-        def spy(live, bp, work):
-            sizes.append((len(live), bp.damping))
-            real(live, bp, work)
+        def spy(live, bp, work, marginals):
+            if marginals:
+                sizes.append((len(live), bp.damping))
+            real(live, bp, work, marginals)
 
-        monkeypatch.setattr(sampler, "_draw_batch", spy)
+        monkeypatch.setattr(bpcore, "_run_batch", spy)
         return sizes
 
     @pytest.mark.parametrize("share, cap", [(0.0, 30), (0.12, 8)])
@@ -847,12 +849,12 @@ class TestBatchedDraws:
 
     def test_draws_sweep_in_one_workspace(self, monkeypatch):
         # At n = 60 a copy's workspace is over the batch budget, so each
-        # draw runs as a batch of one.  Every batch sweeps in one workspace;
-        # the fresh state each draw starts from hands its own back untouched.
+        # draw runs as a batch of one.  Every batch sweeps in one workspace,
+        # and no draw maps one of its own.
         L, _ = generate(EnsembleSpec("powerlaw", 60, 0.3, seed=1))
         p = absorb_known(make_observation(L, float(np.quantile(L.entries[L.entries > 0], 0.9))))
         g = build_factor_graph(p, strict=False)
-        assert make_state(g, 1.0).work.nbytes > bpcore._BATCH_BYTES
+        assert solo_state(g, 1.0).work.nbytes > bpcore._BATCH_BYTES
         alive, mapped, real_map = [], [], bpcore.mmap.mmap
 
         def spy_map(fileno, length):
@@ -860,7 +862,7 @@ class TestBatchedDraws:
             alive.append(weakref.ref(buf))
             return buf
 
-        swept, real_sweeps = [], sampler.run_sweeps
+        swept, real_sweeps = [], bpcore.run_sweeps
 
         def spy_sweeps(state, opts, **stop):
             swept.append(sum(ref() is not None for ref in alive))
@@ -868,13 +870,26 @@ class TestBatchedDraws:
             return real_sweeps(state, opts, **stop)
 
         monkeypatch.setattr(bpcore.mmap, "mmap", spy_map)
-        monkeypatch.setattr(sampler, "run_sweeps", spy_sweeps)
+        monkeypatch.setattr(bpcore, "run_sweeps", spy_sweeps)
         sizes = self.spy_batches(monkeypatch)
         out = sample_supports(g, p, 1.0, 3, rng_seed=1, opts=DecimationOptions(fix_per_round=0.12))
         assert len(out) == 3 and sizes == [(1, 0.0)] * 3 and g._draws == {}
-        # a mapping per draw's fresh state and one workspace for the call
-        assert len(alive) == 4 and swept and set(swept) == {1}
+        # one workspace for the call
+        assert len(alive) == 1 and swept and set(swept) == {1}
         assert len({id(buf) for buf in mapped}) == 1
+
+    def test_guard_raises_before_any_draw_is_kept(self, monkeypatch):
+        # The forced3 draw ends before its first sweep; the benchmark3 draw
+        # needs a workspace, and the guard refuses it: neither is kept.
+        problems = [forced3(), benchmark3()]
+        graphs = [build_factor_graph(p) for p in problems]
+        monkeypatch.setattr(bpcore, "_physical_memory", lambda: 0)
+        with pytest.raises(KernelTooLarge):
+            sampler._run_draws([(g, p, 1.0, 0, DecimationOptions()) for g, p in zip(graphs, problems)])
+        assert all(g._draws == {} for g in graphs)
+        monkeypatch.undo()
+        sampler._run_draws([(g, p, 1.0, 0, DecimationOptions()) for g, p in zip(graphs, problems)])
+        assert all(len(g._draws) == 1 for g in graphs)
 
     def test_memoized_draw_is_returned_once(self, monkeypatch):
         p = benchmark3()

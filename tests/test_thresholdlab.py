@@ -22,7 +22,7 @@ from liabnet.bpcore import (
 from liabnet.ensembles import EnsembleSpec, generate
 from liabnet.netcore import LiabilityMatrix, absorb_known, make_observation
 from liabnet.sampler import DecimationOptions, LambdaMaxOptions, lambda_max
-from liabnet import bpcore, sampler, thresholdlab
+from liabnet import bpcore, thresholdlab
 from liabnet.thresholdlab import (
     ThresholdOptions,
     ThresholdRecord,
@@ -191,10 +191,11 @@ def test_a_record_runs_no_fixed_point_twice(monkeypatch):
     runs, graphs, asked = [], [], []
     real_batch, real_fixed_points = bpcore._run_batch, bpcore.bp_fixed_points
 
-    def spy(pairs, opts):
-        graphs.extend(g for g, _ in pairs)  # held, so no two graphs share an id
-        runs.extend((id(g), z, opts.tol, opts.damping) for g, z in pairs)
-        return real_batch(pairs, opts)
+    def spy(live, bp, work, marginals):
+        if not marginals:  # fixed points, not decimation draws
+            graphs.extend(c.g for c in live)  # held, so no two graphs share an id
+            runs.extend((id(c.g), c.z, bp.tol, bp.damping) for c in live)
+        return real_batch(live, bp, work, marginals)
 
     monkeypatch.setattr(bpcore, "_run_batch", spy)
     monkeypatch.setattr(
@@ -277,25 +278,25 @@ def test_failed_record_keeps_its_error_and_the_others_complete(monkeypatch):
 
 def test_draws_failing_on_one_graph_fail_only_its_record(monkeypatch):
     # The searches' draws run ahead together.  When one record's graph
-    # cannot hold a message-passing state, that shared run fails; each
+    # cannot hold a message-passing workspace, that shared run fails; each
     # search then runs its own draws, and only that record takes the error.
     L, _ = generate(EnsembleSpec("powerlaw", 12, 0.3, seed=1))
     thetas = quantile_thetas(L, (0.5, 0.75, 0.9))
     opts = small_opts(seed=1)
     whole = threshold_sweep(L, thetas, opts)
-    graphs, real_build, real_state = [], thresholdlab.build_factor_graph, sampler.make_state
+    graphs, real_build, real_workspace = [], thresholdlab.build_factor_graph, bpcore._workspace
 
     def build(*args, **kwargs):
         graphs.append(real_build(*args, **kwargs))
         return graphs[-1]
 
-    def state(g, z):
-        if g is graphs[1]:
+    def workspace(batches):
+        if any(c.g is graphs[1] for batch in batches for c in batch):
             raise KernelTooLarge("no room for this graph")
-        return real_state(g, z)
+        return real_workspace(batches)
 
     monkeypatch.setattr(thresholdlab, "build_factor_graph", build)
-    monkeypatch.setattr(sampler, "make_state", state)
+    monkeypatch.setattr(bpcore, "_workspace", workspace)
     rep = threshold_sweep(L, thetas, opts)
     assert len(graphs) == 3
     assert rep.records[1].error == "no room for this graph" and rep.records[1].curve is None
