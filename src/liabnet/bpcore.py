@@ -164,7 +164,7 @@ class FactorGraph:
 
     The graph also keeps, out of comparisons, the converged fixed points
     bp_fixed_points has found on it, keyed by (z, tol, damping), and the
-    outcomes of the decimation draws sampler has run on it ahead of their
+    DecimationTraces of the draws sampler has run on it ahead of their
     decimate calls, each until that call takes it.
     """
 

@@ -5,11 +5,12 @@ constraint holds (H = 0) and when nonnegative entries capped at 1 can
 actually realize the residual strengths on it.  The latter is a transport
 problem: send each row's residual through unit-capacity support edges into
 the columns.  One class solves it: _Transport, a residual flow network
-whose edges are stored in pairs (edge eid's reverse is eid ^ 1).  It keeps
-its flow while links are removed and restored, re-routes only what is
-missing, and its certificate() describes the last re-route: a realizing
-assignment or a deficient cut.  feasibility_check is that certificate for
-a fresh network of one support.
+whose edges are stored in pairs (edge eid's reverse is eid ^ 1).  It is
+built max-flowed, keeps its flow while links are removed, re-routes only
+what is missing, branches by fork, and holds the only verdict; its
+certificate() describes its current flow: a realizing assignment or a
+deficient cut.  feasibility_check is that certificate for a network
+built on one support.
 
 decimate draws a support from the fugacity-z ensemble: run message
 passing until the link marginals settle, fix the most biased undecided
@@ -26,18 +27,18 @@ link set, so once those links cannot carry the residuals no completion
 can, and the draw stops there with the network's deficient cut.
 
 Draws run ahead as copies in bpcore's lock-step batches, each with its
-own stream and flow network, so its outcome is its solo run's bit for
-bit; the outcomes wait on the graph until decimate reads them back, one
-call per draw.  sample_supports is decimate's one caller: it runs its
-draws ahead together, reads each back and flow-checks the completed
-ones, so a draw either completes or stops.  lambda_max draws through
-sample_supports over a ladder of fugacities near the z -> 0 limit, every
-rung's draws run ahead together (threshold_sweep runs those of all its
-thresholds together), greedily peels the full support and every distinct
-draw that passes the flow check, each on one residual network, and keeps
-the sparsest result.  Both raise LocallyInfeasible on a graph where some
-bank needs more links than it has slots, as every other consumer of such
-a graph does.
+own stream and flow network, so its trace is its solo run's bit for
+bit; a finished draw writes that trace, which waits on the graph
+until decimate reads it back, one call per draw.  sample_supports is
+decimate's one caller: it runs its draws ahead together, reads each back
+and flow-checks the completed ones, so a draw either completes or stops.
+lambda_max draws through sample_supports over a ladder of fugacities
+near the z -> 0 limit, every rung's draws run ahead together
+(threshold_sweep runs those of all its thresholds together), greedily
+peels the full support's network and the network of every distinct draw
+that passes the flow check, and keeps the sparsest result.  Both raise
+LocallyInfeasible on a graph where some bank needs more links than it
+has slots, as every other consumer of such a graph does.
 """
 
 from __future__ import annotations
@@ -113,16 +114,21 @@ class _Transport:
     edge; the source (2n) and sink (2n + 1) edges of banks 0..n-1 come
     first, then the links in slot order.  Edges are stored in pairs: edge
     eid's reverse is eid ^ 1, whose residual capacity is the flow eid
-    carries.  The network keeps its flow between calls: remove(e) deletes
-    link e (both its capacities read 0, its edge ids stay, so restore can
-    bring it back) and cancels the flow it carried on its row's source
-    edge and its column's sink edge, which leaves a valid, smaller flow;
-    reroute then runs Dinic's max-flow on the residual graph, so it pushes
-    only what is missing.  A fresh network carries no flow, so its first
-    reroute is a from-scratch max-flow.  Max-flow is monotone in the link
-    set, so after any removals the verdict is the one a fresh network on
-    the remaining links gives.  certificate() describes the last reroute.
+    carries.  The network is built max-flowed and keeps its flow between
+    calls: remove(e) deletes link e (both its capacities read 0) and
+    cancels the flow it carried on its row's source edge and its column's
+    sink edge, which leaves a valid, smaller flow; reroute then runs
+    Dinic's max-flow on the residual graph, so it pushes only what is
+    missing.  Max-flow is monotone in the link set, so after removals and
+    a reroute, feasible is the verdict of a network built on the links
+    left.  fork() is the one way to branch; slots, not an instance dict,
+    keep a fork's Dinic as fast as a built network's.
     """
+
+    __slots__ = (
+        "n", "target", "tol", "src", "snk", "head", "to", "cap", "source_edge",
+        "sink_edge", "rows", "cols", "slots", "link", "moved", "level", "it",
+    )
 
     def __init__(self, p: ReducedProblem, slots: np.ndarray):
         n = p.n
@@ -146,6 +152,7 @@ class _Transport:
         for e in self.slots:
             self.link[e] = self._add_edge(self.rows[e], n + self.cols[e], 1.0)
         self.moved = 0.0
+        self.reroute()
 
     def _add_edge(self, u: int, v: int, c: float) -> int:
         eid = len(self.to)
@@ -220,12 +227,6 @@ class _Transport:
             self.moved -= flow
         return flow
 
-    def save(self) -> tuple[list[float], float]:
-        return list(self.cap), self.moved
-
-    def restore(self, saved: tuple[list[float], float]) -> None:
-        self.cap[:], self.moved = saved
-
     def fork(self) -> _Transport:
         """A network on the same links in this one's state, whose removals
         and re-routes leave this one as it is."""
@@ -234,8 +235,8 @@ class _Transport:
         return twin
 
     def certificate(self) -> FeasibilityCertificate:
-        """The certificate of the last reroute, or of the state restored
-        since.  Feasible: the flow on each link still present.  Otherwise
+        """The certificate of the current, max-flowed state.  Feasible:
+        the flow on each link still present.  Otherwise
         the rows and columns the source reaches in the residual graph,
         which then form a deficient cut."""
         n, cap = self.n, self.cap
@@ -260,18 +261,16 @@ def feasibility_check(p: ReducedProblem, a: Support | None = None) -> Feasibilit
         a: candidate support over p's unknown slots; None allows every one.
 
     Returns:
-        FeasibilityCertificate; truthy iff the max-flow falls short of the
-        residual total by at most p.tol, which follows the strengths the
-        residuals were cut from.
+        The certificate of the support's network; truthy iff the max-flow
+        falls short of the residual total by at most p.tol, which follows
+        the strengths the residuals were cut from.
     """
     if a is None:
         slots = np.arange(p.m)
     else:
         _check_same_slots(p, a)
         slots = np.flatnonzero(a.values)
-    net = _Transport(p, slots)
-    net.reroute()
-    return net.certificate()
+    return _Transport(p, slots).certificate()
 
 
 @dataclass(frozen=True)
@@ -385,8 +384,8 @@ def _force_links(state: _Draw, members: list[np.ndarray], factors, values: np.nd
 
 def _draw_key(p: ReducedProblem, z: float, opts: DecimationOptions, rng_seed) -> tuple:
     """A draw's key in its graph's memo: the problem's identity, z, the
-    options and the stream's seed.  The memo keeps p next to the outcome,
-    so the identity cannot pass to another problem while it waits."""
+    options and the stream's seed.  The memo keeps p next to the trace, so
+    the identity cannot pass to another problem while it waits."""
     ss = _seed_sequence(rng_seed)
     entropy = tuple(ss.entropy) if isinstance(ss.entropy, (list, tuple, np.ndarray)) else ss.entropy
     return id(p), z, opts, (entropy, ss.spawn_key, ss.pool_size)
@@ -394,9 +393,9 @@ def _draw_key(p: ReducedProblem, z: float, opts: DecimationOptions, rng_seed) ->
 
 class _Draw(_Copy):
     """One decimation draw in flight, a copy of its graph at fugacity z:
-    its stream, its fixed links (values), its residual flow network and its
-    counts, besides the copy's messages, active links and requirements r,
-    which fixing a link writes into."""
+    its stream, its fixed links (values), its residual flow network, which
+    holds whether it still carries, and its counts, besides the copy's
+    messages, active links and requirements r, which fixing writes into."""
 
     def __init__(
         self,
@@ -408,7 +407,6 @@ class _Draw(_Copy):
         key: tuple,
         members: list[np.ndarray],
         net: _Transport,
-        carries: bool,
     ):
         super().__init__(g, z)
         self.p, self.opts, self.key, self.members = p, opts, key, members
@@ -416,11 +414,11 @@ class _Draw(_Copy):
         self.values = np.zeros(g.m_total, dtype=np.uint8)
         self.forced = _force_links(self, members, range(g.n_factors), self.values)
         self.rounds = self.converged_rounds = 0
-        self.net, self.carries = net, carries
+        self.net = net
 
     @property
     def going(self) -> bool:
-        return self.carries and bool(np.any(self.active))
+        return self.net.feasible and bool(np.any(self.active))
 
     def fix(self) -> None:
         """After a refresh: flip the most biased undecided links, condition
@@ -443,11 +441,12 @@ class _Draw(_Copy):
                 lost_flow = self.net.remove(e) > 0 or lost_flow
                 ends = (g.var_row_factor[e], g.var_col_factor[e])
                 self.forced += _force_links(self, self.members, ends, self.values)
-        self.carries = not lost_flow or self.net.reroute()
+        if lost_flow:
+            self.net.reroute()
 
     def settle(self, change: float, converged: bool) -> bool:
         """A refresh ended: count the round, fix links, and keep the
-        outcome once the draw completes or stops."""
+        trace once the draw completes or stops."""
         self.rounds += 1
         self.converged_rounds += converged
         self.swept = 0
@@ -458,29 +457,31 @@ class _Draw(_Copy):
         return False
 
     def keep(self) -> None:
-        """Leave the outcome on the graph for decimate: the final support
-        (fixed on or still possible), the counts, and the network's cut if
-        the possible links stopped carrying the residuals; and release the
-        network."""
-        cut = None if self.carries else self.net.certificate()
-        outcome = (self.values | self.active, self.converged_rounds, self.rounds, self.forced, cut)
-        self.g._draws[self.key] = (self.p, outcome)
+        """Leave the draw's trace on the graph for decimate: the final
+        support (fixed on or still possible; its degrees are asserted),
+        the counts, and the network's cut if the possible links stopped
+        carrying the residuals; and release the network."""
+        final = self.values | self.active
+        assert np.all(_degree_counts(self.g, final) >= self.g.r), "decimation produced a degree-violating support"
+        cut = None if self.net.feasible else self.net.certificate()
+        trace = DecimationTrace(0, Support(self.p.ends, final), self.converged_rounds, self.rounds, self.forced, cut)
+        self.g._draws[self.key] = (self.p, trace)
         self.net = None
 
 
 def _run_draws(draws, carrying_only: bool = False) -> None:
-    """Run each (g, p, z, rng_seed, opts) draw whose outcome is not already
-    waiting on its graph, and leave the outcome there for decimate.
+    """Run each (g, p, z, rng_seed, opts) draw whose trace is not already
+    waiting on its graph, and leave the trace there for decimate.
 
     The draws run as bpcore's copies, in lock-step batches that
     _run_copies cuts from each group of one option set at finite z or at
-    z = 0; finite-z refreshes run undamped.  The full support of each
-    problem is built and max-flowed once; every draw on it starts from a
-    fork of that network.  With carrying_only, the draws on a problem
-    whose full support cannot carry the residuals are not run.  A draw on
-    a locally infeasible graph is left to decimate, which raises.
+    z = 0; finite-z refreshes run undamped.  The network of each problem's
+    full support is built once; every draw on it starts from a fork of
+    it.  With carrying_only, the draws on a problem whose full support
+    cannot carry the residuals are not run.  A draw on a locally
+    infeasible graph is left to decimate, which raises.
     """
-    nets: dict[int, tuple[_Transport, bool]] = {}
+    nets: dict[int, _Transport] = {}
     members: dict[int, list[np.ndarray]] = {}
     groups: dict[tuple, list[_Draw]] = {}
     ended: list[_Draw] = []
@@ -491,16 +492,15 @@ def _run_draws(draws, carrying_only: bool = False) -> None:
             continue
         seen.add((id(g), key))
         if id(p) not in nets:
-            net = _Transport(p, np.arange(g.m_total))
-            nets[id(p)] = net, net.reroute()
-        net, carries = nets[id(p)]
-        if carrying_only and not carries:
+            nets[id(p)] = _Transport(p, np.arange(g.m_total))
+        net = nets[id(p)]
+        if carrying_only and not net.feasible:
             continue
         if id(g) not in members:
             members[id(g)] = [
                 np.flatnonzero((g.var_row_factor == f) | (g.var_col_factor == f)) for f in range(g.n_factors)
             ]
-        d = _Draw(g, p, z, rng_seed, opts, key, members[id(g)], net.fork(), carries)
+        d = _Draw(g, p, z, rng_seed, opts, key, members[id(g)], net.fork())
         if d.going:
             groups.setdefault((opts, z > 0), []).append(d)
         else:
@@ -509,7 +509,7 @@ def _run_draws(draws, carrying_only: bool = False) -> None:
         [(group, replace(opts.bp, damping=0.0) if finite else opts.bp) for (opts, finite), group in groups.items()],
         marginals=True,
     )
-    # Kept only now, so the workspace's guard raises before any outcome is.
+    # Kept only now, so the workspace's guard raises before any trace is.
     for d in ended:
         d.keep()
 
@@ -551,15 +551,15 @@ def decimate(
     completes is the one an unchecked run gives, and it is flow-feasible.
 
     sample_supports, and lambda_max or threshold_sweep before it, run
-    their draws ahead in lock-step (see bpcore), each outcome its solo
-    run's bit for bit.  The outcome waits on g, keyed by p's identity, z,
-    opts and the seed, until this call takes it; a draw not run ahead runs
-    here alone.
+    their draws ahead in lock-step (see bpcore), each trace its solo
+    run's bit for bit.  A finished draw writes its own trace, which waits
+    on g, keyed by p's identity, z, opts and the seed, until this call
+    takes it; a draw not run ahead runs here alone.
 
     Returns:
         DecimationTrace whose final_support, the drawn support or, for a
         stopped draw, the possible links, satisfies every degree
-        requirement of the original problem (asserted).
+        requirement of the original problem (asserted when the draw ends).
 
     Raises:
         LocallyInfeasible: if some factor needs more links than it has.
@@ -569,17 +569,7 @@ def decimate(
     key = _draw_key(p, z, opts, rng_seed)
     if key not in g._draws:
         _run_draws([(g, p, z, rng_seed, opts)])
-    _, (final, converged_rounds, rounds, forced, cut) = g._draws.pop(key)
-    degrees_met = np.all(_degree_counts(g, final) >= g.r)
-    assert degrees_met, "decimation produced a degree-violating support"
-    return DecimationTrace(
-        restarts=0,
-        final_support=Support(p.ends, final),
-        converged_rounds=converged_rounds,
-        rounds=rounds,
-        forced=forced,
-        cut=cut,
-    )
+    return g._draws.pop(key)[1]
 
 
 @dataclass(frozen=True)
@@ -706,33 +696,28 @@ class LambdaMaxResult:
         return sparsity(self.support, self.support.m) if self.support.m else 1.0
 
 
-def _peel_support(g: FactorGraph, p: ReducedProblem, values: np.ndarray) -> np.ndarray | None:
-    """Greedily delete links while degrees and the transport check hold;
-    None when values itself cannot carry the residuals.
+def _peel_support(g: FactorGraph, net: _Transport, values: np.ndarray) -> np.ndarray:
+    """Greedily delete links while degrees and the transport check hold.
 
-    Peeling builds one residual network of values, whose first max-flow
-    is values' flow check, and keeps its flow as links go: a link without
-    flow is deleted without a max-flow, and deleting one that carries flow
-    re-routes only what it carried, from capacities saved before the
-    deletion and restored if the residuals no longer fit.  One sweep in
-    ascending slot order leaves the support feasible and locally minimal.
-    A second sweep could delete nothing: later deletions only lower degree
-    counts and shrink what the support can carry, so a link kept for its
-    degrees or for transport stays needed.
+    net, the network of values, must carry the residuals; peeling uses it
+    up.  A link without flow is deleted without a max-flow; deleting one
+    that carries flow re-routes only what it carried, and a fork from
+    before the deletion is kept instead if the residuals no longer fit.
+    One sweep in ascending slot order leaves the support feasible and
+    locally minimal.  A second sweep could delete nothing: later deletions
+    only lower degree counts and shrink what the support can carry, so a
+    link kept for its degrees or for transport stays needed.
     """
     vals = values.copy()
     counts = _degree_counts(g, vals)
-    net = _Transport(p, np.flatnonzero(vals))
-    if not net.reroute():
-        return None
     for e in np.flatnonzero(vals).tolist():
         fr, fc = g.var_row_factor[e], g.var_col_factor[e]
         if counts[fr] <= g.r[fr] or counts[fc] <= g.r[fc]:
             continue
-        saved = net.save() if net.flow_on(e) > 0 else None
+        before = net.fork() if net.flow_on(e) > 0 else None
         net.remove(e)
-        if saved is not None and not net.reroute():
-            net.restore(saved)
+        if before is not None and not net.reroute():
+            net = before
             continue
         vals[e] = 0
         counts[fr] -= 1
@@ -784,9 +769,9 @@ def lambda_max(
     or transport, so a link kept once stays needed), and the sparsest
     certified support wins.
     A deterministic baseline candidate, the greedily thinned full support,
-    is always in play; its peel starts with the flow check of the full
-    support.  Every candidate is admissible, so the estimate never exceeds
-    the true maximum.  With no feasible sampled draw the baseline is
+    is always in play: the peel of the full support's network, built once
+    as the full support's flow check.  Every candidate is admissible, so
+    the estimate never exceeds the true maximum.  With no feasible sampled draw the baseline is
     reported (fallback); when even the full support fails the flow check,
     no trial runs and the full support is reported with sparsity 0.
 
@@ -806,14 +791,14 @@ def lambda_max(
     # Removing links never restores transport, so when the full support
     # fails the flow check no draw can pass it and the search is skipped.
     full = np.ones(g.m_total, dtype=np.uint8)
-    peeled = _peel_support(g, p, full)
-    if peeled is None:
+    net = _Transport(p, np.arange(g.m_total))
+    if not net.feasible:
         logger.warning(
             "the residuals cannot be transported on any support; reporting "
             "the full unknown support with sparsity 0"
         )
         return LambdaMaxResult(Support(p.ends, full), trials, 0)
-    best = Support(p.ends, peeled)
+    best = Support(p.ends, _peel_support(g, net, full))
     _draw_searches([(g, p, opts)])
     ss = np.random.SeedSequence(opts.rng_seed)
     feasible = 0
@@ -827,7 +812,8 @@ def lambda_max(
             if not s.certificate:
                 continue
             feasible += 1
-            candidate = Support(p.ends, _peel_support(g, p, s.support.values))
+            values = s.support.values
+            candidate = Support(p.ends, _peel_support(g, _Transport(p, np.flatnonzero(values)), values))
             if candidate.ones < best.ones:
                 best = candidate
     if not feasible:

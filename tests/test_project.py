@@ -181,13 +181,23 @@ def test_one_certificate_builder():
     assert builders == {"sampler._Transport.certificate"}, f"FeasibilityCertificate built in: {builders}"
 
 
+def test_one_flow_owner():
+    # A residual network is built max-flowed, and re-routes only after it
+    # loses flow: in a draw's batch of fixed-off links or in a peel's
+    # deletion.  No caller max-flows a network it has just built or keeps
+    # a verdict of its own.
+    callers = set(_scopes_using(lambda node: isinstance(node, ast.Call) and _names(node.func, "reroute")))
+    want = {"sampler._Transport.__init__", "sampler._Draw.fix", "sampler._peel_support"}
+    assert callers == want, f"reroute is called in: {callers}"
+
+
 def test_draws_complete_or_stop():
     # A draw ends one of two ways, completed or stopped by its flow network,
-    # and only decimate describes it.  A locally infeasible graph raises
+    # and only the draw describes itself.  A locally infeasible graph raises
     # LocallyInfeasible to the caller; no module turns it into a failed
     # draw or a fallback result.
     builders = _scopes_using(lambda node: isinstance(node, ast.Call) and _names(node.func, "DecimationTrace"))
-    assert builders == ["sampler.decimate"], f"DecimationTrace built in: {builders}"
+    assert builders == ["sampler._Draw.keep"], f"DecimationTrace built in: {builders}"
     catchers = _scopes_using(
         lambda node: isinstance(node, ast.ExceptHandler)
         and node.type is not None

@@ -174,16 +174,22 @@ def flow_sums(p, net, present):
     return rows, cols
 
 
-class TestTransport:
-    """The residual network keeps its flow while links go and come back;
-    after every step its verdict is the from-scratch one, and so is its
-    certificate's cut, or its flow map covers exactly the links present."""
+def peel(g, p, values):
+    """_peel_support on the residual network of values."""
+    return _peel_support(g, sampler._Transport(p, np.flatnonzero(values)), values)
 
-    @pytest.mark.parametrize(
-        "case",
-        [benchmark3, *[lambda n=n, s=s: random_problem(n, s)[2] for n, s in ((4, 0), (4, 1), (5, 2), (6, 3))]],
-        ids=["benchmark3", "random-4-0", "random-4-1", "random-5-2", "random-6-3"],
-    )
+
+TRANSPORT_CASES = [benchmark3, *[lambda n=n, s=s: random_problem(n, s)[2] for n, s in ((4, 0), (4, 1), (5, 2), (6, 3))]]
+TRANSPORT_IDS = ["benchmark3", "random-4-0", "random-4-1", "random-5-2", "random-6-3"]
+
+
+class TestTransport:
+    """The residual network keeps its flow while links go, and a fork taken
+    before a removal brings them back; after every step its verdict is the
+    from-scratch one, and so is its certificate's cut, or its flow map
+    covers exactly the links present."""
+
+    @pytest.mark.parametrize("case", TRANSPORT_CASES, ids=TRANSPORT_IDS)
     def test_removals_and_restores_match_from_scratch(self, case):
         p = case()
         rng = np.random.default_rng(7)
@@ -191,15 +197,15 @@ class TestTransport:
         for _ in range(4):
             present = np.ones(p.m, dtype=np.uint8)
             net = sampler._Transport(p, np.arange(p.m))
-            assert net.reroute()
+            assert net.feasible
             for e in rng.permutation(p.m).tolist():
-                saved = net.save()
+                saved = net.fork()
                 carried = net.flow_on(e)
                 assert net.remove(e) == carried
                 present[e] = 0
                 verdict = net.reroute()
                 if rng.random() < 0.3:
-                    net.restore(saved)
+                    net = saved
                     present[e] = 1
                     verdict = net.feasible
                 steps += 1
@@ -220,6 +226,27 @@ class TestTransport:
                     assert rows == pytest.approx(p.res_out, abs=1e-9)
                     assert cols == pytest.approx(p.res_in, abs=1e-9)
         assert steps == 4 * p.m
+
+    @pytest.mark.parametrize("case", TRANSPORT_CASES, ids=TRANSPORT_IDS)
+    def test_fork_leaves_its_parent_as_it_is(self, case):
+        # Removals and re-routes on a fork, down to a network that no longer
+        # carries the residuals, change none of the parent's flow state.
+        p = case()
+        parent = sampler._Transport(p, np.arange(p.m))
+        cap, moved, verdict, cert = list(parent.cap), parent.moved, parent.feasible, parent.certificate()
+        twin = parent.fork()
+        for e in np.random.default_rng(3).permutation(p.m).tolist():
+            twin.remove(e)
+            twin.reroute()
+        assert not twin.feasible
+        assert parent.cap == cap and parent.moved == moved
+        assert parent.feasible == verdict and parent.certificate() == cert
+
+    def test_fork_has_no_instance_dict(self):
+        # Slot attributes keep a fork's Dinic as fast as a built network's;
+        # a copied instance dict made it about twice as slow.
+        twin = sampler._Transport(benchmark3(), np.arange(6)).fork()
+        assert not hasattr(twin, "__dict__")
 
 
 class TestDecimate:
@@ -456,7 +483,7 @@ class TestRefreshStop:
 class TestEarlyStop:
     """A draw stops once its possible links (fixed on or undecided) fail the
     flow check.  The reference runs decimate with a residual network whose
-    re-route certifies everything, so no draw stops; feasibility_check then
+    verdict certifies everything, so no draw stops; feasibility_check then
     gives each full run's verdict."""
 
     CASES = {
@@ -475,7 +502,7 @@ class TestEarlyStop:
         seeds = range(20)
         got = [decimate(g, p, z, seed, opts) for seed in seeds]
         real = sampler.feasibility_check
-        monkeypatch.setattr(sampler._Transport, "reroute", lambda net: True)
+        monkeypatch.setattr(sampler._Transport, "feasible", property(lambda net: True))
         ref = [decimate(g, p, z, seed, opts) for seed in seeds]
         monkeypatch.undo()
         stopped = 0
@@ -662,7 +689,7 @@ class TestLambdaMax:
         # each completed draw once.
         p = fallback_problem()
         g = build_factor_graph(p)
-        assert _peel_support(g, p, np.ones(p.m, dtype=np.uint8)) is None
+        assert not sampler._Transport(p, np.arange(p.m)).feasible
         calls, inside, draws = [], [False], []
         real_check, real_sample = sampler.feasibility_check, sampler.sample_supports
 
@@ -702,7 +729,7 @@ class TestLambdaMax:
                 starts.append(pattern)
         assert len(starts) > 3
         for start in starts:
-            peeled = _peel_support(g, p, start)
+            peeled = peel(g, p, start)
             assert h_is_zero(p, peeled) and lp_feasible(p, peeled)
             for e in np.flatnonzero(peeled):
                 fewer = peeled.copy()
@@ -727,7 +754,7 @@ class TestLambdaMax:
                 counts[fc] -= 1
         calls = []
         monkeypatch.setattr(sampler, "feasibility_check", lambda *args: calls.append(args))
-        assert np.array_equal(_peel_support(g, p, np.ones(p.m, dtype=np.uint8)), want)
+        assert np.array_equal(peel(g, p, np.ones(p.m, dtype=np.uint8)), want)
         assert calls == []
 
     def test_empty_unknown_set(self):
@@ -768,10 +795,10 @@ class TestLambdaMax:
         rungs = len(opts.z_ladder)
         per_rung = -(-opts.trials // rungs)
         full = np.ones(p.m, dtype=np.uint8)
-        best = _peel_support(g, p, full)
-        if best is None:
+        if not sampler._Transport(p, np.arange(p.m)).feasible:
             want = (full, p.m, rungs * per_rung, 0, True)
         else:
+            best = peel(g, p, full)
             ss = np.random.SeedSequence(opts.rng_seed)
             distinct = {}
             for z in opts.z_ladder:
@@ -779,7 +806,7 @@ class TestLambdaMax:
                     distinct.setdefault(s.support.values.tobytes(), s)
             certified = [s for s in distinct.values() if s.certificate]
             for s in certified:
-                peeled = _peel_support(g, p, s.support.values)
+                peeled = peel(g, p, s.support.values)
                 if peeled.sum() < best.sum():
                     best = peeled
             want = (best, int(best.sum()), rungs * per_rung, len(certified), not certified)
