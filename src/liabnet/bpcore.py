@@ -21,36 +21,40 @@ Kernel.  A message needs only its cavity (the link count over the
 factor's other slots) and only near the requirement r.  Each sweep runs one
 shift-and-mix recurrence per slot, v[t+1][i] = (1 - on_t) v[t][i] +
 on_t v[t][i-1], over the column groups [prefix masses | suffix tails |
-suffix masses, at z = 0 only] and the bins up to max(r), below which a
-ghost bin holds 0 for masses and 1 for tails.  A bin reads only the bins
-below it, so the bins kept change no bit of the others.  The prefix tails
-P(X >= k), for k = r - 1 and r, are running sums of on_s P(X_s = k - 1),
-and messages read P(X + Y >= k) = sum_{j<k} P(X = j) P(Y >= k - j) +
-P(X >= k): nothing is subtracted or divided, O(F K R) time.  At finite z
-the messages are tilted to q = zeta mu / (1 - mu + zeta mu); sum_m zeta^m
-V^m is prod(1 - mu + zeta mu) times the tilted distribution, the product
-cancels, and mu = zeta T(>= r-1) / (zeta T(>= r-1) + T(>= r)) with T the
-tilted cavity tail.  Messages live in one buffer [mu_row | mu_col | 0]:
-the graph's slot_in gathers every slot's incoming message in one call
-(pads read the trailing 0) and msg_slot picks the fresh ones back out.
-The O(F K R) count arrays live in one workspace, sized by _workspace for
-the graphs' r, so a sweep allocates only O(F K) arrays.
-The gathers depend on r, so run_sweeps builds them, and carves the
-workspace views for their bins, once per call; decimation lowers r
-between calls, so a plan kept longer would be stale, and r only falls.
+suffix masses, of the z = 0 factors only] and the bins up to max(r), one
+more when some factor is at z = 0, below which a ghost bin holds 0 for
+masses and 1 for tails.  A bin reads only the bins below it, so the bins
+kept change no bit of the others.  The prefix tails P(X >= k), for
+k = r - 1 and r, are running sums of on_s P(X_s = k - 1), and messages read
+P(X + Y >= k) = sum_{j<k} P(X = j) P(Y >= k - j) + P(X >= k): nothing is
+subtracted or divided, O(F K R) time.  At finite z the messages are tilted
+to q = zeta mu / (1 - mu + zeta mu); sum_m zeta^m V^m is
+prod(1 - mu + zeta mu) times the tilted distribution, the product cancels,
+and mu = zeta T(>= r-1) / (zeta T(>= r-1) + T(>= r)) with T the tilted
+cavity tail.  That formula runs over every factor; a z = 0 factor's
+untilted messages then take the closed form below from its suffix masses.
+Messages live in one buffer [mu_row | mu_col | 0]: the graph's slot_in
+gathers every slot's incoming message in one call (pads read the trailing
+0) and msg_slot picks the fresh ones back out.  The O(F K R) count arrays
+live in one workspace, sized by _workspace for the graphs' r, so a sweep
+allocates only O(F K) arrays.  The gathers and the workspace views for
+their bins (a _Plan) are built on a state's first run_sweeps call and kept
+on it; decimation lowers r between calls, and r only falls, so the views
+still fit and only the gathers that read r are rebuilt.
 
 Batches.  One driver runs both kinds of copy: a _Copy is one (graph, z)
-run in flight, a fixed point of bp_fixed_points or, subclassed, a
-decimation draw of sampler with its own r.  _run_copies cuts the copies
-into batches, each one state over the disjoint union of their graphs with
-one zeta per factor, and _run_batch sweeps each batch in lock-step.  The
-copies share no factor, and a pad slot or a bin above a copy's own r
-changes none of its bits, so each copy's messages are its solo run's bit
-for bit.  A batch takes copies while its workspace stays within
-_BATCH_BYTES; a larger graph runs alone.  All the batches of one call,
-and every state rebuilt from them, sweep in one workspace, sized for the
-largest batch, so no call holds more than one, and its guard raises
-before any copy runs.
+run in flight, with its own damping, a fixed point of bp_fixed_points or,
+subclassed, a decimation draw of sampler with its own r.  _run_copies cuts
+the copies into batches, each one state over the disjoint union of their
+graphs with one zeta per factor, z = 0 and finite copies together, and
+_run_batch sweeps each batch in lock-step.  The copies share no factor, a
+pad slot or a bin above a copy's own r changes none of its bits, and a
+message damped by 0 is the fresh one exactly, so each copy's messages are
+its solo run's bit for bit.  A batch takes copies while its workspace
+stays within _BATCH_BYTES; a larger graph runs alone.  All the batches of
+one call, and every state rebuilt from them, sweep in one workspace, sized
+for the largest batch, so no call holds more than one, and its guard
+raises before any copy runs.
 
 The limit z -> 0 (sparsest admissible graphs) is selected by passing
 z = 0.0 and uses exact closed forms, never extreme floats: mu = V^{r-1} /
@@ -165,7 +169,9 @@ class FactorGraph:
     The graph also keeps, out of comparisons, the converged fixed points
     bp_fixed_points has found on it, keyed by (z, tol, damping), and the
     DecimationTraces of the draws sampler has run on it ahead of their
-    decimate calls, each until that call takes it.
+    decimate calls, each until that call takes it, and the full-support
+    flow network of each problem whose sparsity search sampler has run
+    ahead, until that search takes it.
     """
 
     n: int
@@ -179,6 +185,7 @@ class FactorGraph:
     infeasible_factors: tuple[str, ...]
     _fixed_points: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _draws: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _nets: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def m_total(self) -> int:
@@ -335,7 +342,10 @@ class BPState:
     exact removal in the count recursion), lowering r as links are
     committed.  work is the sweep kernel's float64 workspace, sized by
     _workspace for g.r; every sweep writes its count arrays there instead
-    of allocating them.
+    of allocating them, through plan, which run_sweeps builds and keeps.
+    damping is None, and run_sweeps damps by its options, unless the
+    copies of a batch damp differently: it then holds each message's
+    damping, aligned with [mu_row | mu_col].
     """
 
     g: FactorGraph
@@ -347,6 +357,8 @@ class BPState:
     parts: np.ndarray
     change: np.ndarray
     degenerate: int = 0
+    damping: np.ndarray | None = None
+    plan: _Plan | None = None
 
     @property
     def mu_row(self) -> np.ndarray:
@@ -361,22 +373,25 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _kernel_bytes(factors: int, k: int, rmax: int, finite: bool) -> int:
-    """Workspace of a sweep: the count arrays of K slots over the column
-    groups (two at finite z, three at z = 0), one gathered operand as tall,
-    and the prefix tails at r - 1 and r."""
-    rows = rmax + (1 if finite else 2)
-    return 8 * k * factors * ((3 if finite else 4) * rows + 2)
+def _kernel_bytes(factors: int, zero: int, k: int, rmax: int) -> int:
+    """Workspace of a sweep over factors factors, zero of them at z = 0:
+    the count arrays of K slots over the column groups (the suffix masses
+    for the z = 0 factors only) and the bins up to rmax (one more if zero),
+    one gathered operand as tall over all the factors, and the prefix tails
+    at r - 1 and r."""
+    rows = rmax + (2 if zero else 1)
+    return 8 * k * ((3 * factors + zero) * rows + 2 * factors)
 
 
 class _Copy:
     """One (graph, z) copy in flight: its messages (fresh at 0.5), active
-    links and factors' requirements r, and swept, the sweeps of its current
-    run.  In a batch, mu_row, mu_col and active view the copy's slices of
-    the batch state, and factors names where its r sits in the state's."""
+    links and factors' requirements r, the damping of its sweeps, and
+    swept, the sweeps of its current run.  In a batch, mu_row, mu_col and
+    active view the copy's slices of the batch state, and factors names
+    where its r sits in the state's."""
 
-    def __init__(self, g: FactorGraph, z: float):
-        self.g, self.z, self.zeta = g, z, _zeta_of(z)
+    def __init__(self, g: FactorGraph, z: float, damping: float = BPOptions.damping):
+        self.g, self.z, self.zeta, self.damping = g, z, _zeta_of(z), damping
         self.mu_row, self.mu_col = np.full(g.m_total, 0.5), np.full(g.m_total, 0.5)
         self.active = np.ones(g.m_total, dtype=bool)
         self.r = np.array(g.r)
@@ -395,17 +410,22 @@ class _Copy:
 
 
 def _state_of(copies, work: np.ndarray | None = None) -> BPState:
-    """The state of a batch of copies, all at finite z or all at z = 0,
-    from each copy's messages, active links and r, in workspace work (a
-    fresh one by default, after the guard has counted it); each copy's
-    messages and active links then view its slices.  A single copy runs on
-    its own graph with a scalar zeta."""
+    """The state of a batch of copies, at any fugacities, from each copy's
+    messages, active links and r, in workspace work (a fresh one by
+    default, after the guard has counted it); each copy's messages and
+    active links then view its slices.  A single copy runs on its own
+    graph with a scalar zeta.  Copies that damp differently give the state
+    one damping per message."""
     graphs = [c.g for c in copies]
     if len(copies) == 1:
         g, zeta = graphs[0], copies[0].zeta
     else:
         g = _union(graphs)
         zeta = np.tile(np.repeat([c.zeta for c in copies], [h.n for h in graphs]), 2)
+    dampings = [c.damping for c in copies]
+    damping = None
+    if len(set(dampings)) > 1:
+        damping = np.tile(np.repeat(dampings, [h.m_total for h in graphs]), 2)
     state = BPState(
         g=g,
         zeta=zeta,
@@ -415,6 +435,7 @@ def _state_of(copies, work: np.ndarray | None = None) -> BPState:
         work=_workspace([copies]) if work is None else work,
         parts=np.cumsum([0] + [h.m_total for h in graphs]),
         change=np.full(len(copies), math.inf),
+        damping=damping,
     )
     m, banks, b = g.m_total, g.n, 0
     for c, lo, hi in zip(copies, state.parts.tolist(), state.parts[1:].tolist()):
@@ -424,21 +445,26 @@ def _state_of(copies, work: np.ndarray | None = None) -> BPState:
     return state
 
 
+def _shape(copies) -> tuple[int, int, int, int]:
+    """What sizes the kernel of a batch of copies: its factors, those at
+    z = 0, its largest K and its largest r."""
+    return (
+        sum(c.g.n_factors for c in copies),
+        sum(c.g.n_factors for c in copies if c.z == 0),
+        max(c.g.max_degree for c in copies),
+        max(int(c.g.r.max(initial=0)) for c in copies),
+    )
+
+
 def _workspace(batches) -> np.ndarray:
     """One sweep workspace that holds the largest of batches' (each a list
-    of copies, all finite or all at z = 0, sized for their graphs' r);
-    raises KernelTooLarge, before allocating it, when that would exceed
-    physical memory."""
+    of copies, sized for their graphs' r); raises KernelTooLarge, before
+    allocating it, when that would exceed physical memory."""
     nbytes, n, k, rmax = 0, 0, 0, 0
     for copies in batches:
-        shape = (
-            sum(c.g.n_factors for c in copies),
-            max(c.g.max_degree for c in copies),
-            max(int(c.g.r.max(initial=0)) for c in copies),
-            min(c.z for c in copies) > 0,
-        )
+        shape = _shape(copies)
         if _kernel_bytes(*shape) > nbytes:
-            nbytes, n, k, rmax = _kernel_bytes(*shape), sum(c.g.n for c in copies), shape[1], shape[2]
+            nbytes, n, k, rmax = _kernel_bytes(*shape), sum(c.g.n for c in copies), shape[2], shape[3]
     if nbytes > _physical_memory():
         raise KernelTooLarge(
             f"message kernel for n={n}, K={k}, R={rmax} needs {nbytes} bytes, more than physical memory"
@@ -449,10 +475,13 @@ def _workspace(batches) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, max(nbytes, 8)), dtype=float)
 
 
-def _tilt(inc: np.ndarray, zeta) -> np.ndarray:
-    """Messages reweighted by zeta per link: zeta mu / (1 - mu + zeta mu)."""
+def _tilt(inc: np.ndarray, zeta, where: np.ndarray | None = None) -> np.ndarray:
+    """Messages reweighted by zeta per link: zeta mu / (1 - mu + zeta mu);
+    given where, only there, and the others left as they are."""
     on = zeta * inc
-    return on / (1.0 - inc + on)
+    if where is None:
+        return on / (1.0 - inc + on)
+    return np.divide(on, 1.0 - inc + on, out=inc.copy(), where=where)
 
 
 def _shift_mix(on: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -468,73 +497,114 @@ def _shift_mix(on: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _gather_plan(state: BPState):
-    """Gathers and workspace views for state.r, for one run_sweeps call.
+class _Plan:
+    """Gathers and workspace views of a state's sweeps, built on its first
+    run_sweeps call and kept on it.
 
-    counts holds rows 0..max r (one more at z = 0) of each column group,
-    with its ghost row and its row t = 0 (no slot yet) set.  Row i of
-    at_tail reads P(Y >= r - i), or a ghost 0 from bin 0 down, and of
-    at_mass P(Y = r - i); prefix bin j reads row j for k = r and row j + 1
-    for k = r - 1.  at_prefix reads P(X = k - 1) for k = r - 1 and r.
+    zero lists the factors at z = 0, and tilted marks the messages to tilt
+    when some factors are finite and others are not.  counts holds rows
+    0..max r (one more when zero is not empty) of the column groups
+    [prefix masses | suffix tails | suffix masses of the factors in zero],
+    with its ghost row and its row t = 0 (no slot yet) set; masses, the
+    gathered suffix masses, shares picked's bytes.  Row i of at_tail reads
+    P(Y >= r - i), or a ghost 0 from bin 0 down, and of at_mass
+    P(Y = r - i); prefix bin j reads row j for k = r and row j + 1 for
+    k = r - 1.  at_prefix reads P(X = k - 1) for k = r - 1 and r.
     """
-    g, r, zeta = state.g, state.r, state.zeta
-    fcount, kmax = g.n_factors, g.max_degree
-    finite = bool(np.min(zeta) > 0)
-    rows = int(r.max(initial=0)) + (1 if finite else 2)
-    width = (2 if finite else 3) * fcount
-    zeta_in = np.append(np.tile(zeta[g.var_row_factor], 2), 1.0) if np.ndim(zeta) else zeta
-    f = np.arange(fcount)
-    k = r - np.arange(rows)[:, None]
-    at_tail = np.where(k >= 1, k * width + fcount + f, f)
-    at_mass = np.maximum(k + 1, 0) * width + 2 * fcount + f
-    at_prefix = np.maximum(np.stack([r - 1, r]), 0) * width + f
-    size = kmax * rows * width
-    counts = state.work[:size].reshape(kmax, rows, width)
-    picked = state.work[size : size + kmax * rows * fcount].reshape(kmax, rows, fcount)
-    tails = state.work[size + kmax * rows * fcount :][: 2 * kmax * fcount].reshape(kmax, 2, fcount)
-    counts[:, 0] = 0.0
-    counts[:, 0, fcount : 2 * fcount] = 1.0
-    counts[0, 1:] = 0.0
-    counts[0, 1:2, :fcount] = counts[0, 1:2, 2 * fcount :] = 1.0
-    tails[0] = np.stack([r <= 1, r == 0])
-    return finite, zeta_in, at_tail, at_mass, at_prefix, counts, picked, tails
+
+    def __init__(self, state: BPState):
+        g, zeta, r = state.g, state.zeta, state.r
+        fcount, kmax = g.n_factors, g.max_degree
+        if np.ndim(zeta):
+            self.zero = np.flatnonzero(zeta == 0)
+            self.zeta_in = np.append(np.tile(zeta[g.var_row_factor], 2), 1.0)
+        else:
+            self.zero = np.arange(fcount if zeta == 0 else 0)
+            self.zeta_in = zeta
+        zcount = self.zero.size
+        self.finite = zcount < fcount
+        self.tilted = self.zeta_in > 0 if 0 < zcount < fcount else None
+        self.suffix_zero = slice(fcount, None) if zcount == fcount else fcount + self.zero
+        self.rmax = int(r.max(initial=0))
+        self.rows = rows = self.rmax + (2 if zcount else 1)
+        self.width = width = 2 * fcount + zcount
+        size, picks = kmax * rows * width, kmax * rows * fcount
+        counts = self.counts = state.work[:size].reshape(kmax, rows, width)
+        self.picked = state.work[size : size + picks].reshape(kmax, rows, fcount)
+        self.masses = state.work[size : size + kmax * rows * zcount].reshape(kmax, rows, zcount)
+        self.tails = state.work[size + picks :][: 2 * kmax * fcount].reshape(kmax, 2, fcount)
+        counts[:, 0] = 0.0
+        counts[:, 0, fcount : 2 * fcount] = 1.0
+        counts[0, 1:] = 0.0
+        counts[0, 1:2, :fcount] = counts[0, 1:2, 2 * fcount :] = 1.0
+        self._aim(r)
+
+    def _aim(self, r: np.ndarray) -> None:
+        """Build the gathers that read r, and the prefix tails' first row."""
+        fcount, width = self.picked.shape[2], self.width
+        self.r = r.copy()
+        f = np.arange(fcount)
+        k = r - np.arange(self.rows)[:, None]
+        self.at_tail = np.where(k >= 1, k * width + fcount + f, f)
+        if self.zero.size:
+            kz = k if not self.finite else k[:, self.zero]
+            self.at_mass = np.maximum(kz + 1, 0) * width + 2 * fcount + np.arange(self.zero.size)
+        self.at_prefix = np.maximum(np.stack([r - 1, r]), 0) * width + f
+        self.tails[0] = np.stack([r <= 1, r == 0])
+
+    def retarget(self, r: np.ndarray) -> bool:
+        """Aim the plan at requirements r, rebuilding only what reads r;
+        False, with nothing changed, when r needs more bins than it keeps."""
+        if np.array_equal(r, self.r):
+            return True
+        if int(r.max(initial=0)) > self.rmax:
+            return False
+        self._aim(r)
+        return True
 
 
-def _slot_messages(state: BPState, plan) -> np.ndarray:
-    """(K, F) fresh outgoing messages at finite z or z = 0; the cavity of
-    slot s is its prefix X (slots before s) and its suffix Y."""
+def _slot_messages(state: BPState, plan: _Plan) -> np.ndarray:
+    """(K, F) fresh outgoing messages, at each factor's fugacity; the
+    cavity of slot s is its prefix X (slots before s) and its suffix Y."""
     g, fcount = state.g, state.g.n_factors
-    finite, zeta_in, at_tail, at_mass, at_prefix, counts, picked, tails = plan
-    on = (_tilt(state.msgs, zeta_in) if finite else state.msgs)[g.slot_in[:-1]]
-    if not finite:
-        on = np.hstack([on, on[:, fcount:]])
+    counts, picked, tails, zero = plan.counts, plan.picked, plan.tails, plan.zero
+    on = _tilt(state.msgs, plan.zeta_in, plan.tilted) if plan.finite else state.msgs
+    on = on[g.slot_in[:-1]]
+    if zero.size:
+        on = np.hstack([on, on[:, plan.suffix_zero]])
     # A cavity leaves one slot out, so the counts after the first K-1
     # slots are all a sweep reads.
     flat = _shift_mix(on, counts).reshape(counts.shape[0], -1)
     # Prefix tails: P(X_t >= k) = [k <= 0] + sum_{s<t} on_s P(X_s = k - 1).
-    np.take(flat[:-1], at_prefix, axis=1, out=tails[1:], mode="clip")
+    np.take(flat[:-1], plan.at_prefix, axis=1, out=tails[1:], mode="clip")
     tails[1:] *= on[:, None, :fcount]
     del on
     np.cumsum(tails, axis=0, out=tails)
     pre = counts[:, 1:, :fcount]
     # Row t of a suffix group holds the last t slots, so slot s reads row
     # K-1-s.  mode="clip" gathers straight into picked; the default buffers.
-    np.take(flat, at_tail, axis=1, out=picked, mode="clip")
+    np.take(flat, plan.at_tail, axis=1, out=picked, mode="clip")
     reach = np.einsum("tjf,tjf->tf", pre, picked[::-1, 1:])
     reach += tails[:, 0]  # P(X + Y >= r - 1)
-    if finite:
+    if plan.finite:
         # sum_m zeta^m V^m = prod(1 - mu + zeta mu) * tilted tail, and the
         # product cancels: mu = zeta T(>= r-1) / (zeta T(>= r-1) + T(>= r)).
         den = np.einsum("tjf,tjf->tf", pre, picked[::-1, :-1])
         den += tails[:, 1]
         num = state.zeta * reach
         den += num
-    else:
+    if zero.size:
         # mu = V^{r-1} / (V^{r-1} + V^r); V^{-1} = 0, so unneeded links
         # vanish in the sparsest limit.
-        np.take(flat, at_mass, axis=1, out=picked, mode="clip")
-        num = np.einsum("tjf,tjf->tf", pre, picked[::-1, 1:])
-        den = num + np.einsum("tjf,tjf->tf", pre, picked[::-1, :-1])
+        masses = plan.masses
+        np.take(flat, plan.at_mass, axis=1, out=masses, mode="clip")
+        pre_zero = pre[:, :, zero] if plan.finite else pre
+        num_zero = np.einsum("tjf,tjf->tf", pre_zero, masses[::-1, 1:])
+        den_zero = num_zero + np.einsum("tjf,tjf->tf", pre_zero, masses[::-1, :-1])
+        if plan.finite:
+            num[:, zero], den[:, zero] = num_zero, den_zero
+        else:
+            num, den = num_zero, den_zero
     # den = 0 with a reachable r - 1: the cavity already holds more than r
     # links, and the z -> 0 limit of the message is 0.
     dead = reach <= 0
@@ -581,15 +651,16 @@ class _MarginalMoves:
         return np.maximum.reduceat(np.abs(seen, out=seen), self.starts)
 
 
-def _sweep(state: BPState, damping: float, plan, marginals: _MarginalMoves | None = None) -> np.ndarray:
-    """One synchronous update of every message.  Returns each copy's max
-    change of an undecided link's messages or, given marginals, of its link
+def _sweep(state: BPState, damping, plan: _Plan, marginals: _MarginalMoves | None = None) -> np.ndarray:
+    """One synchronous update of every message, damped by damping, one
+    value or one per message.  Returns each copy's max change of an
+    undecided link's messages or, given marginals, of its link
     marginals."""
     m = state.g.m_total
     fresh = np.take(_slot_messages(state, plan), state.g.msg_slot)
     old = state.msgs[: 2 * m]
     # undamped, 0 * old + 1 * fresh would be fresh exactly
-    new = damping * old + (1.0 - damping) * fresh if damping else fresh
+    new = damping * old + (1.0 - damping) * fresh if np.ndim(damping) or damping else fresh
     old, new = old.reshape(2, m), new.reshape(2, m)
     if marginals is None:
         moved = np.max(np.abs(new - old), axis=0, where=state.active, initial=0.0)
@@ -602,7 +673,8 @@ def _sweep(state: BPState, damping: float, plan, marginals: _MarginalMoves | Non
 def run_sweeps(state: BPState, opts: BPOptions, *, marginals: bool = False) -> tuple[bool, int, float]:
     """Iterate synchronous sweeps until some copy's largest change in a
     sweep is below opts.tol; returns (converged, sweeps, that change).
-    state.change holds every copy's change in the last sweep.
+    state.change holds every copy's change in the last sweep.  The sweeps
+    damp by opts.damping, or by state.damping where the state has one.
 
     A copy's change is the largest move of its undecided links' messages.
     With marginals=True it is the largest move of one of its link
@@ -614,10 +686,12 @@ def run_sweeps(state: BPState, opts: BPOptions, *, marginals: bool = False) -> t
     """
     if state.g.m_total == 0 or not np.any(state.active):
         return True, 0, 0.0
-    plan = _gather_plan(state)
+    if state.plan is None or not state.plan.retarget(state.r):
+        state.plan = _Plan(state)
     moves = _MarginalMoves(state) if marginals else None
+    damping = opts.damping if state.damping is None else state.damping
     for sweep in range(1, opts.max_sweeps + 1):
-        state.change = _sweep(state, opts.damping, plan, moves)
+        state.change = _sweep(state, damping, state.plan, moves)
         assert state.msgs.min() >= -1e-12 and state.msgs.max() <= 1 + 1e-12, "message left [0, 1]"
         least = float(state.change.min())
         if least < opts.tol:
@@ -634,34 +708,32 @@ _BATCH_BYTES = 1 << 20
 
 
 def _batches(copies):
-    """copies in order, cut into batches: all finite or all at z = 0, and
-    within _BATCH_BYTES unless a batch is one copy."""
-    batch, shape = [], None
+    """copies in order, at any fugacities, cut into batches within
+    _BATCH_BYTES unless a batch is one copy."""
+    batch = []
     for c in copies:
-        mine = (c.g.n_factors, c.g.max_degree, int(c.g.r.max(initial=0)), c.z > 0)
-        if batch:
-            grown = (shape[0] + mine[0], max(shape[1], mine[1]), max(shape[2], mine[2]), mine[3])
-            if mine[3] == shape[3] and _kernel_bytes(*grown) <= _BATCH_BYTES:
-                batch.append(c)
-                shape = grown
-                continue
+        if batch and _kernel_bytes(*_shape(batch + [c])) > _BATCH_BYTES:
             yield batch
-        batch, shape = [c], mine
+            batch = []
+        batch.append(c)
     if batch:
         yield batch
 
 
 def _run_batch(live: list[_Copy], bp: BPOptions, work: np.ndarray, marginals: bool) -> None:
     """Run a batch of copies with m > 0 variables to their ends in one
-    state, in workspace work.  Every sweep advances every copy.  A copy
-    whose change is under bp.tol, or whose run reached bp.max_sweeps
-    counted from its own start, settles alone: if it goes on, its r is
-    written back into the state; if it leaves, the others go on in a state
-    rebuilt without it in the same workspace."""
+    state, in workspace work, each damped by its own damping.  Every sweep
+    advances every copy.  A copy whose change is under bp.tol, or whose run
+    reached bp.max_sweeps counted from its own start, settles alone: if it
+    goes on, its r is written back into the state, whose plan then
+    rebuilds only the gathers that read r; if it leaves, the others go on
+    in a state rebuilt without it in the same workspace."""
     state = _state_of(live, work)
     while live:
         cap = bp.max_sweeps - max(c.swept for c in live)
-        _, sweeps, _ = run_sweeps(state, replace(bp, max_sweeps=cap), marginals=marginals)
+        # A state whose copies damp differently damps each message by its own.
+        step = replace(bp, max_sweeps=cap, damping=live[0].damping)
+        _, sweeps, _ = run_sweeps(state, step, marginals=marginals)
         stay = []
         for c, change in zip(live, state.change.tolist()):
             c.swept += sweeps
@@ -703,7 +775,7 @@ def bp_fixed_points(pairs: Sequence[tuple[FactorGraph, float]], opts: BPOptions 
         elif (id(g), z) not in found:
             found[id(g), z] = None
             todo.append((g, z))
-    copies = [_Copy(g, z) for g, z in todo]
+    copies = [_Copy(g, z, opts.damping) for g, z in todo]
     for c in copies:
         if c.g.m_total == 0:
             c.settle(0.0, True)  # nothing to pass: converged after 0 sweeps

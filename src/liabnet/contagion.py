@@ -40,6 +40,7 @@ from .bpcore import build_factor_graph, calibrate_fugacity
 from .sampler import (
     DecimationOptions,
     LambdaMaxOptions,
+    _draw_ahead,
     lambda_max,
     sample_supports,
 )
@@ -314,6 +315,14 @@ def compare_methods(
     opts.typical_z), keeps each draw that carries the flow and admits an ME
     solution, and averages their curves, with the standard error in stderr.
 
+    The typical fugacity is calibrated first.  Then the sparsest search's
+    draws and the typical draws run ahead together, in lock-step, and each
+    method reads its own back; every draw equals its solo run bit for bit,
+    so each curve is what the method gives alone.  A failed calibration is
+    the typical method's error; should the shared run fail, each method
+    runs the draws it misses itself, so only the method at fault takes the
+    error.
+
     Args:
         L_true: ground-truth liability matrix.
         cap: one capital per bank, shared by every method's cascades.
@@ -344,12 +353,29 @@ def compare_methods(
     rp = absorb_known(obs)
     needs_graph = wanted & {"me_on_typical_support", "me_on_sparsest_support"}
     g = build_factor_graph(rp, strict=False) if needs_graph else None
+    # The typical draws' fugacity, or the error its calibration raised.
+    typical: float | Exception | None = None
+    if "me_on_typical_support" in wanted:
+        try:
+            typical = _typical_fugacity(L_true, rp, g, opts)
+        except (ValueError, RuntimeError) as err:
+            typical = err
+    searches = [(g, rp, _lambda_opts(opts))] if "me_on_sparsest_support" in wanted else []
+    samplings = []
+    if typical is not None and not isinstance(typical, Exception):
+        samplings = [(g, rp, typical, opts.support_samples, opts.rng_seed, opts.decimation)]
+    # Should the shared run fail, each method below runs the draws it
+    # misses, so only the method at fault takes the error.
+    try:
+        _draw_ahead(searches, samplings)
+    except (ValueError, RuntimeError):
+        pass
     out: list[MethodCurve] = []
     for method in METHOD_NAMES:
         if method not in wanted:
             continue
         try:
-            matrices, note = _reconstructions(method, L_true, obs, rp, g, opts)
+            matrices, note = _reconstructions(method, L_true, obs, rp, g, opts, typical)
             out.append(_method_curve(method, matrices, note, cap, alphas, opts.exclude_bank))
         except (ValueError, RuntimeError) as err:
             logger.warning("method %s failed: %s", method, err)
@@ -357,39 +383,50 @@ def compare_methods(
     return ComparisonReport(alphas=alphas, curves=tuple(out))
 
 
+def _lambda_opts(opts: CompareOptions) -> LambdaMaxOptions:
+    """The sparsity search of me_on_sparsest_support."""
+    return LambdaMaxOptions(trials=opts.lambda_trials, rng_seed=opts.rng_seed, decimation=opts.decimation)
+
+
+def _true_support(L_true: LiabilityMatrix, rp) -> Support:
+    return Support(rp.ends, L_true.entries[rp.ends] > 0)
+
+
+def _typical_fugacity(L_true, rp, g, opts: CompareOptions) -> float:
+    """The fugacity of me_on_typical_support's draws: opts.typical_z, or
+    the one whose density matches the true support's over the unknown
+    slots; ValueError when there is no unknown slot."""
+    if rp.m == 0:
+        raise ValueError("no unknown slots to sample supports over")
+    if opts.typical_z is not None:
+        return opts.typical_z
+    return calibrate_fugacity(g, sparsity(_true_support(L_true, rp), rp.m))[0]
+
+
 def _reconstructions(
-    method, L_true, obs, rp, g, opts
+    method, L_true, obs, rp, g, opts, typical
 ) -> tuple[list[LiabilityMatrix], str | None]:
     """The matrices method stress-tests (see compare_methods) and its note:
-    one, or one per usable draw for me_on_typical_support, which raises
-    RuntimeError when no draw is usable."""
+    one, or one per usable draw for me_on_typical_support, which draws at
+    fugacity typical, or raises typical when that is the error its
+    calibration raised, and raises RuntimeError when no draw is usable."""
     if method == "true":
         return [L_true], None
     if method == "me_dense":
         return [assemble_matrix(obs, me_reconstruct(rp, opts.me))], None
     if method == "me_on_sparsest_support":
-        lm = lambda_max(
-            g,
-            rp,
-            LambdaMaxOptions(
-                trials=opts.lambda_trials, rng_seed=opts.rng_seed, decimation=opts.decimation
-            ),
-        )
+        lm = lambda_max(g, rp, _lambda_opts(opts))
         note = None
         if lm.fallback:
             note = "no transport-feasible sampled support; using the thinned full support"
         return [assemble_matrix(obs, me_on_support(rp, lm.support, opts.me))], note
-    truth = Support(rp.ends, L_true.entries[rp.ends] > 0)
     if method == "me_on_true_support":
-        return [assemble_matrix(obs, me_on_support(rp, truth, opts.me))], None
+        return [assemble_matrix(obs, me_on_support(rp, _true_support(L_true, rp), opts.me))], None
     # me_on_typical_support
-    if rp.m == 0:
-        raise ValueError("no unknown slots to sample supports over")
-    z = opts.typical_z
-    if z is None:
-        z, _ = calibrate_fugacity(g, sparsity(truth, rp.m))
+    if isinstance(typical, Exception):
+        raise typical
     samples = sample_supports(
-        g, rp, z, opts.support_samples, np.random.SeedSequence(opts.rng_seed), opts.decimation
+        g, rp, typical, opts.support_samples, np.random.SeedSequence(opts.rng_seed), opts.decimation
     )
     matrices = []
     for s in samples:

@@ -26,19 +26,21 @@ a re-route pushes only that flow again.  Max-flow is monotone in the
 link set, so once those links cannot carry the residuals no completion
 can, and the draw stops there with the network's deficient cut.
 
-Draws run ahead as copies in bpcore's lock-step batches, each with its
-own stream and flow network, so its trace is its solo run's bit for
-bit; a finished draw writes that trace, which waits on the graph
-until decimate reads it back, one call per draw.  sample_supports is
-decimate's one caller: it runs its draws ahead together, reads each back
-and flow-checks the completed ones, so a draw either completes or stops.
-lambda_max draws through sample_supports over a ladder of fugacities
-near the z -> 0 limit, every rung's draws run ahead together
-(threshold_sweep runs those of all its thresholds together), greedily
-peels the full support's network and the network of every distinct draw
-that passes the flow check, and keeps the sparsest result.  Both raise
-LocallyInfeasible on a graph where some bank needs more links than it
-has slots, as every other consumer of such a graph does.
+Draws run ahead as copies in bpcore's lock-step batches, z = 0 and
+finite z together, each with its own stream, damping and flow network,
+so its trace is its solo run's bit for bit; a finished draw writes that
+trace, which waits on the graph until decimate reads it back, one call
+per draw.  sample_supports is decimate's one caller: it runs its draws
+ahead together, reads each back and flow-checks the completed ones, so a
+draw either completes or stops.  lambda_max draws through
+sample_supports over a ladder of fugacities near the z -> 0 limit, every
+rung's draws run ahead together (threshold_sweep runs those of all its
+thresholds together, compare_methods those of its sparsest search with
+its typical draws), greedily peels the full support's network, the one
+its draws forked, and the network of every distinct draw that passes the
+flow check, and keeps the sparsest result.  Both raise LocallyInfeasible
+on a graph where some bank needs more links than it has slots, as every
+other consumer of such a graph does.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import copy
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -395,7 +397,8 @@ class _Draw(_Copy):
     """One decimation draw in flight, a copy of its graph at fugacity z:
     its stream, its fixed links (values), its residual flow network, which
     holds whether it still carries, and its counts, besides the copy's
-    messages, active links and requirements r, which fixing writes into."""
+    messages, active links and requirements r, which fixing writes into,
+    and its damping: opts.bp.damping at z = 0, none at finite z."""
 
     def __init__(
         self,
@@ -408,7 +411,7 @@ class _Draw(_Copy):
         members: list[np.ndarray],
         net: _Transport,
     ):
-        super().__init__(g, z)
+        super().__init__(g, z, opts.bp.damping if z == 0 else 0.0)
         self.p, self.opts, self.key, self.members = p, opts, key, members
         self.rng = np.random.default_rng(rng_seed)
         self.values = np.zeros(g.m_total, dtype=np.uint8)
@@ -469,49 +472,58 @@ class _Draw(_Copy):
         self.net = None
 
 
-def _run_draws(draws, carrying_only: bool = False) -> None:
-    """Run each (g, p, z, rng_seed, opts) draw whose trace is not already
-    waiting on its graph, and leave the trace there for decimate.
+def _run_draws(draws, searched=()) -> None:
+    """Run each (g, p, z, rng_seed, opts) draw of draws and of searched
+    whose trace is not already waiting on its graph, and leave the trace
+    there for decimate.
 
     The draws run as bpcore's copies, in lock-step batches that
-    _run_copies cuts from each group of one option set at finite z or at
-    z = 0; finite-z refreshes run undamped.  The network of each problem's
-    full support is built once; every draw on it starts from a fork of
-    it.  With carrying_only, the draws on a problem whose full support
-    cannot carry the residuals are not run.  A draw on a locally
-    infeasible graph is left to decimate, which raises.
+    _run_copies cuts from each group of one option set, whatever their
+    fugacities; each copy damps its refreshes by opts.bp.damping at z = 0
+    and not at all at finite z.  The network of each problem's full
+    support is built once, or taken from its graph where one waits; every
+    draw on it starts from a fork of it.  searched holds the draws of
+    lambda_max searches: those on a problem whose full support cannot
+    carry the residuals are not run, and the problem's network is left
+    waiting on its graph, keyed and held like a trace, for lambda_max to
+    peel (the draws only fork it, so it is still the max-flow of the full
+    support).  A draw on a locally infeasible graph is left to decimate,
+    which raises.
     """
     nets: dict[int, _Transport] = {}
     members: dict[int, list[np.ndarray]] = {}
-    groups: dict[tuple, list[_Draw]] = {}
+    groups: dict[DecimationOptions, list[_Draw]] = {}
     ended: list[_Draw] = []
+    left: dict[tuple[int, int], tuple] = {}
     seen = set()
-    for g, p, z, rng_seed, opts in draws:
+    for (g, p, z, rng_seed, opts), search in [(d, False) for d in draws] + [(d, True) for d in searched]:
         key = _draw_key(p, z, opts, rng_seed)
         if g.infeasible_factors or key in g._draws or (id(g), key) in seen:
             continue
         seen.add((id(g), key))
         if id(p) not in nets:
-            nets[id(p)] = _Transport(p, np.arange(g.m_total))
+            nets[id(p)] = g._nets[id(p)][1] if id(p) in g._nets else _Transport(p, np.arange(g.m_total))
         net = nets[id(p)]
-        if carrying_only and not net.feasible:
-            continue
+        if search:
+            left[id(g), id(p)] = (g, p, net)
+            if not net.feasible:
+                continue
         if id(g) not in members:
             members[id(g)] = [
                 np.flatnonzero((g.var_row_factor == f) | (g.var_col_factor == f)) for f in range(g.n_factors)
             ]
         d = _Draw(g, p, z, rng_seed, opts, key, members[id(g)], net.fork())
         if d.going:
-            groups.setdefault((opts, z > 0), []).append(d)
+            groups.setdefault(opts, []).append(d)
         else:
             ended.append(d)
-    _run_copies(
-        [(group, replace(opts.bp, damping=0.0) if finite else opts.bp) for (opts, finite), group in groups.items()],
-        marginals=True,
-    )
-    # Kept only now, so the workspace's guard raises before any trace is.
+    _run_copies([(group, opts.bp) for opts, group in groups.items()], marginals=True)
+    # Kept only now, so the workspace's guard raises before any trace or
+    # network is.
     for d in ended:
         d.keep()
+    for g, p, net in left.values():
+        g._nets[id(p)] = (p, net)
 
 
 def decimate(
@@ -550,9 +562,9 @@ def decimate(
     possible links.  The network draws no random number, so a draw that
     completes is the one an unchecked run gives, and it is flow-feasible.
 
-    sample_supports, and lambda_max or threshold_sweep before it, run
-    their draws ahead in lock-step (see bpcore), each trace its solo
-    run's bit for bit.  A finished draw writes its own trace, which waits
+    sample_supports, and lambda_max, threshold_sweep or compare_methods
+    before it, run their draws ahead in lock-step (see bpcore), whatever
+    their fugacities, each trace its solo run's bit for bit.  A finished draw writes its own trace, which waits
     on g, keyed by p's identity, z, opts and the seed, until this call
     takes it; a draw not run ahead runs here alone.
 
@@ -730,25 +742,32 @@ def _per_rung(opts: LambdaMaxOptions) -> int:
     return -(-opts.trials // len(opts.z_ladder))
 
 
-def _draw_searches(searches) -> None:
-    """Run ahead, in shared batches, every draw that lambda_max(g, p, opts)
-    asks for, for each (g, p, opts) in searches with unknown slots whose
-    full support carries the residuals; each lambda_max call then reads
-    its draws back.  Draw t of rung k runs on child k * per_rung + t of
-    SeedSequence(opts.rng_seed), as lambda_max's sample_supports calls
-    spawn them."""
-    draws = []
+def _draw_ahead(searches, samplings=()) -> None:
+    """Run ahead, in one _run_draws call, every draw that
+    lambda_max(g, p, opts) asks for, for each (g, p, opts) in searches
+    with unknown slots, and every draw that
+    sample_supports(g, p, z, count, SeedSequence(seed), opts) asks for, for
+    each (g, p, z, count, seed, opts) in samplings; each call then reads its
+    draws back.  Draw t of rung k of a search runs on child
+    k * per_rung + t of SeedSequence(opts.rng_seed), as lambda_max's
+    sample_supports calls spawn them."""
+    searched = []
     for g, p, opts in searches:
         if g.m_total == 0:
             continue
         per_rung = _per_rung(opts)
         children = np.random.SeedSequence(opts.rng_seed).spawn(len(opts.z_ladder) * per_rung)
-        draws += [
+        searched += [
             (g, p, z, children[k * per_rung + t], opts.decimation)
             for k, z in enumerate(opts.z_ladder)
             for t in range(per_rung)
         ]
-    _run_draws(draws, carrying_only=True)
+    draws = [
+        (g, p, z, child, opts)
+        for g, p, z, count, seed, opts in samplings
+        for child in np.random.SeedSequence(seed).spawn(count)
+    ]
+    _run_draws(draws, searched)
 
 
 def lambda_max(
@@ -761,16 +780,17 @@ def lambda_max(
     Trials are split evenly across opts.z_ladder, rounded up per rung; each
     rung is one sample_supports batch on SeedSequence(opts.rng_seed), so
     draw t of rung k runs on child k * per_rung + t.  Every rung's draws
-    run ahead in lock-step, z = 0 and finite rungs in separate batches,
-    and the rungs read them back; after threshold_sweep has run several
-    searches' draws ahead together, none is left to run here.  Distinct
+    run ahead in lock-step, z = 0 and finite rungs in shared batches, and
+    the rungs read them back; after threshold_sweep or compare_methods has
+    run the draws ahead, none is left to run here.  Distinct
     completed draws that pass the flow check are peeled to local
     minimality in one sweep (removing links never restores a degree count
     or transport, so a link kept once stays needed), and the sparsest
     certified support wins.
     A deterministic baseline candidate, the greedily thinned full support,
-    is always in play: the peel of the full support's network, built once
-    as the full support's flow check.  Every candidate is admissible, so
+    is always in play: the peel of the full support's network, which the
+    draws forked and left on g (or, when none waits there, one built
+    here), and which is the full support's flow check.  Every candidate is admissible, so
     the estimate never exceeds the true maximum.  With no feasible sampled draw the baseline is
     reported (fallback); when even the full support fails the flow check,
     no trial runs and the full support is reported with sparsity 0.
@@ -788,10 +808,12 @@ def lambda_max(
     trials = len(opts.z_ladder) * per_rung
     if g.m_total == 0:
         return LambdaMaxResult(Support(p.ends, np.zeros(0, dtype=np.uint8)), trials, trials)
+    _draw_ahead([(g, p, opts)])
     # Removing links never restores transport, so when the full support
-    # fails the flow check no draw can pass it and the search is skipped.
+    # fails the flow check no draw can pass it, and none was run.
     full = np.ones(g.m_total, dtype=np.uint8)
-    net = _Transport(p, np.arange(g.m_total))
+    waiting = g._nets.pop(id(p), None)
+    net = _Transport(p, np.arange(g.m_total)) if waiting is None else waiting[1]
     if not net.feasible:
         logger.warning(
             "the residuals cannot be transported on any support; reporting "
@@ -799,7 +821,6 @@ def lambda_max(
         )
         return LambdaMaxResult(Support(p.ends, full), trials, 0)
     best = Support(p.ends, _peel_support(g, net, full))
-    _draw_searches([(g, p, opts)])
     ss = np.random.SeedSequence(opts.rng_seed)
     feasible = 0
     seen: set[bytes] = set()

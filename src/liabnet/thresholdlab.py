@@ -40,7 +40,7 @@ from .netcore import (
     absorb_known,
     make_observation,
 )
-from .sampler import DecimationOptions, LambdaMaxOptions, _draw_searches, lambda_max
+from .sampler import DecimationOptions, LambdaMaxOptions, _draw_ahead, lambda_max
 
 __all__ = [
     "ThresholdOptions",
@@ -337,7 +337,7 @@ def threshold_sweep(
     # each lambda_max below runs the draws it misses, so only the search
     # at fault takes the error.
     try:
-        _draw_searches([(g, rp, lambda_opts[i]) for i, (rp, g, _) in searches.items()])
+        _draw_ahead([(g, rp, lambda_opts[i]) for i, (rp, g, _) in searches.items()])
     except (ValueError, RuntimeError):
         pass
     graphs: dict[int, FactorGraph] = {}

@@ -353,12 +353,14 @@ class TestKernelSize:
         assert seen == [(one, 1)]
 
     def test_guard_raises_before_any_fixed_point_is_kept(self, monkeypatch):
-        # A finite batch that fits and a z = 0 batch that does not: the
-        # guard counts every batch of the call before any copy sweeps, so
-        # no fixed point lands in a memo.
+        # A batch that fits and a batch that does not (with a batch budget
+        # that keeps the two copies apart): the guard counts every batch of
+        # the call before any copy sweeps, so no fixed point lands in a
+        # memo.
         small, large = build_factor_graph(benchmark3()), powerlaw_graph(12, 0.5, seed=1)
         fits = solo_state(small, 1.0).work.nbytes
         assert solo_state(large, 0.0).work.nbytes > fits
+        monkeypatch.setattr(bpcore, "_BATCH_BYTES", fits)
         monkeypatch.setattr(bpcore, "_physical_memory", lambda: fits)
         monkeypatch.setattr(bpcore, "run_sweeps", lambda *args, **kwargs: pytest.fail("swept"))
         with pytest.raises(KernelTooLarge, match="n=12"):
@@ -538,15 +540,41 @@ class TestBatches:
         sizes, real = [], bpcore._run_batch
         monkeypatch.setattr(bpcore, "_run_batch", lambda live, *rest: sizes.append(len(live)) or real(live, *rest))
         batch = bp_fixed_points(pairs, opts)
-        # the z = 0 copies of all four graphs share one batch, the others
-        # another
-        assert sizes == [4, 12]
+        # the copies of all four graphs share one batch at every fugacity,
+        # z = 0 included
+        assert sizes == [16]
         for (g, z), twin, got in zip(pairs, twins * len(zs), batch):
             assert_same_run(got, bp_fixed_point(twin, z, opts))
             assert (g._fixed_points.get((z, opts.tol, opts.damping)) is got) == got.converged
         # copies left the batch at different sweeps, and some hit the cap
         assert len({m.sweeps for m in batch}) > 4
         assert not all(m.converged for m in batch) and any(m.converged for m in batch)
+
+    def test_mixed_state_sweeps_as_its_copies_alone(self):
+        # One state over copies at z = 0, 0.1, 1 and 5, damped by 0.5 at
+        # z = 0 and not at all elsewhere: sweep by sweep each copy's
+        # messages are those of its own state, with a plan built afresh for
+        # every call, bit for bit.  Requirements fall between calls, as in
+        # decimation; the state keeps its plan and rebuilds what reads r.
+        pairs = [(g, z) for z in (0.0, 0.1, 1.0, 5.0) for g in mixed_graphs()]
+        dampings = [0.5 if z == 0 else 0.0 for _, z in pairs]
+        copies = [bpcore._Copy(g, z, d) for (g, z), d in zip(pairs, dampings)]
+        state, solo = bpcore._state_of(copies), [solo_state(g, z) for g, z in pairs]
+        assert state.damping is not None and len(set(state.damping.tolist())) == 2
+        for sweep in range(8):
+            if sweep in (3, 5):
+                for c, alone in zip(copies, solo):
+                    f = int(np.flatnonzero(alone.r)[sweep % 2])
+                    alone.r[f] -= 1
+                    state.r[c.factors[f >= c.g.n].start + f % c.g.n] -= 1
+            plan = state.plan
+            run_sweeps(state, BPOptions(max_sweeps=1))
+            assert sweep == 0 or state.plan is plan
+            for c, alone, d in zip(copies, solo, dampings):
+                alone.plan = None
+                run_sweeps(alone, BPOptions(max_sweeps=1, damping=d))
+                assert np.array_equal(c.mu_row, alone.mu_row) and np.array_equal(c.mu_col, alone.mu_col)
+        assert np.array_equal(state.plan.r, state.r)
 
     def test_capped_copy_warns_once_and_is_not_kept(self, caplog):
         # At z = 1 the copy converges in 19 sweeps; at z = 0.05 it needs
@@ -565,7 +593,7 @@ class TestBatches:
             assert_same_run(capped, bp_fixed_point(twin, 0.05, opts))
             assert_same_run(fast, bp_fixed_point(twin, 1.0, opts))
 
-    @pytest.mark.parametrize("zs", [(0.0,), (0.1, 1.0, 5.0)], ids=["sparse", "finite"])
+    @pytest.mark.parametrize("zs", [(0.0,), (0.1, 1.0, 5.0), (0.0, 0.1, 1.0, 5.0)], ids=["sparse", "finite", "mixed"])
     def test_marginal_stop_is_per_copy(self, zs):
         # With marginals=True, each copy's change is the largest move of its
         # own link marginals: sweep by sweep it equals its solo run's, and a

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from liabnet.bpcore import build_factor_graph
+from liabnet import bpcore, contagion, sampler
+from liabnet.bpcore import build_factor_graph, calibrate_fugacity
 
 from liabnet.contagion import (
     CapitalVector,
@@ -32,6 +33,7 @@ from liabnet.sampler import (
     lambda_max,
     sample_supports,
 )
+from liabnet.netcore import sparsity
 
 from _instances import random_network
 from _oracles import naive_cascade
@@ -483,6 +485,74 @@ class TestCompareMethods:
         assert lm.fallback == fallback
         dense, on_truth = (rep.curve_for(m).curve for m in ("me_dense", "me_on_true_support"))
         assert dense.mean_fraction != on_truth.mean_fraction
+
+    @staticmethod
+    def spy_runs(monkeypatch) -> list[list[int]]:
+        """Per _run_draws call: its sampled and searched draws, and the
+        copies its lock-step batches ran; and every support ME runs on."""
+        runs, supports = [], []
+        real_draws, real_batch, real_me = sampler._run_draws, bpcore._run_batch, contagion.me_on_support
+
+        def draws(sampled, searched=()):
+            runs.append([len(sampled), len(searched), 0])
+            return real_draws(sampled, searched)
+
+        def batch(live, bp, work, marginals):
+            if marginals:  # draws, not fixed points
+                runs[-1][2] += len(live)
+            return real_batch(live, bp, work, marginals)
+
+        def me(rp, a, *rest):
+            supports.append(a.values.tobytes())
+            return real_me(rp, a, *rest)
+
+        monkeypatch.setattr(sampler, "_run_draws", draws)
+        monkeypatch.setattr(bpcore, "_run_batch", batch)
+        monkeypatch.setattr(contagion, "me_on_support", me)
+        return runs, supports
+
+    def test_draws_run_ahead_together(self, monkeypatch):
+        # The typical fugacity is calibrated first; then the sparsest
+        # search's 4 draws and the 5 typical draws run in one _run_draws
+        # call, and every later call finds its draws waiting.  The supports
+        # ME runs on are those of lambda_max and then sample_supports at the
+        # calibrated z on a fresh graph.
+        L, cap = random_case(8, 10)
+        opts = CompareOptions(theta=0.6, support_samples=5, rng_seed=0, lambda_trials=4)
+        runs, supports = self.spy_runs(monkeypatch)
+        rep = compare_methods(L, cap, [0.5], ["me_on_typical_support", "me_on_sparsest_support"], opts)
+        assert runs[0][:2] == [5, 4] and runs[0][2] == 9
+        assert len(runs) > 1 and all(run[2] == 0 for run in runs[1:])
+        assert rep.curve_for("me_on_typical_support").note == "1 of 5 support draws skipped"
+        assert not any(mc.error for mc in rep.curves)
+        monkeypatch.undo()
+        rp = absorb_known(make_observation(L, opts.theta))
+        g = build_factor_graph(rp, strict=False)
+        z, _ = calibrate_fugacity(g, sparsity(support_of(L, rp.unknown), rp.m))
+        lm = lambda_max(g, rp, LambdaMaxOptions(trials=4, rng_seed=0, decimation=opts.decimation))
+        draws = sample_supports(g, rp, z, 5, np.random.SeedSequence(0), opts.decimation)
+        want = [s.support.values.tobytes() for s in draws if s.certificate] + [lm.support.values.tobytes()]
+        assert supports == want and not lm.fallback
+
+    def test_failed_calibration_errors_only_the_typical_method(self, monkeypatch):
+        L, cap = random_case(8, 10)
+        opts = CompareOptions(theta=0.6, support_samples=5, rng_seed=0, lambda_trials=4)
+        methods = ["true", "me_on_typical_support", "me_on_sparsest_support"]
+        whole = compare_methods(L, cap, [0.5], methods, opts)
+
+        def calibrate(*args, **kwargs):
+            raise ValueError("calibration failed")
+
+        runs, _ = self.spy_runs(monkeypatch)
+        monkeypatch.setattr(contagion, "calibrate_fugacity", calibrate)
+        rep = compare_methods(L, cap, [0.5], methods, opts)
+        typical = rep.curve_for("me_on_typical_support")
+        assert typical.curve is None and typical.error == "calibration failed"
+        assert runs[0] == [0, 4, 4]
+        for method in ("true", "me_on_sparsest_support"):
+            got, want = rep.curve_for(method), whole.curve_for(method)
+            assert got.error is None and got.curve.mean_fraction == want.curve.mean_fraction
+            assert np.array_equal(got.curve.per_trigger, want.curve.per_trigger)
 
     def test_typical_support_error_bars(self):
         L, cap = random_case(6, 15)

@@ -395,21 +395,29 @@ class TestDecimate:
 
     @pytest.mark.parametrize("z, damping", [(0.0, 0.3), (0.2, 0.0), (1.0, 0.0)])
     def test_refreshes_damp_only_at_the_sparse_limit(self, monkeypatch, z, damping):
-        # Finite-z refreshes run undamped; z = 0 refreshes keep bp.damping,
-        # and every other budget setting is passed through unchanged.  Every
-        # refresh stops on the link marginals; a fixed point, through the
-        # same bpcore.run_sweeps, keeps the message test.
-        seen, real = [], bpcore.run_sweeps
+        # A draw carries its own damping: bp.damping at z = 0, none at
+        # finite z.  A state of copies that damp alike sweeps with that
+        # damping, and every other budget setting is passed through
+        # unchanged.  Every refresh stops on the link marginals; a fixed
+        # point, through the same bpcore.run_sweeps, keeps the message test.
+        seen, copies, real, real_batch = [], [], bpcore.run_sweeps, bpcore._run_batch
 
         def spy(state, opts, **stop):
             seen.append((opts, stop))
+            assert state.damping is None
             return real(state, opts, **stop)
 
+        def spy_batch(live, *rest):
+            copies.extend(live)
+            return real_batch(live, *rest)
+
         monkeypatch.setattr(bpcore, "run_sweeps", spy)
+        monkeypatch.setattr(bpcore, "_run_batch", spy_batch)
         p = benchmark3()
         g = build_factor_graph(p)
         bp = BPOptions(tol=1e-9, max_sweeps=250, damping=0.3)
         tr = decimate(g, p, z, 3, DecimationOptions(bp=bp))
+        assert [(c.z, c.damping) for c in copies] == [(z, damping)]
         assert len(seen) == tr.rounds > 0
         assert set(opts for opts, _ in seen) == {BPOptions(tol=1e-9, max_sweeps=250, damping=damping)}
         assert all(stop == {"marginals": True} for _, stop in seen)
@@ -836,14 +844,14 @@ class TestBatchedDraws:
     the graph until decimate takes them."""
 
     @staticmethod
-    def spy_batches(monkeypatch) -> list[tuple[int, float]]:
-        """The size and damping of every batch of draws (fixed points sweep
-        on the message test, draws on the marginals)."""
+    def spy_batches(monkeypatch) -> list[tuple[int, frozenset]]:
+        """The size and the copies' dampings of every batch of draws (fixed
+        points sweep on the message test, draws on the marginals)."""
         sizes, real = [], bpcore._run_batch
 
         def spy(live, bp, work, marginals):
             if marginals:
-                sizes.append((len(live), bp.damping))
+                sizes.append((len(live), frozenset(c.damping for c in live)))
             real(live, bp, work, marginals)
 
         monkeypatch.setattr(bpcore, "_run_batch", spy)
@@ -866,8 +874,8 @@ class TestBatchedDraws:
         assert all(len(g._draws) == 6 for g in graphs)
         batched = [decimate(*draw) for draw in draws]
         assert all(g._draws == {} for g in graphs)
-        # z = 0 copies run damped, the others undamped, never together
-        assert {damping for _, damping in sizes} == {0.0, 0.5} and max(size for size, _ in sizes) > 10
+        # z = 0 copies run damped, the others undamped, in shared batches
+        assert {0.0, 0.5} in [dampings for _, dampings in sizes] and max(size for size, _ in sizes) > 10
         monkeypatch.undo()
         for (_, p, z, seed, _), got in zip(draws, batched):
             assert trace_fields(got) == trace_fields(decimate(build_factor_graph(p), p, z, seed, opts))
@@ -900,7 +908,7 @@ class TestBatchedDraws:
         monkeypatch.setattr(bpcore, "run_sweeps", spy_sweeps)
         sizes = self.spy_batches(monkeypatch)
         out = sample_supports(g, p, 1.0, 3, rng_seed=1, opts=DecimationOptions(fix_per_round=0.12))
-        assert len(out) == 3 and sizes == [(1, 0.0)] * 3 and g._draws == {}
+        assert len(out) == 3 and sizes == [(1, {0.0})] * 3 and g._draws == {}
         # one workspace for the call
         assert len(alive) == 1 and swept and set(swept) == {1}
         assert len({id(buf) for buf in mapped}) == 1
@@ -924,12 +932,12 @@ class TestBatchedDraws:
         sizes = self.spy_batches(monkeypatch)
         child = np.random.SeedSequence(5).spawn(1)[0]
         sampler._run_draws([(g, p, 1.0, child, DecimationOptions())] * 2)
-        assert sizes == [(1, 0.0)] and len(g._draws) == 1
+        assert sizes == [(1, {0.0})] and len(g._draws) == 1
         first = decimate(g, p, 1.0, child)
-        assert g._draws == {} and sizes == [(1, 0.0)]
+        assert g._draws == {} and sizes == [(1, {0.0})]
         # asked again, the draw runs again, alone, and gives the same trace
         again = decimate(g, p, 1.0, np.random.SeedSequence(5).spawn(1)[0])
-        assert sizes == [(1, 0.0)] * 2 and trace_fields(again) == trace_fields(first)
+        assert sizes == [(1, {0.0})] * 2 and trace_fields(again) == trace_fields(first)
         # another z, seed, problem or option set is another draw
         sampler._run_draws([(g, p, 1.0, child, DecimationOptions())])
         for other in ((g, p, 0.5, child), (g, p, 1.0, 6), (g, benchmark3(), 1.0, child)):
@@ -942,11 +950,11 @@ class TestBatchedDraws:
         p = random_problem(6, 1)[2]
         g = build_factor_graph(p)
         sample_supports(g, p, 1.0, 5, rng_seed=3)
-        assert g._draws == {} and sizes == [(5, 0.0)]
+        assert g._draws == {} and sizes == [(5, {0.0})]
         sizes.clear()
         lambda_max(g, p, LambdaMaxOptions(trials=8, rng_seed=2))
-        # one z = 0 batch and one finite batch over the other three rungs
-        assert g._draws == {} and sorted(sizes) == [(2, 0.5), (6, 0.0)]
+        # one batch over the z = 0 rung and the three finite ones
+        assert g._draws == {} and sizes == [(8, {0.0, 0.5})]
         graphs, real = [], thresholdlab.build_factor_graph
         monkeypatch.setattr(thresholdlab, "build_factor_graph", lambda *a, **k: graphs.append(real(*a, **k)) or graphs[-1])
         sizes.clear()
@@ -954,20 +962,46 @@ class TestBatchedDraws:
         rep = threshold_sweep(L, (0.002, 0.01, 0.05), ThresholdOptions(z_grid=(0.5, 1.0)))
         assert all(rec.error is None for rec in rep.records) and len(graphs) == 3
         assert all(h._draws == {} for h in graphs)
-        # every record's z = 0 draws share one batch
-        assert (3 * 2, 0.5) in sizes
+        # every record's draws share one batch, z = 0 and finite
+        assert sizes == [(3 * 3 * 2, {0.0, 0.5})]
 
     def test_search_without_a_carrying_full_support_hands_over_nothing(self, monkeypatch):
         sizes = self.spy_batches(monkeypatch)
         bad, good = fallback_problem(), benchmark3()
         g_bad, g_good = build_factor_graph(bad), build_factor_graph(good)
         opts = LambdaMaxOptions(trials=6, rng_seed=1)
-        sampler._draw_searches([(g_bad, bad, opts), (g_good, good, opts)])
+        sampler._draw_ahead([(g_bad, bad, opts), (g_good, good, opts)])
         assert g_bad._draws == {} and len(g_good._draws) == 8
         assert sum(size for size, _ in sizes) == 8
         assert lambda_max(g_bad, bad, opts).fallback
         lambda_max(g_good, good, opts)
         assert g_bad._draws == g_good._draws == {} and sum(size for size, _ in sizes) == 8
+
+    def test_search_peels_the_network_its_draws_forked(self, monkeypatch):
+        # The draws of a search fork one network of the full support and
+        # leave it on the graph, max-flowed and unchanged; lambda_max pops
+        # it and peels it, and builds its own only when none waits.  The
+        # result is the one a search from scratch gives.
+        p = random_problem(6, 1)[2]
+        g, fresh = build_factor_graph(p), build_factor_graph(p)
+        opts = LambdaMaxOptions(trials=8, rng_seed=2)
+        want = lambda_max(fresh, p, opts)
+        full, real = [], sampler._Transport.__init__
+
+        def spy(net, q, slots):
+            real(net, q, slots)
+            if len(slots) == q.m:
+                full.append(net)
+
+        monkeypatch.setattr(sampler._Transport, "__init__", spy)
+        sampler._draw_ahead([(g, p, opts)])
+        assert len(full) == 1 and g._nets == {id(p): (p, full[0])} and full[0].feasible
+        cap = list(full[0].cap)
+        sampler._draw_ahead([(g, p, opts)])  # every draw waits: nothing is built
+        assert len(full) == 1 and full[0].cap == cap
+        got = lambda_max(g, p, opts)
+        assert g._nets == {} and len(full) == 1 and full[0].cap != cap
+        assert np.array_equal(got.support.values, want.support.values) and got.feasible_trials == want.feasible_trials
 
 
 def test_true_support_certified_at_small_threshold():
